@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "BoundKind",
     "BoundSpec",
@@ -20,6 +22,7 @@ __all__ = [
     "kl_inv",
     "kl_inv_grad",
     "penalty",
+    "objective_partials",
     "objective_value",
 ]
 
@@ -195,24 +198,43 @@ def penalty(inputs: PenaltyInputs) -> float:
     )
 
 
-def objective_value(emp_err: float, pen: float, spec: BoundSpec) -> float:
-    """Evaluate one of the four bound objectives at (emp_err, pen).
+def objective_partials(kind: BoundKind, emp_err: float, pen: float, lam: float | None = None):
+    """One of the four bound objectives at (E, Pen) and its partials.
 
     invkl -> kl_inv(E, Pen)
     mcall -> E + sqrt(Pen/2)
     quad  -> (sqrt(E + Pen/2) + sqrt(Pen/2))^2
-    lbd   -> (E + Pen/lam) / (1 - lam/2) at the supplied lam
+    lbd   -> (E + Pen/lam) / (1 - lam/2)
+
+    Returns (value, (dE, dPen, dlam)); dlam is 0 except for lbd. Inputs are
+    not validated: a non-finite input gives a NaN value, which a training
+    loop reports as divergence, and the partials at Pen = 0 are infinite.
     """
+    if not all(math.isfinite(x) for x in (emp_err, pen, 0.5 if lam is None else lam)):
+        return math.nan, (math.nan, math.nan, math.nan)
+    if kind == BoundKind.INVKL:
+        d_e, d_pen = kl_inv_grad(emp_err, pen) if pen > 0 else (1.0, math.inf)
+        return kl_inv(emp_err, pen), (d_e, d_pen, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e, p = np.float64(emp_err), np.float64(pen)
+        r = np.sqrt(p / 2.0)
+        if kind == BoundKind.MCALL:
+            return float(e + r), (1.0, float(0.25 / r), 0.0)
+        if kind == BoundKind.QUAD:
+            a = np.sqrt(e + p / 2.0)
+            s = a + r
+            return float(s * s), (float(s / a), float(0.5 * s * (1.0 / a + 1.0 / r)), 0.0)
+        if kind == BoundKind.LBD:
+            scale = 1.0 / (1.0 - lam / 2.0)
+            value = (e + p / lam) / (1.0 - lam / 2.0)
+            return float(value), (scale, scale / lam, float((value / 2.0 - p / lam**2) * scale))
+    raise ValueError(f"unknown bound kind: {kind}")
+
+
+def objective_value(emp_err: float, pen: float, spec: BoundSpec) -> float:
+    """Evaluate spec's bound objective at (emp_err, pen); see
+    ``objective_partials``."""
     emp_err = _check_prob("emp_err", emp_err)
     if pen < 0:
         raise ValueError(f"pen must be non-negative, got {pen}")
-    if spec.kind == BoundKind.INVKL:
-        return kl_inv(emp_err, pen)
-    if spec.kind == BoundKind.MCALL:
-        return emp_err + math.sqrt(pen / 2.0)
-    if spec.kind == BoundKind.QUAD:
-        return (math.sqrt(emp_err + pen / 2.0) + math.sqrt(pen / 2.0)) ** 2
-    if spec.kind == BoundKind.LBD:
-        lam = spec.lam
-        return (emp_err + pen / lam) / (1.0 - lam / 2.0)
-    raise ValueError(f"unknown bound kind: {spec.kind}")
+    return objective_partials(spec.kind, emp_err, pen, spec.lam)[0]

@@ -28,6 +28,7 @@ from .rng import RngStream
 __all__ = [
     "Certificate",
     "CertificationRefused",
+    "draw_errors",
     "mc_empirical_error",
     "inner_bound",
     "final_certificate",
@@ -125,14 +126,13 @@ def worker_count() -> int:
     return n
 
 
-def mc_empirical_error(
+def draw_errors(
     model: StochasticModel, dataset: LabelledDataset, n_draws: int, rng: RngStream
-) -> float:
-    """Average exact 0-1 error over n_draws full posterior samples.
+) -> np.ndarray:
+    """Exact 0-1 error of each of n_draws full posterior samples.
 
-    Each draw has its own child stream, results land in a preallocated slot
-    indexed by draw, and the average runs in draw order, so the value is
-    independent of the worker count and of scheduling.
+    Draw n uses the child stream ("draw", n) and lands in slot n, so the
+    array is independent of the worker count and of scheduling.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
@@ -149,7 +149,15 @@ def mc_empirical_error(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(one, range(n_draws)))
-    return float(np.mean(errors))
+    return errors
+
+
+def mc_empirical_error(
+    model: StochasticModel, dataset: LabelledDataset, n_draws: int, rng: RngStream
+) -> float:
+    """Average exact 0-1 error over n_draws full posterior samples, in draw
+    order."""
+    return float(np.mean(draw_errors(model, dataset, n_draws, rng)))
 
 
 def inner_bound(tilde_e: float, n_draws: int, delta_prime: float) -> float:

@@ -20,7 +20,7 @@ from .bounds import BoundKind, BoundSpec, kl_bernoulli, kl_inv, kl_inv_grad
 from .data import LabelledDataset
 from .network import ModelSpec, StochasticModel, batch_error_estimate, make_leaves
 from .rng import RngStream
-from .trainer import _kl_node, _objective_node
+from .trainer import penalized_objective
 
 __all__ = [
     "gauss_hermite_normal",
@@ -197,8 +197,6 @@ def toy_objective_fd_error(
     model, x, y = _toy_model(seed, widths)
     spec = BoundSpec(kind=kind, kappa=1.0, delta=0.025, lam=0.5 if kind == BoundKind.LBD else None)
     noise_rng = RngStream(seed).child("noise")
-    m = pen_m
-    log_term = math.log(2.0 * math.sqrt(m) / spec.delta)
 
     state0 = model.get_state()
 
@@ -210,8 +208,7 @@ def toy_objective_fd_error(
             model, x, y, noise_rng, repeats=repeats, tape=tape, leaves=leaves
         )
         lam_node = grad.sigmoid(tape.leaf(0.0)) if kind == BoundKind.LBD else None
-        pen = grad.mul(grad.add(_kl_node(leaves, model.groups), log_term), spec.kappa / m)
-        obj = _objective_node(est.node, pen, spec, lam_node)
+        obj, _ = penalized_objective(est.node, leaves, model.groups, spec, pen_m, lam_node)
         tape.backward(obj)
         grads = []
         for lv in leaves:

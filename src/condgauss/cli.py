@@ -18,20 +18,18 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import BoundKind, BoundSpec
-from .certify import final_certificate
+from .certify import draw_errors, final_certificate
 from .checks import run_battery
-from .data import LabelledDataset, load_mnist_idx, save_idx, split_prior_bound, synth_blobs
-from .network import (
-    ModelSpec,
-    StochasticModel,
-    exact_misclassification,
-    load_model,
-    sample_full,
-    save_model,
+from .data import (
+    LabelledDataset,
+    load_mnist_idx,
+    save_idx,
+    split_holdout,
+    split_prior_bound,
+    synth_blobs,
 )
+from .network import ModelSpec, StochasticModel, load_model, save_model
 from .rng import RngStream
 from .trainer import (
     TrainConfig,
@@ -45,6 +43,18 @@ from .trainer import (
 __all__ = ["main", "cmd_train", "cmd_certify", "cmd_check", "cmd_eval", "RunConfig"]
 
 _OBJECTIVES = {k.value: k for k in BoundKind}
+
+_PHASE_KEYS = "method objective kappa lambda dropout schedule momentum batch_size repeats"
+# Every section and key a config may contain; anything else is a typo.
+_CONFIG_KEYS = {
+    "data": "source seed classes per_class dim separation holdout_per_class images labels "
+    "prior_fraction",
+    "model": "widths activation sigma0",
+    "prior": _PHASE_KEYS,
+    "posterior": _PHASE_KEYS,
+    "certify": "n_draws delta delta_prime",
+    "run": "seed output_dir",
+}
 
 
 class ConfigError(ValueError):
@@ -96,8 +106,6 @@ def _parse_schedule(text: str) -> tuple[tuple[int, float], ...]:
 
 def _phase(cp: configparser.ConfigParser, section: str, default_method: str) -> PhaseSettings:
     def get(key, fallback):
-        if not cp.has_section(section):
-            return fallback
         return cp.get(section, key, fallback=fallback)
 
     return PhaseSettings(
@@ -119,6 +127,18 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read(path)
+    unknown = [f"[{cp.default_section}] {k}" for k in cp.defaults()]
+    for section in cp.sections():
+        if section not in _CONFIG_KEYS:
+            unknown.append(f"[{section}]")
+            continue
+        unknown += [
+            f"[{section}] {k}"
+            for k in cp.options(section)
+            if k not in _CONFIG_KEYS[section].split()
+        ]
+    if unknown:
+        raise ConfigError("unknown config entries: " + ", ".join(unknown))
     for section in ("data", "model", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
@@ -203,15 +223,7 @@ def _build_dataset(cfg: RunConfig):
     ds = synth_blobs(s["classes"], total, s["dim"], s["separation"], cfg.data_seed)
     if s["holdout_per_class"] == 0:
         return ds, None
-    train_idx, hold_idx = [], []
-    seen = {c: 0 for c in range(1, s["classes"] + 1)}
-    for i, label in enumerate(ds.labels):
-        if seen[int(label)] < s["per_class"]:
-            train_idx.append(i)
-            seen[int(label)] += 1
-        else:
-            hold_idx.append(i)
-    return ds.subset(train_idx, "whole"), ds.subset(hold_idx, "whole")
+    return split_holdout(ds, s["per_class"])
 
 
 def _resolved_config_text(cfg: RunConfig) -> str:
@@ -377,13 +389,7 @@ def cmd_eval(args) -> int:
     """
     model = load_model(args.model)
     ds = _dataset_from_args(args)
-    rng = RngStream(args.seed).child("eval")
-    errs = np.array(
-        [
-            exact_misclassification(model, ds.inputs, ds.labels, sample_full(model, rng.child("draw", k)))
-            for k in range(args.n_draws)
-        ]
-    )
+    errs = draw_errors(model, ds, args.n_draws, RngStream(args.seed).child("eval"))
     std = float(errs.std(ddof=1)) if len(errs) > 1 else 0.0
     print(f"heldout_error={float(errs.mean())!r} std={std!r} draws={args.n_draws}")
     return 0

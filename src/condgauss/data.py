@@ -20,6 +20,7 @@ __all__ = [
     "IdxParseError",
     "load_mnist_idx",
     "save_idx",
+    "split_holdout",
     "split_prior_bound",
     "synth_blobs",
 ]
@@ -54,6 +55,9 @@ class LabelledDataset:
             raise ValueError("inputs must be a 2-D array [n, p]")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels counts differ")
+        bad = np.flatnonzero(~np.isfinite(self.inputs).all(axis=1))
+        if bad.size:
+            raise ValueError(f"inputs row {bad[0]} has non-finite values")
         if self.labels.size and (self.labels.min() < 1 or self.labels.max() > self.q):
             raise ValueError(f"labels must lie in 1..{self.q}")
         if self.split_tag not in ("whole", "prior", "bound"):
@@ -159,6 +163,17 @@ def split_prior_bound(ds: LabelledDataset, fraction: float, seed: int):
         f"{ds.fingerprint}:{fraction!r}:{seed}".encode()
     ).hexdigest()[:16]
     return ds.subset(idx1, "prior", token), ds.subset(idx2, "bound", token)
+
+
+def split_holdout(ds: LabelledDataset, per_class: int):
+    """The first ``per_class`` points of each class, in dataset order, and
+    the rest as a held-out set; both halves keep the ``whole`` tag."""
+    rank = np.empty(len(ds), dtype=np.int64)
+    for c in range(1, ds.q + 1):
+        in_class = ds.labels == c
+        rank[in_class] = np.arange(np.count_nonzero(in_class))
+    keep = rank < per_class
+    return ds.subset(np.flatnonzero(keep), "whole"), ds.subset(np.flatnonzero(~keep), "whole")
 
 
 def synth_blobs(

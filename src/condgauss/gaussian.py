@@ -3,8 +3,11 @@
 Covers the |rho|^(3/2) deviation parametrization, parameter sampling, the
 conditional output moments of the last linear layer, the closed-form binary
 error probability, the two unbiased Monte-Carlo estimators of the multiclass
-error probability (with their exact pathwise gradients in M and V), and the
-diagonal-Gaussian KL divergence between posterior and frozen prior.
+error probability (with their exact pathwise gradients in M and V), the 0-1
+error of sampled scores, and the diagonal-Gaussian KL divergence between
+posterior and frozen prior (with its partials in the means and deviations).
+Training, certification and the validators all call these single
+implementations.
 
 Classes are numbered from 1 throughout, matching the label convention of the
 datasets module.
@@ -28,10 +31,14 @@ __all__ = [
     "binary_error_prob",
     "estimator_L1",
     "estimator_L2",
+    "l1_draws",
     "l1_samples",
     "l2_samples",
     "argmax_error_frequency",
+    "misclassified",
     "conditional_moments",
+    "dsigma_of_rho",
+    "kl_diag",
     "kl_diag_gauss",
     "sigma_of_rho",
     "sample_gaussian",
@@ -53,18 +60,16 @@ def std_normal_pdf(t):
 
 
 def sigma_of_rho(rho):
-    """Deviation sigma = |rho|^(3/2) and its derivative w.r.t. rho.
+    """Deviation sigma = |rho|^(3/2); works on scalars and arrays."""
+    sigma = np.abs(np.asarray(rho, dtype=np.float64)) ** 1.5
+    return float(sigma) if sigma.ndim == 0 else sigma
 
-    The derivative is (3/2) sqrt(|rho|) sign(rho), taken as 0 at rho = 0.
-    Works on scalars and arrays.
-    """
+
+def dsigma_of_rho(rho):
+    """d sigma / d rho = (3/2) sqrt(|rho|) sign(rho), taken as 0 at rho = 0."""
     rho = np.asarray(rho, dtype=np.float64)
-    a = np.abs(rho)
-    sigma = a ** 1.5
-    dsigma = 1.5 * np.sqrt(a) * np.sign(rho)
-    if sigma.ndim == 0:
-        return float(sigma), float(dsigma)
-    return sigma, dsigma
+    dsigma = 1.5 * np.sqrt(np.abs(rho)) * np.sign(rho)
+    return float(dsigma) if dsigma.ndim == 0 else dsigma
 
 
 @dataclass
@@ -135,11 +140,11 @@ class GaussianParamGroup:
 
     @property
     def w_sigma(self) -> np.ndarray:
-        return np.abs(self.w_rho) ** 1.5
+        return sigma_of_rho(self.w_rho)
 
     @property
     def b_sigma(self) -> np.ndarray:
-        return np.abs(self.b_rho) ** 1.5
+        return sigma_of_rho(self.b_rho)
 
     @property
     def prior_frozen(self) -> bool:
@@ -219,34 +224,40 @@ def binary_error_prob(head: ConditionalHead, y: int) -> float:
     return float(std_normal_cdf(diff / denom))
 
 
-def l1_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
-    """n independent draws of the L1 estimator with exact (M, V) gradients.
+def l1_draws(M, V, y0, zeta):
+    """Draws of the L1 estimator with exact (M, V) gradients, over any
+    leading axes.
 
-    L1 = psi(max_{i != y} (F_i - M_y) / sqrt(V_y)) with F_i ~ N(M_i, V_i)
-    sampled for i != y. Returns (values [n], dM [n, q], dV [n, q]). The max is
-    differentiated through its sampled argmax (ties break to the lowest
-    index, an event of probability zero).
+    L1 = psi((max_{i != y} F_i - M_y) / sqrt(V_y)) with F = M + sqrt(V) zeta,
+    so only the i != y draws matter. M and V are [..., q] with V > 0, y0
+    holds 0-based labels of shape M.shape[:-1], and zeta [..., q] broadcasts
+    against M from the left (extra leading axes are repeats). Returns
+    per-draw (values [...], dM [..., q], dV [..., q]) in that broadcast
+    shape. The max is differentiated through its sampled argmax (ties break
+    to the lowest index, an event of probability zero).
     """
-    M, V, y0 = _check_head_label(head, y)
-    q = M.size
-    zeta = rng.normal((n, q))
+    y = np.asarray(y0)[..., None]
     sqv = np.sqrt(V)
     F = M + sqv * zeta
-    F[:, y0] = -np.inf
-    j = np.argmax(F, axis=1)
-    rows = np.arange(n)
-    fmax = F[rows, j]
-    sy = sqv[y0]
-    z = (fmax - M[y0]) / sy
-    values = std_normal_cdf(z)
+    y_all = np.broadcast_to(y, F.shape[:-1] + (1,))
+    np.put_along_axis(F, y_all, -np.inf, axis=-1)
+    j = np.argmax(F, axis=-1)[..., None]
+    sy = np.take_along_axis(sqv, y, axis=-1)
+    z = (np.take_along_axis(F, j, axis=-1) - np.take_along_axis(M, y, axis=-1)) / sy
     dens = std_normal_pdf(z)
-    dM = np.zeros((n, q))
-    dV = np.zeros((n, q))
-    dM[rows, j] = dens / sy
-    dV[rows, j] = dens * zeta[rows, j] / (2.0 * sqv[j] * sy)
-    dM[:, y0] = -dens / sy
-    dV[:, y0] = -dens * z / (2.0 * V[y0])
-    return values, dM, dV
+    dM = np.zeros(F.shape)
+    np.put_along_axis(dM, j, dens / sy, axis=-1)
+    dV = dM * zeta / (2.0 * sqv)
+    np.put_along_axis(dM, y_all, -dens / sy, axis=-1)
+    np.put_along_axis(dV, y_all, -dens * z / (2.0 * np.take_along_axis(V, y, axis=-1)), axis=-1)
+    return std_normal_cdf(z)[..., 0], dM, dV
+
+
+def l1_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
+    """n independent draws of the L1 estimator with exact (M, V) gradients:
+    (values [n], dM [n, q], dV [n, q]); see ``l1_draws``."""
+    M, V, y0 = _check_head_label(head, y)
+    return l1_draws(M, V, y0, rng.normal((n, M.size)))
 
 
 def l2_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
@@ -307,23 +318,45 @@ def argmax_error_frequency(head: ConditionalHead, y: int, rng: RngStream, n: int
     """
     M, V, y0 = _check_head_label(head, y)
     zeta = rng.normal((n, M.size))
-    F = M + np.sqrt(V) * zeta
-    fy = F[:, y0].copy()
-    F[:, y0] = -np.inf
-    errors = fy <= F.max(axis=1)
-    k = int(np.sum(errors))
+    k = int(np.sum(misclassified(M + np.sqrt(V) * zeta, y0)))
     freq = k / n
     a, b = k + 1.0, n - k + 1.0
     se = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
     return freq, se
 
 
-def kl_diag_gauss(groups) -> float:
-    """KL(Q||P) for diagonal Gaussians, summed over every parameter.
+def misclassified(scores, y0) -> np.ndarray:
+    """Per-row 0-1 errors of class scores [..., q] against 0-based labels y0.
+
+    A row is correct only when its true class is the strict maximum: ties
+    count as errors, and so does any non-finite score in the comparison.
+    """
+    y = np.broadcast_to(np.asarray(y0)[..., None], scores.shape[:-1] + (1,))
+    fy = np.take_along_axis(scores, y, axis=-1)[..., 0]
+    others = np.array(scores, dtype=np.float64)
+    np.put_along_axis(others, y, -np.inf, axis=-1)
+    return ~(fy > others.max(axis=-1))
+
+
+def kl_diag(mean, sigma, pmean, psigma, total: float = 0.0):
+    """KL of one diagonal-Gaussian parameter array from its prior, added to
+    ``total``, with the partials of the KL in mean and sigma.
 
     0.5 sum (s^2 - st^2)/st^2 + 0.5 sum ((m - mt)/st)^2 + sum log(st/s),
-    where tilde quantities are the frozen prior copies.
+    where tilde quantities are the prior's. Returns (total, dmean, dsigma).
+    The three sums are added to ``total`` one at a time, so a model's KL
+    comes out the same whichever caller accumulates it.
     """
+    r2 = np.square(sigma / psigma)
+    shift = (mean - pmean) / psigma
+    total += 0.5 * float(np.sum(r2 - 1.0))
+    total += 0.5 * float(np.sum(np.square(shift)))
+    total += float(np.sum(np.log(psigma) - np.log(sigma)))
+    return total, shift / psigma, (r2 - 1.0) / sigma
+
+
+def kl_diag_gauss(groups) -> float:
+    """KL(Q||P) for diagonal Gaussians, summed over every parameter."""
     total = 0.0
     for g in groups:
         if not g.prior_frozen:
@@ -336,10 +369,7 @@ def kl_diag_gauss(groups) -> float:
                 raise ValueError("posterior sigma must be strictly positive")
             if np.any(psigma <= 0):
                 raise ValueError("prior sigma must be strictly positive")
-            r2 = np.square(sigma / psigma)
-            total += 0.5 * float(np.sum(r2 - 1.0))
-            total += 0.5 * float(np.sum(np.square((mean - pmean) / psigma)))
-            total += float(np.sum(np.log(psigma) - np.log(sigma)))
+            total = kl_diag(mean, sigma, pmean, psigma, total)[0]
     return max(total, 0.0)
 
 
@@ -348,7 +378,4 @@ def _check_head_label(head: ConditionalHead, y: int):
         raise ValueError("estimators take a single (unbatched) head")
     if not 1 <= y <= head.q:
         raise ValueError(f"label {y} outside 1..{head.q}")
-    V = np.maximum(head.V, VARIANCE_FLOOR)
-    if V[y - 1] <= 0:
-        raise ValueError("V_y must be strictly positive")
-    return head.M.astype(np.float64), V, y - 1
+    return head.M.astype(np.float64), np.maximum(head.V, VARIANCE_FLOOR), y - 1

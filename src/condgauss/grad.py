@@ -7,18 +7,19 @@ arrays of the model's parameter groups; everything else (inputs, noise draws,
 masks) enters as plain numpy constants with no gradient.
 
 Primitives are only what the training objectives need: arithmetic, affine
-maps, relu, the standard-normal CDF, sigma(rho) = |rho|^(3/2), max over the
-class axis with argmax routing, gathers, clamps, reductions, and kl_inv with
-its closed-form derivative. Accumulation stays in float64 and intermediates
-are saved rather than recomputed; the nets are desk-scale and determinism
+maps, relu, sigma(rho) = |rho|^(3/2), max over the class axis with argmax
+routing, gathers, clamps and reductions. A formula whose partial
+derivatives are known in closed form (the KL term, the L1 error estimate,
+the bound objectives) enters as a single ``closed_form`` node rather than as
+a chain of primitives. Accumulation stays in float64 and intermediates are
+saved rather than recomputed; the nets are desk-scale and determinism
 matters more than memory.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import bounds
-from .gaussian import std_normal_cdf, std_normal_pdf
+from .gaussian import dsigma_of_rho, sigma_of_rho
 
 __all__ = ["Tape", "Tensor", "fd_check"]
 
@@ -51,37 +52,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
-    # Operator sugar; the right-hand side may be a Tensor, array, or scalar.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Tape:
     """Ordered record of operations for one forward pass."""
@@ -91,9 +61,6 @@ class Tape:
 
     def leaf(self, value) -> Tensor:
         return Tensor(self, value)
-
-    def __len__(self):
-        return len(self._nodes)
 
     def backward(self, root: Tensor, seed: float = 1.0) -> None:
         """Accumulate d(root)/d(node) into .grad for every reachable node."""
@@ -164,14 +131,21 @@ def div(a, b) -> Tensor:
     return _binary(a, b, out, lambda g: g / vb, lambda g: -g * out / vb)
 
 
+def closed_form(value, parents, partials) -> Tensor:
+    """Node whose partial derivatives were computed together with its value.
+
+    ``partials[k]`` is d(value)/d(parents[k]): an array of the parent's shape
+    for a scalar node, or the elementwise derivative for an elementwise one.
+    The backward pass multiplies each partial by the incoming cotangent.
+    """
+    return Tensor(
+        parents[0].tape, value, tuple(parents), lambda g: tuple(g * p for p in partials)
+    )
+
+
 def square(a: Tensor) -> Tensor:
     va = _val(a)
-    return Tensor(a.tape, np.square(va), (a,), lambda g: (2.0 * va * g,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(_val(a))
-    return Tensor(a.tape, out, (a,), lambda g: (0.5 * g / out,))
+    return closed_form(np.square(va), (a,), (2.0 * va,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -181,39 +155,29 @@ def log(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(_val(a))
-    return Tensor(a.tape, out, (a,), lambda g: (g * out,))
+    return closed_form(out, (a,), (out,))
 
 
 def relu(a: Tensor) -> Tensor:
     va = _val(a)
     mask = va > 0
-    return Tensor(a.tape, va * mask, (a,), lambda g: (g * mask,))
-
-
-def ncdf(a: Tensor) -> Tensor:
-    """Standard normal CDF node; gradient is the normal density."""
-    va = _val(a)
-    return Tensor(a.tape, std_normal_cdf(va), (a,), lambda g: (g * std_normal_pdf(va),))
+    return closed_form(va * mask, (a,), (mask,))
 
 
 def sigma_rho(a: Tensor) -> Tensor:
-    """sigma = |rho|^(3/2) with derivative 1.5 sqrt(|rho|) sign(rho)."""
+    """sigma = |rho|^(3/2) as an elementwise node."""
     va = _val(a)
-    absv = np.abs(va)
-    dsig = 1.5 * np.sqrt(absv) * np.sign(va)
-    return Tensor(a.tape, absv ** 1.5, (a,), lambda g: (g * dsig,))
+    return closed_form(sigma_of_rho(va), (a,), (dsigma_of_rho(va),))
 
 
 def maximum_const(a: Tensor, c: float) -> Tensor:
     va = _val(a)
-    mask = va > c
-    return Tensor(a.tape, np.maximum(va, c), (a,), lambda g: (g * mask,))
+    return closed_form(np.maximum(va, c), (a,), (va > c,))
 
 
 def minimum_const(a: Tensor, c: float) -> Tensor:
     va = _val(a)
-    mask = va < c
-    return Tensor(a.tape, np.minimum(va, c), (a,), lambda g: (g * mask,))
+    return closed_form(np.minimum(va, c), (a,), (va < c,))
 
 
 def linear(x, W, b=None) -> Tensor:
@@ -290,24 +254,11 @@ def expand_last(a: Tensor) -> Tensor:
     return Tensor(a.tape, va[..., None], (a,), lambda g: (np.asarray(g)[..., 0],))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    va = _val(a)
-    return Tensor(a.tape, va.sum(), (a,), lambda g: (np.full_like(va, float(g)),))
-
-
 def mean_all(a: Tensor) -> Tensor:
     va = _val(a)
     return Tensor(
         a.tape, va.mean(), (a,), lambda g: (np.full_like(va, float(g) / va.size),)
     )
-
-
-def kl_inv_node(u: Tensor, c: Tensor) -> Tensor:
-    """kl_inv as a scalar tape op, differentiated by its closed form."""
-    uv, cv = float(_val(u)), float(_val(c))
-    out = bounds.kl_inv(uv, cv)
-    du, dc = bounds.kl_inv_grad(uv, cv)
-    return _binary(u, c, out, lambda g: g * du, lambda g: g * dc)
 
 
 def sigmoid(a: Tensor) -> Tensor:

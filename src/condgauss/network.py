@@ -12,7 +12,7 @@ dependence on the last layer's hyper-parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .gaussian import (
     VARIANCE_FLOOR,
     GaussianParamGroup,
     SampledLayer,
+    l1_draws,
+    misclassified,
     sample_gaussian,
 )
 from .rng import RngStream
@@ -138,10 +140,6 @@ class StochasticModel:
         return self.groups[:-1]
 
     @property
-    def last_group(self) -> GaussianParamGroup:
-        return self.groups[-1]
-
-    @property
     def prior_frozen(self) -> bool:
         return all(g.prior_frozen for g in self.groups)
 
@@ -181,11 +179,6 @@ def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
         return h
     keep = ~rng.bernoulli_mask(np.shape(h), prob)
     return h * keep / (1.0 - prob)
-
-
-def _dropout_mask(shape, prob: float, rng: RngStream) -> np.ndarray:
-    keep = ~rng.bernoulli_mask(shape, prob)
-    return keep / (1.0 - prob)
 
 
 def forward_hidden(x: np.ndarray, theta_hidden: list[SampledLayer], spec: ModelSpec) -> np.ndarray:
@@ -245,7 +238,16 @@ class EstimateResult:
     node: grad.Tensor
     tape: grad.Tape
     leaves: list[ParamLeaves]
-    scores: np.ndarray | None = field(default=None, repr=False)
+
+
+def sample_layer_on_tape(lv: ParamLeaves, rng: RngStream):
+    """Pathwise draw (W, b) = mean + sigma(rho) * zeta of one layer on the
+    tape, with zeta from rng's "w" and "b" children."""
+    zw = rng.child("w").normal(lv.w_mean.shape)
+    zb = rng.child("b").normal(lv.b_mean.shape)
+    W = grad.add(lv.w_mean, grad.mul(grad.sigma_rho(lv.w_rho), zw))
+    b = grad.add(lv.b_mean, grad.mul(grad.sigma_rho(lv.b_rho), zb))
+    return W, b
 
 
 def hidden_forward_on_tape(tape, leaves, x, rng, spec, dropout_prob):
@@ -254,18 +256,11 @@ def hidden_forward_on_tape(tape, leaves, x, rng, spec, dropout_prob):
     Returns the activated, optionally dropout-masked phi(H) tensor.
     """
     a = x
-    n_hidden = spec.n_layers - 1
-    for k in range(n_hidden):
-        lv = leaves[k]
-        layer_rng = rng.child("theta", k)
-        zw = layer_rng.child("w").normal(lv.w_mean.shape)
-        zb = layer_rng.child("b").normal(lv.b_mean.shape)
-        W = grad.add(lv.w_mean, grad.mul(grad.sigma_rho(lv.w_rho), zw))
-        b = grad.add(lv.b_mean, grad.mul(grad.sigma_rho(lv.b_rho), zb))
-        pre = grad.linear(a, W, b)
+    for k in range(spec.n_layers - 1):
+        pre = grad.linear(a, *sample_layer_on_tape(leaves[k], rng.child("theta", k)))
         a = grad.relu(pre)
         if dropout_prob > 0.0:
-            mask = _dropout_mask(a.shape, dropout_prob, rng.child("dropout", k))
+            mask = apply_dropout(np.ones(a.shape), dropout_prob, rng.child("dropout", k))
             a = grad.mul(a, mask)
     return a
 
@@ -285,8 +280,9 @@ def batch_error_estimate(
     Samples one set of hidden parameters for the whole batch, computes the
     conditional output moments, then averages the L1 estimator over
     ``repeats`` independent output draws per input. The computation is
-    recorded on the tape, so backward() yields pathwise gradients for every
-    mean and raw deviation.
+    recorded on the tape, the averaged estimator as one closed-form node over
+    (M, V), so backward() yields pathwise gradients for every mean and raw
+    deviation.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -311,17 +307,11 @@ def batch_error_estimate(
     Vc = grad.maximum_const(V, VARIANCE_FLOOR)
 
     # One block of output draws per batch; entry [r, i, :] belongs to
-    # repeat r of input i. The true-class entry is masked out of the max, so
-    # only the i != y draws ever matter.
+    # repeat r of input i.
     zeta = rng.child("l1").normal((repeats, batch, q))
-    mask = np.zeros((batch, q))
-    mask[np.arange(batch), y0] = -1e30
-    F = grad.add(M, grad.mul(grad.sqrt(Vc), zeta))
-    fmax = grad.max_last(grad.add(F, mask))
-    m_y = grad.gather_rows(M, y0)
-    s_y = grad.sqrt(grad.gather_rows(Vc, y0))
-    z = grad.div(grad.sub(fmax, m_y), s_y)
-    est = grad.mean_all(grad.ncdf(z))
+    values, dM, dV = l1_draws(M.value, Vc.value, y0, zeta)
+    n = values.size
+    est = grad.closed_form(values.mean(), (M, Vc), (dM.sum(axis=0) / n, dV.sum(axis=0) / n))
     return EstimateResult(value=float(est.value), node=est, tape=tape, leaves=leaves)
 
 
@@ -344,11 +334,7 @@ def exact_misclassification(
     if len(theta) != model.spec.n_layers:
         raise ValueError("theta must include a sample of every layer")
     scores = forward_scores(np.asarray(inputs, dtype=np.float64), theta, model.spec)
-    y0 = np.asarray(labels, dtype=np.int64) - 1
-    rows = np.arange(scores.shape[0])
-    fy = scores[rows, y0].copy()
-    scores[rows, y0] = -np.inf
-    return float(np.mean(fy <= scores.max(axis=1)))
+    return float(np.mean(misclassified(scores, np.asarray(labels, dtype=np.int64) - 1)))
 
 
 def _format_array(arr: np.ndarray) -> str:
@@ -411,6 +397,8 @@ def load_model(path) -> StochasticModel:
         pos += 1
         if vals.size != int(np.prod(shape)):
             raise ValueError(f"array '{expect_name}' has {vals.size} values, expected {np.prod(shape)}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"array '{expect_name}' of layer {k} has non-finite values")
         return vals.reshape(shape)
 
     groups = []

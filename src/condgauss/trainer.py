@@ -21,14 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad
-from .bounds import BoundKind, BoundSpec, PenaltyInputs, kl_inv, penalty
+from .bounds import BoundKind, BoundSpec, PenaltyInputs, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
-from .gaussian import kl_diag_gauss
+from .gaussian import dsigma_of_rho, kl_diag, kl_diag_gauss, misclassified, sigma_of_rho
 from .network import (
     StochasticModel,
     batch_error_estimate,
     hidden_forward_on_tape,
     make_leaves,
+    sample_layer_on_tape,
 )
 from .rng import RngStream
 
@@ -37,7 +38,9 @@ __all__ = [
     "TrainLog",
     "LogRow",
     "TrainingDiverged",
+    "kl_node",
     "momentum_step",
+    "penalized_objective",
     "train_condgauss",
     "train_lambda_alternating",
     "train_prior",
@@ -158,43 +161,36 @@ def momentum_step(param, grad_value, velocity, lr: float, mu: float):
     return param - lr * velocity, velocity
 
 
-def _kl_node(leaves, groups):
-    """KL(Q||P) of the whole model as a scalar tensor on the tape."""
-    total = None
+def kl_node(leaves, groups):
+    """KL(Q||P) of the whole model as one closed-form node over every mean
+    and raw-deviation leaf."""
+    total = 0.0
+    parents, partials = [], []
     for lv, g in zip(leaves, groups):
         for mean_leaf, rho_leaf, pmean, psigma in (
             (lv.w_mean, lv.w_rho, g.prior_w_mean, g.prior_w_sigma),
             (lv.b_mean, lv.b_rho, g.prior_b_mean, g.prior_b_sigma),
         ):
-            half_inv_ps2 = 0.5 / np.square(psigma)
-            sig = grad.sigma_rho(rho_leaf)
-            t1 = grad.sum_all(grad.mul(grad.square(sig), half_inv_ps2))
-            t2 = grad.sum_all(grad.mul(grad.square(grad.sub(mean_leaf, pmean)), half_inv_ps2))
-            t3 = grad.sum_all(grad.log(sig))
-            const = float(np.sum(np.log(psigma))) - 0.5 * psigma.size
-            part = grad.add(grad.sub(grad.add(t1, t2), t3), const)
-            total = part if total is None else grad.add(total, part)
-    return total
+            rho = rho_leaf.value
+            total, dmean, dsig = kl_diag(mean_leaf.value, sigma_of_rho(rho), pmean, psigma, total)
+            parents += [mean_leaf, rho_leaf]
+            partials += [dmean, dsig * dsigma_of_rho(rho)]
+    return grad.closed_form(total, parents, partials)
 
 
-def _objective_node(est_node, pen_node, spec: BoundSpec | None, lam_node=None):
-    if spec is None:
-        return est_node
-    if spec.kind == BoundKind.INVKL:
-        return grad.kl_inv_node(est_node, pen_node)
-    if spec.kind == BoundKind.MCALL:
-        return grad.add(est_node, grad.sqrt(grad.mul(pen_node, 0.5)))
-    if spec.kind == BoundKind.QUAD:
-        root = grad.sqrt(grad.mul(pen_node, 0.5))
-        return grad.square(grad.add(grad.sqrt(grad.add(est_node, grad.mul(pen_node, 0.5))), root))
-    if spec.kind == BoundKind.LBD:
-        if lam_node is None:
-            raise ValueError("lbd objective needs a lambda node")
-        return grad.div(
-            grad.add(est_node, grad.div(pen_node, lam_node)),
-            grad.sub(1.0, grad.mul(lam_node, 0.5)),
-        )
-    raise ValueError(f"unknown bound kind: {spec.kind}")
+def penalized_objective(est_node, leaves, groups, spec: BoundSpec, m: int, lam_node=None):
+    """The bound objective of a batch estimate on the tape.
+
+    The penalty is (kappa/m)(KL(Q||P) + log(2 sqrt(m)/delta)) with m the size
+    of the dataset being trained on; the objective is one closed-form node
+    over (estimate, penalty), plus ``lam_node`` for lbd. Returns (objective,
+    penalty).
+    """
+    log_term = math.log(2.0 * math.sqrt(m) / spec.delta)
+    pen_node = grad.mul(grad.add(kl_node(leaves, groups), log_term), spec.kappa / m)
+    parents = [node for node in (est_node, pen_node, lam_node) if node is not None]
+    value, partials = objective_partials(spec.kind, *[float(node.value) for node in parents])
+    return grad.closed_form(value, parents, partials[: len(parents)]), pen_node
 
 
 def _surrogate_batch(model, leaves, x, y0, rng, tape):
@@ -204,14 +200,8 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
     network on the batch (for bound tracking; ties count as errors).
     """
     phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
-    lv = leaves[-1]
     k_last = model.spec.n_layers - 1
-    layer_rng = rng.child("theta", k_last)
-    zw = layer_rng.child("w").normal(lv.w_mean.shape)
-    zb = layer_rng.child("b").normal(lv.b_mean.shape)
-    W = grad.add(lv.w_mean, grad.mul(grad.sigma_rho(lv.w_rho), zw))
-    b = grad.add(lv.b_mean, grad.mul(grad.sigma_rho(lv.b_rho), zb))
-    F = grad.linear(phi_h, W, b)
+    F = grad.linear(phi_h, *sample_layer_on_tape(leaves[-1], rng.child("theta", k_last)))
 
     z = grad.sub(F, grad.expand_last(grad.max_last(F)))
     e = grad.exp(z)
@@ -220,12 +210,7 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
     ell = grad.mul(grad.log(p_y), -1.0 / math.log(1.0 / SURROGATE_PMIN))
     surrogate = grad.mean_all(grad.minimum_const(ell, 1.0))
 
-    scores = F.value.copy()
-    rows = np.arange(scores.shape[0])
-    fy = scores[rows, y0].copy()
-    scores[rows, y0] = -np.inf
-    emp01 = float(np.mean(fy <= scores.max(axis=1)))
-    return surrogate, emp01
+    return surrogate, float(np.mean(misclassified(F.value, y0)))
 
 
 def _train_loop(
@@ -240,7 +225,6 @@ def _train_loop(
     m = len(data)
     x_all = data.inputs
     y_all = data.labels
-    log_term = math.log(2.0 * math.sqrt(m) / (spec.delta if spec else 0.025))
     delta_track = spec.delta if spec else 0.025
     rng_root = RngStream(config.seed).child("train", config.phase)
 
@@ -300,10 +284,10 @@ def _train_loop(
                 lam_node = grad.sigmoid(lam_leaf)
                 lam_value = float(lam_node.value)
             if spec is not None:
-                kl_node = _kl_node(leaves, model.groups)
-                pen_node = grad.mul(grad.add(kl_node, log_term), spec.kappa / m)
+                obj, pen_node = penalized_objective(
+                    est_node, leaves, model.groups, spec, m, lam_node
+                )
                 last_pen = float(pen_node.value)
-                obj = _objective_node(est_node, pen_node, spec, lam_node)
             else:
                 obj = est_node
 

@@ -12,7 +12,7 @@ import pytest
 
 from condgauss.bounds import BoundKind, BoundSpec
 from condgauss.certify import final_certificate
-from condgauss.data import synth_blobs
+from condgauss.data import split_holdout, synth_blobs
 from condgauss.network import (
     ModelSpec,
     StochasticModel,
@@ -43,15 +43,7 @@ def desk_task(seed: int):
         DESK_SEPARATION,
         seed=1000 + seed,
     )
-    train_idx, hold_idx = [], []
-    seen = {c: 0 for c in range(1, DESK_CLASSES + 1)}
-    for i, lab in enumerate(whole.labels):
-        if seen[int(lab)] < DESK_PER_CLASS:
-            train_idx.append(i)
-            seen[int(lab)] += 1
-        else:
-            hold_idx.append(i)
-    return whole.subset(train_idx, "whole"), whole.subset(hold_idx, "whole")
+    return split_holdout(whole, DESK_PER_CLASS)
 
 
 def desk_model(seed: int) -> StochasticModel:

@@ -16,6 +16,7 @@ from condgauss.bounds import (
     kl_bernoulli,
     kl_inv,
     kl_inv_grad,
+    objective_partials,
     objective_value,
     penalty,
 )
@@ -187,6 +188,24 @@ class TestObjectiveValue:
                 if pen > 0:
                     others.append(min((e + pen / lam) / (1 - lam / 2) for lam in lams))
                 assert inv <= min(others) + 1e-9
+
+    @pytest.mark.parametrize("kind", list(BoundKind))
+    def test_partials_match_finite_differences(self, kind):
+        point = [0.1, 0.02] + ([0.3] if kind == BoundKind.LBD else [])
+        _, partials = objective_partials(kind, *point)
+        step = 1e-6
+        for k in range(len(point)):
+            up, dn = list(point), list(point)
+            up[k] += step
+            dn[k] -= step
+            fd = (objective_partials(kind, *up)[0] - objective_partials(kind, *dn)[0]) / (2 * step)
+            assert partials[k] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", list(BoundKind))
+    def test_non_finite_input_gives_nan_value(self, kind):
+        lam = 0.3 if kind == BoundKind.LBD else None
+        for e, pen in ((math.nan, 0.02), (0.1, math.inf)):
+            assert math.isnan(objective_partials(kind, e, pen, lam)[0])
 
     def test_boundspec_validation(self):
         with pytest.raises(ValueError):

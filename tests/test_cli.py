@@ -9,7 +9,7 @@ import pytest
 
 import condgauss.gaussian as gaussian
 from condgauss.certify import Certificate
-from condgauss.cli import main, parse_config
+from condgauss.cli import ConfigError, main, parse_config
 from condgauss.network import load_model
 
 QUICK_CONFIG = """\
@@ -260,6 +260,16 @@ class TestParseConfig:
         assert rc.delta == 0.025
         assert rc.prior.method == "none"
         assert rc.output_dir == out
+
+    def test_shipped_synth_config_parses(self):
+        cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "synth_quick.cfg")
+        assert cfg.posterior.batch_size == 1000
+
+    def test_unknown_key_and_section_rejected(self, tmp_path):
+        typo = QUICK_CONFIG.replace("batch_size = 90", "batchsize = 1000")
+        cfg, _ = write_config(tmp_path, typo + "\n[posteriour]\nrepeats = 3\n")
+        with pytest.raises(ConfigError, match=r"\[posterior\] batchsize, \[posteriour\]"):
+            parse_config(cfg)
 
     def test_unknown_objective(self, tmp_path):
         cfg, _ = write_config(tmp_path, QUICK_CONFIG.replace("objective = invkl", "objective = magic"))

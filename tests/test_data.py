@@ -163,6 +163,12 @@ class TestLabelledDataset:
         with pytest.raises(ValueError):
             LabelledDataset(inputs=np.zeros((3, 2)), labels=np.array([1, 1]), q=2)
 
+    def test_rejects_non_finite_inputs(self):
+        x = np.zeros((3, 2))
+        x[1, 0] = np.inf
+        with pytest.raises(ValueError, match="row 1"):
+            LabelledDataset(inputs=x, labels=np.array([1, 2, 1]), q=2)
+
     def test_fingerprint_tracks_content(self):
         a = synth_blobs(2, 10, 4, 0.5, seed=1)
         b = synth_blobs(2, 10, 4, 0.5, seed=2)

@@ -13,6 +13,7 @@ from condgauss.gaussian import (
     argmax_error_frequency,
     binary_error_prob,
     conditional_moments,
+    dsigma_of_rho,
     estimator_L1,
     estimator_L2,
     kl_diag_gauss,
@@ -71,14 +72,13 @@ class TestStdNormalCdf:
 class TestSigmaOfRho:
     @pytest.mark.parametrize("rho,sigma,dsigma", [(1.0, 1.0, 1.5), (4.0, 8.0, 3.0), (-1.0, 1.0, -1.5), (0.0, 0.0, 0.0)])
     def test_values(self, rho, sigma, dsigma):
-        s, ds = sigma_of_rho(rho)
-        assert s == pytest.approx(sigma, abs=1e-14)
-        assert ds == pytest.approx(dsigma, abs=1e-14)
+        assert sigma_of_rho(rho) == pytest.approx(sigma, abs=1e-14)
+        assert dsigma_of_rho(rho) == pytest.approx(dsigma, abs=1e-14)
 
     def test_array_form(self):
-        s, ds = sigma_of_rho(np.array([1.0, 4.0, -1.0]))
-        np.testing.assert_allclose(s, [1.0, 8.0, 1.0])
-        np.testing.assert_allclose(ds, [1.5, 3.0, -1.5])
+        rho = np.array([1.0, 4.0, -1.0])
+        np.testing.assert_allclose(sigma_of_rho(rho), [1.0, 8.0, 1.0])
+        np.testing.assert_allclose(dsigma_of_rho(rho), [1.5, 3.0, -1.5])
 
 
 class TestBinaryErrorProb:

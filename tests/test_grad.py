@@ -1,6 +1,7 @@
 """Reverse-mode engine: chain rule, primitives, determinism, the
-finite-difference harness, and the averaged-gradient (affine objective)
-check against an independent numpy re-implementation."""
+finite-difference harness, the closed-form KL and L1 nodes against the
+chained-primitive subgraphs they replaced, and the averaged-gradient (affine
+objective) check against an independent numpy re-implementation."""
 import math
 
 import numpy as np
@@ -10,10 +11,75 @@ from condgauss import grad
 from condgauss.bounds import BoundKind, BoundSpec
 from condgauss.checks import linearization_report, toy_objective_fd_error
 from condgauss.data import synth_blobs
-from condgauss.gaussian import VARIANCE_FLOOR
-from condgauss.network import ModelSpec, StochasticModel, batch_error_estimate, make_leaves
+from condgauss.gaussian import VARIANCE_FLOOR, std_normal_cdf, std_normal_pdf
+from condgauss.network import (
+    ModelSpec,
+    StochasticModel,
+    batch_error_estimate,
+    hidden_forward_on_tape,
+    make_leaves,
+)
 from condgauss.rng import RngStream
-from condgauss.trainer import TrainConfig, _kl_node, train_condgauss
+from condgauss.trainer import TrainConfig, kl_node, penalized_objective, train_condgauss
+
+
+# Chained-primitive reference nodes: the closed-form nodes must reproduce
+# what these compute step by step through the chain rule.
+def _sum_all(a):
+    va = a.value
+    return grad.Tensor(a.tape, va.sum(), (a,), lambda g: (np.full_like(va, float(g)),))
+
+
+def _sqrt(a):
+    out = np.sqrt(a.value)
+    return grad.Tensor(a.tape, out, (a,), lambda g: (0.5 * g / out,))
+
+
+def _ncdf(a):
+    va = a.value
+    return grad.Tensor(a.tape, std_normal_cdf(va), (a,), lambda g: (g * std_normal_pdf(va),))
+
+
+def _chained_kl(leaves, groups):
+    """KL(Q||P) of the whole model as a chain of elementwise and sum nodes."""
+    total = None
+    for lv, g in zip(leaves, groups):
+        for mean_leaf, rho_leaf, pmean, psigma in (
+            (lv.w_mean, lv.w_rho, g.prior_w_mean, g.prior_w_sigma),
+            (lv.b_mean, lv.b_rho, g.prior_b_mean, g.prior_b_sigma),
+        ):
+            half_inv_ps2 = 0.5 / np.square(psigma)
+            sig = grad.sigma_rho(rho_leaf)
+            t1 = _sum_all(grad.mul(grad.square(sig), half_inv_ps2))
+            t2 = _sum_all(grad.mul(grad.square(grad.sub(mean_leaf, pmean)), half_inv_ps2))
+            t3 = _sum_all(grad.log(sig))
+            const = float(np.sum(np.log(psigma))) - 0.5 * psigma.size
+            part = grad.add(grad.sub(grad.add(t1, t2), t3), const)
+            total = part if total is None else grad.add(total, part)
+    return total
+
+
+def _chained_estimate(model, x, y, rng, repeats, tape, leaves):
+    """The batch L1 estimate with the head built from gathers, a masked max
+    and the normal-CDF primitive."""
+    y0 = y - 1
+    batch, q = x.shape[0], model.spec.q
+    phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
+    last = leaves[-1]
+    M = grad.linear(phi_h, last.w_mean, last.b_mean)
+    V = grad.linear(
+        grad.square(phi_h),
+        grad.square(grad.sigma_rho(last.w_rho)),
+        grad.square(grad.sigma_rho(last.b_rho)),
+    )
+    Vc = grad.maximum_const(V, VARIANCE_FLOOR)
+    zeta = rng.child("l1").normal((repeats, batch, q))
+    mask = np.zeros((batch, q))
+    mask[np.arange(batch), y0] = -1e30
+    F = grad.add(M, grad.mul(_sqrt(Vc), zeta))
+    fmax = grad.max_last(grad.add(F, mask))
+    z = grad.div(grad.sub(fmax, grad.gather_rows(M, y0)), _sqrt(grad.gather_rows(Vc, y0)))
+    return grad.mean_all(_ncdf(z))
 
 
 class TestTapeBasics:
@@ -51,13 +117,13 @@ class TestTapeBasics:
     def test_max_tie_routes_to_lowest_index(self):
         tape = grad.Tape()
         a = tape.leaf(np.array([[1.0, 1.0, 0.5]]))
-        tape.backward(grad.sum_all(grad.max_last(a)))
+        tape.backward(_sum_all(grad.max_last(a)))
         np.testing.assert_array_equal(a.grad, [[1.0, 0.0, 0.0]])
 
     def test_gather_scatter_roundtrip(self):
         tape = grad.Tape()
         a = tape.leaf(np.arange(6.0).reshape(2, 3))
-        out = grad.sum_all(grad.gather_rows(a, np.array([2, 0])))
+        out = _sum_all(grad.gather_rows(a, np.array([2, 0])))
         tape.backward(out)
         np.testing.assert_array_equal(a.grad, [[0, 0, 1], [1, 0, 0]])
 
@@ -65,18 +131,18 @@ class TestTapeBasics:
         tape = grad.Tape()
         a = tape.leaf(np.ones(3))
         b = np.ones((5, 2, 3))
-        out = grad.sum_all(grad.mul(a, b))
+        out = _sum_all(grad.mul(a, b))
         tape.backward(out)
         np.testing.assert_array_equal(a.grad, np.full(3, 10.0))
 
     def test_clamp_gradients_gate(self):
         tape = grad.Tape()
         a = tape.leaf(np.array([0.5, 2.0]))
-        tape.backward(grad.sum_all(grad.maximum_const(a, 1.0)))
+        tape.backward(_sum_all(grad.maximum_const(a, 1.0)))
         np.testing.assert_array_equal(a.grad, [0.0, 1.0])
         tape = grad.Tape()
         a = tape.leaf(np.array([0.5, 2.0]))
-        tape.backward(grad.sum_all(grad.minimum_const(a, 1.0)))
+        tape.backward(_sum_all(grad.minimum_const(a, 1.0)))
         np.testing.assert_array_equal(a.grad, [1.0, 0.0])
 
 
@@ -112,7 +178,7 @@ class TestDeterminism:
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
             est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, tape, leaves)
-            obj = grad.add(est.node, grad.mul(_kl_node(leaves, model.groups), 1e-3))
+            obj = grad.add(est.node, grad.mul(kl_node(leaves, model.groups), 1e-3))
             tape.backward(obj)
             return float(obj.value), [g.copy() for lv in leaves for g in lv.grads()]
 
@@ -121,6 +187,57 @@ class TestDeterminism:
         assert v1 == v2
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
+
+
+def _perturbed_model(widths, seed):
+    """A model away from its prior and its zero output means: at the
+    initialization every output mean is 0, so the hidden gradients through M
+    are pure cancellation noise and a relative comparison means nothing."""
+    model = StochasticModel.initialize(ModelSpec(widths), 0.01, RngStream(seed).child("m"))
+    nudge = RngStream(seed).child("nudge")
+    for k, g in enumerate(model.groups):
+        g.w_mean = g.w_mean + 0.1 * nudge.child(k, "wm").normal(g.w_mean.shape)
+        g.b_mean = g.b_mean + 0.1 * nudge.child(k, "bm").normal(g.b_mean.shape)
+        g.w_rho = g.w_rho * nudge.child(k, "wr").uniform(0.5, 1.5, g.w_rho.shape)
+        g.b_rho = g.b_rho * nudge.child(k, "br").uniform(0.5, 1.5, g.b_rho.shape)
+    return model
+
+
+def _assert_leaf_grads_match(leaves, ref_leaves):
+    for lv, ref in zip(leaves, ref_leaves):
+        for a, b in zip(ref.grads(), lv.grads()):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize(
+    "widths", [(20, 256, 4), (784, 200, 10)], ids=["20-256-4", "784-200-10"]
+)
+class TestClosedFormNodes:
+    def test_kl_node_matches_chained_kl(self, widths):
+        model = _perturbed_model(widths, 11)
+        ref_tape, new_tape = grad.Tape(), grad.Tape()
+        ref_leaves, leaves = make_leaves(ref_tape, model), make_leaves(new_tape, model)
+        ref = _chained_kl(ref_leaves, model.groups)
+        new = kl_node(leaves, model.groups)
+        ref_tape.backward(ref)
+        new_tape.backward(new)
+        assert float(new.value) == pytest.approx(float(ref.value), rel=1e-12)
+        _assert_leaf_grads_match(leaves, ref_leaves)
+
+    def test_l1_node_matches_chained_estimate(self, widths):
+        model = _perturbed_model(widths, 12)
+        gen = np.random.default_rng(13)
+        x = gen.uniform(0, 1, (32, widths[0]))
+        y = gen.integers(1, widths[-1] + 1, 32)
+        rng = RngStream(14)
+        ref_tape = grad.Tape()
+        ref_leaves = make_leaves(ref_tape, model)
+        ref = _chained_estimate(model, x, y, rng, 5, ref_tape, ref_leaves)
+        ref_tape.backward(ref)
+        est = batch_error_estimate(model, x, y, rng, repeats=5)
+        est.tape.backward(est.node)
+        assert est.value == float(ref.value)
+        _assert_leaf_grads_match(est.leaves, ref_leaves)
 
 
 def _mcall_numpy_forward(state, x, y0, rng, pen_const, repeats):
@@ -170,7 +287,6 @@ class TestAffineObjectiveAveraging:
         y0 = y - 1
         spec = BoundSpec(BoundKind.MCALL, kappa=1.0, delta=0.025)
         m_pen = 4000
-        log_term = math.log(2 * math.sqrt(m_pen) / spec.delta)
 
         def tape_grad(d):
             tape = grad.Tape()
@@ -178,8 +294,7 @@ class TestAffineObjectiveAveraging:
             est = batch_error_estimate(
                 model, x, y, RngStream(123).child("noise", d), repeats, tape, leaves
             )
-            pen = grad.mul(grad.add(_kl_node(leaves, model.groups), log_term), 1.0 / m_pen)
-            obj = grad.add(est.node, grad.sqrt(grad.mul(pen, 0.5)))
+            obj, _ = penalized_objective(est.node, leaves, model.groups, spec, m_pen)
             tape.backward(obj)
             return np.concatenate([g.reshape(-1) for lv in leaves for g in lv.grads()])
 
@@ -193,7 +308,7 @@ class TestAffineObjectiveAveraging:
         def averaged_objective(state):
             model.set_state(state)
             kl = kl_diag_gauss(model.groups)
-            pen_const = (kl + log_term) / m_pen
+            pen_const = (kl + math.log(2 * math.sqrt(m_pen) / spec.delta)) / m_pen
             vals = [
                 _mcall_numpy_forward(
                     state, x, y0, RngStream(123).child("noise", d), pen_const, repeats

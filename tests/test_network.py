@@ -7,6 +7,7 @@ import pytest
 
 import condgauss.network as network
 from condgauss import grad
+from condgauss.data import synth_blobs
 from condgauss.gaussian import (
     GaussianParamGroup,
     SampledLayer,
@@ -213,6 +214,14 @@ class TestExactMisclassification:
         labels = np.ones(10, dtype=int)  # all class 1; outputs all tie at 0
         assert exact_misclassification(model, x, labels, theta) == 1.0
 
+    def test_non_finite_scores_count_as_errors(self):
+        ds = synth_blobs(4, 100, 20, 0.8, 0)
+        model = StochasticModel.initialize(ModelSpec((20, 16, 4)), 0.01, RngStream(0))
+        theta = sample_full(model, RngStream(1))
+        assert exact_misclassification(model, ds.inputs, ds.labels, theta) == 0.75
+        nan_inputs = np.full_like(ds.inputs, np.nan)
+        assert exact_misclassification(model, nan_inputs, ds.labels, theta) == 1.0
+
     def test_agreement_with_conditional_estimator(self):
         # Both estimate E_S(Q); their Monte-Carlo means must agree.
         model = StochasticModel.initialize(ModelSpec((4, 8, 3)), 0.1, RngStream(55))
@@ -377,6 +386,14 @@ class TestSnapshot:
             np.testing.assert_array_equal(a.b_rho, b.b_rho)
             np.testing.assert_array_equal(a.prior_w_mean, b.prior_w_mean)
             np.testing.assert_array_equal(a.prior_w_sigma, b.prior_w_sigma)
+
+    def test_rejects_non_finite_parameters(self, tmp_path):
+        model = StochasticModel.initialize(ModelSpec((5, 4, 3)), 0.01, RngStream(74))
+        model.groups[1].b_rho = np.array([0.1, np.nan, 0.1])
+        path = tmp_path / "nan.model"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="b_rho"):
+            load_model(path)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.model"

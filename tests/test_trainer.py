@@ -128,10 +128,11 @@ class TestTrainCondgauss:
             train_condgauss(fresh_model(), blob_task(), quick_config(
                 objective=BoundSpec(BoundKind.LBD, lam=0.5)))
 
-    def test_divergence_guard(self):
+    @pytest.mark.parametrize("kind", [BoundKind.MCALL, BoundKind.INVKL])
+    def test_divergence_guard(self, kind):
         ds = blob_task()
         model = fresh_model()
-        spec = BoundSpec(BoundKind.MCALL, kappa=1.0, delta=0.025)
+        spec = BoundSpec(kind, kappa=1.0, delta=0.025)
         with pytest.raises(TrainingDiverged):
             train_condgauss(
                 model, ds, quick_config(objective=spec, lr_schedule=((20, 5e4),), momentum=0.9)
