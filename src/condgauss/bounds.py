@@ -4,11 +4,13 @@ The central primitive is the inverse of the Bernoulli KL divergence in its
 second argument, kl_inv(u, c) = sup{v in [0,1] : kl(u||v) <= c}, which turns
 an empirical error plus a divergence budget into a high-probability bound on
 the true error. For u < 1 the divergence blows up as v -> 1, so the sup is an
-interior root found by Newton's method with a bisection safeguard.
+interior root found by Newton's method with a bisection safeguard, then
+rounded up far enough that kl(u||v) >= c holds despite float64 rounding.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,26 +124,70 @@ def _kl_dv(u: float, v: float) -> float:
     return (1.0 - u) / (1.0 - v) - u / v
 
 
+def _kl_rounding(u: float, v: float) -> float:
+    """Bound on the float64 rounding error of kl_bernoulli(u, v), 0 <= u < v < 1.
+
+    Each logarithm is within one ulp and each of the few products and sums
+    adds at most half an ulp of its result, so the error is a small multiple
+    of machine epsilon times the magnitudes of the terms; the factor 8
+    leaves room to spare.
+    """
+    terms = (1.0 - u) * (abs(math.log1p(-u)) + abs(math.log1p(-v)))
+    if u > 0.0:
+        terms += u * (abs(math.log(u)) + abs(math.log(v)))
+    return 8.0 * sys.float_info.epsilon * terms
+
+
+def _round_up(u: float, c: float, v: float) -> float:
+    """The solved v, moved up until kl(u||v) >= c holds in exact arithmetic.
+
+    A v qualifies when its float64 kl(u||v) clears c by the rounding bound.
+    Steps aim at twice that margin by Newton (which lands on the qualifying
+    side, kl being convex in v) inside the bracket of the largest v known
+    not to qualify and the smallest known to qualify, falling back to
+    bisection, and stop at the first qualifying v within _KL_TOL of c or
+    at the smallest qualifying float. 1.0 always qualifies.
+    """
+    lo, hi = u, 1.0
+    while v < hi:
+        err = _kl_rounding(u, v)
+        f = kl_bernoulli(u, v) - c
+        if f >= err:
+            if f <= _KL_TOL:
+                return v
+            hi = v
+        else:
+            lo = v
+        slope = _kl_dv(u, v)
+        nxt = v + (2.0 * err - f) / slope if slope > 0.0 else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        v = nxt
+    return hi
+
+
 def kl_inv(u: float, c: float) -> float:
-    """Largest v with kl(u||v) <= c.
+    """Largest v with kl(u||v) <= c, rounded up.
 
     Newton iterations start from the Pinsker-motivated guess u + sqrt(c/2)
     and fall back to bisection on [u, 1) whenever a step leaves the current
-    bracket. Converges to |kl(u||v) - c| <= 1e-12 except where the root lies
-    closer to 1 than float64 can represent, in which case 1.0 is returned.
+    bracket. The result is then moved up until kl(u||v) >= c holds in exact
+    arithmetic, so a bound built on it never under-reports. It satisfies
+    |kl(u||v) - c| <= 1e-12 except where the root lies closer to 1 than
+    float64 can resolve, and is 1.0 where no float below 1 qualifies.
     """
     u = _check_prob("u", u)
     if c < 0 or math.isnan(c):
         raise ValueError(f"c must be non-negative, got {c}")
     if c == 0.0:
         return u
-    if u == 1.0:
+    if u == 1.0 or math.isinf(c):
         return 1.0
     if u == 0.0:
         # kl(0||v) = -log(1-v) <= c  <=>  v <= 1 - exp(-c)
-        return min(1.0, -math.expm1(-c))
-    if math.isinf(c):
-        return 1.0
+        return _round_up(u, c, min(1.0, -math.expm1(-c)))
 
     lo = u
     hi = 1.0 - 1e-16
@@ -153,7 +199,7 @@ def kl_inv(u: float, c: float) -> float:
     for _ in range(_KL_MAX_ITER):
         f = kl_bernoulli(u, v) - c
         if abs(f) <= _KL_TOL:
-            return v
+            break
         if f > 0.0:
             hi = v
         else:
@@ -165,7 +211,7 @@ def kl_inv(u: float, c: float) -> float:
         if nxt == v:
             break
         v = nxt
-    return v
+    return _round_up(u, c, v)
 
 
 def kl_inv_grad(u: float, c: float) -> tuple[float, float]:
@@ -180,8 +226,17 @@ def kl_inv_grad(u: float, c: float) -> tuple[float, float]:
     u = _check_prob("u", u)
     if c <= 0 or math.isnan(c):
         raise ValueError(f"c must be positive, got {c}")
-    u = min(max(u, _GRAD_U_CLIP), 1.0 - _GRAD_U_CLIP)
-    v = kl_inv(u, c)
+    u = _clamp_grad_u(u)
+    return _kl_inv_partials(u, kl_inv(u, c))
+
+
+def _clamp_grad_u(u: float) -> float:
+    return min(max(u, _GRAD_U_CLIP), 1.0 - _GRAD_U_CLIP)
+
+
+def _kl_inv_partials(u: float, v: float) -> tuple[float, float]:
+    """The (du, dc) formulas of ``kl_inv_grad`` at a clamped u and its
+    solved v = kl_inv(u, c)."""
     v = min(max(v, u + _GRAD_V_GAP), 1.0 - _GRAD_V_GAP)
     a = (1.0 - u) / (1.0 - v)
     b = u / v
@@ -213,8 +268,13 @@ def objective_partials(kind: BoundKind, emp_err: float, pen: float, lam: float |
     if not all(math.isfinite(x) for x in (emp_err, pen, 0.5 if lam is None else lam)):
         return math.nan, (math.nan, math.nan, math.nan)
     if kind == BoundKind.INVKL:
-        d_e, d_pen = kl_inv_grad(emp_err, pen) if pen > 0 else (1.0, math.inf)
-        return kl_inv(emp_err, pen), (d_e, d_pen, 0.0)
+        v = kl_inv(emp_err, pen)
+        if not pen > 0:
+            return v, (1.0, math.inf, 0.0)
+        # One solve serves the value and the partials unless the clamp moved u.
+        u = _clamp_grad_u(emp_err)
+        d_e, d_pen = _kl_inv_partials(u, v if u == emp_err else kl_inv(u, pen))
+        return v, (d_e, d_pen, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         e, p = np.float64(emp_err), np.float64(pen)
         r = np.sqrt(p / 2.0)

@@ -31,6 +31,7 @@ __all__ = [
     "binary_error_prob",
     "estimator_L1",
     "estimator_L2",
+    "l1_dense",
     "l1_draws",
     "l1_samples",
     "l2_samples",
@@ -231,10 +232,15 @@ def l1_draws(M, V, y0, zeta):
     L1 = psi((max_{i != y} F_i - M_y) / sqrt(V_y)) with F = M + sqrt(V) zeta,
     so only the i != y draws matter. M and V are [..., q] with V > 0, y0
     holds 0-based labels of shape M.shape[:-1], and zeta [..., q] broadcasts
-    against M from the left (extra leading axes are repeats). Returns
-    per-draw (values [...], dM [..., q], dV [..., q]) in that broadcast
-    shape. The max is differentiated through its sampled argmax (ties break
-    to the lowest index, an event of probability zero).
+    against M from the left (extra leading axes are repeats).
+
+    A draw's gradient is nonzero in two classes only: the sampled argmax j
+    of the i != y draws and the true class y. Returns per-draw (values
+    [...], cols [..., 2], dM [..., 2], dV [..., 2]) in the broadcast shape,
+    where cols holds (j, y) and dM, dV the gradient entries of those two
+    classes; ``l1_dense`` expands them to full [..., q] arrays. The max is
+    differentiated through its sampled argmax (ties break to the lowest
+    index, an event of probability zero).
     """
     y = np.asarray(y0)[..., None]
     sqv = np.sqrt(V)
@@ -245,19 +251,30 @@ def l1_draws(M, V, y0, zeta):
     sy = np.take_along_axis(sqv, y, axis=-1)
     z = (np.take_along_axis(F, j, axis=-1) - np.take_along_axis(M, y, axis=-1)) / sy
     dens = std_normal_pdf(z)
-    dM = np.zeros(F.shape)
-    np.put_along_axis(dM, j, dens / sy, axis=-1)
-    dV = dM * zeta / (2.0 * sqv)
-    np.put_along_axis(dM, y_all, -dens / sy, axis=-1)
-    np.put_along_axis(dV, y_all, -dens * z / (2.0 * np.take_along_axis(V, y, axis=-1)), axis=-1)
-    return std_normal_cdf(z)[..., 0], dM, dV
+    dm_j = dens / sy
+    sqv_j = np.take_along_axis(np.broadcast_to(sqv, F.shape), j, axis=-1)
+    dv_j = dm_j * np.take_along_axis(zeta, j, axis=-1) / (2.0 * sqv_j)
+    dv_y = -dens * z / (2.0 * np.take_along_axis(V, y, axis=-1))
+    cols = np.concatenate([j, y_all], axis=-1)
+    dM = np.concatenate([dm_j, -dens / sy], axis=-1)
+    dV = np.concatenate([dv_j, dv_y], axis=-1)
+    return std_normal_cdf(z)[..., 0], cols, dM, dV
+
+
+def l1_dense(cols, entries, q: int) -> np.ndarray:
+    """Per-draw [..., q] gradient from the two (class, entry) pairs per draw
+    returned by ``l1_draws``; every other class gets 0."""
+    out = np.zeros(cols.shape[:-1] + (q,))
+    np.put_along_axis(out, cols, entries, axis=-1)
+    return out
 
 
 def l1_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
     """n independent draws of the L1 estimator with exact (M, V) gradients:
     (values [n], dM [n, q], dV [n, q]); see ``l1_draws``."""
     M, V, y0 = _check_head_label(head, y)
-    return l1_draws(M, V, y0, rng.normal((n, M.size)))
+    values, cols, dM, dV = l1_draws(M, V, y0, rng.normal((n, M.size)))
+    return values, l1_dense(cols, dM, M.size), l1_dense(cols, dV, M.size)
 
 
 def l2_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):

@@ -6,20 +6,22 @@ accumulating cotangents. Trainable leaves are the mean and raw-deviation
 arrays of the model's parameter groups; everything else (inputs, noise draws,
 masks) enters as plain numpy constants with no gradient.
 
-Primitives are only what the training objectives need: arithmetic, affine
-maps, relu, sigma(rho) = |rho|^(3/2), max over the class axis with argmax
-routing, gathers, clamps and reductions. A formula whose partial
-derivatives are known in closed form (the KL term, the L1 error estimate,
-the bound objectives) enters as a single ``closed_form`` node rather than as
-a chain of primitives. Accumulation stays in float64 and intermediates are
-saved rather than recomputed; the nets are desk-scale and determinism
-matters more than memory.
+Primitives are only what the training objectives need: arithmetic, relu,
+max over the class axis with argmax routing, gathers, clamps and
+reductions. A formula whose partial derivatives are known in closed form
+(the KL term, the bound objectives) enters as a single ``closed_form`` node
+rather than as a chain of primitives, and the network builds each sampled
+layer and its conditional head as one node with its own backward.
+Accumulation stays in float64 and intermediates are saved rather than
+recomputed. Tensors hold their tape weakly, so a training step's tape and
+every array on it are freed by reference counting when the step drops its
+references, without waiting for the cyclic garbage collector.
 """
 from __future__ import annotations
 
-import numpy as np
+import weakref
 
-from .gaussian import dsigma_of_rho, sigma_of_rho
+import numpy as np
 
 __all__ = ["Tape", "Tensor", "fd_check"]
 
@@ -36,12 +38,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """A node on the tape: a float64 array plus how to push gradients back."""
+    """A node on the tape: a float64 array plus how to push gradients back.
 
-    __slots__ = ("tape", "value", "parents", "vjp", "grad")
+    A Tensor refers to its tape only weakly: the tape owns its nodes, so a
+    strong reference back would make a cycle that only the cyclic garbage
+    collector could free.
+    """
+
+    __slots__ = ("_tape", "value", "parents", "vjp", "grad")
 
     def __init__(self, tape, value, parents=(), vjp=None):
-        self.tape = tape
+        self._tape = tape._ref
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
         self.vjp = vjp
@@ -49,15 +56,25 @@ class Tensor:
         tape._nodes.append(self)
 
     @property
+    def tape(self):
+        """The tape this node is recorded on, or None once that tape is gone."""
+        return self._tape()
+
+    @property
     def shape(self):
         return self.value.shape
 
 
 class Tape:
-    """Ordered record of operations for one forward pass."""
+    """Ordered record of operations for one forward pass.
+
+    A tape and every array recorded on it are freed by reference counting as
+    soon as the last reference to the tape and to its Tensors goes away.
+    """
 
     def __init__(self):
         self._nodes: list[Tensor] = []
+        self._ref = weakref.ref(self)
 
     def leaf(self, value) -> Tensor:
         return Tensor(self, value)
@@ -143,11 +160,6 @@ def closed_form(value, parents, partials) -> Tensor:
     )
 
 
-def square(a: Tensor) -> Tensor:
-    va = _val(a)
-    return closed_form(np.square(va), (a,), (2.0 * va,))
-
-
 def log(a: Tensor) -> Tensor:
     va = _val(a)
     return Tensor(a.tape, np.log(va), (a,), lambda g: (g / va,))
@@ -164,12 +176,6 @@ def relu(a: Tensor) -> Tensor:
     return closed_form(va * mask, (a,), (mask,))
 
 
-def sigma_rho(a: Tensor) -> Tensor:
-    """sigma = |rho|^(3/2) as an elementwise node."""
-    va = _val(a)
-    return closed_form(sigma_of_rho(va), (a,), (dsigma_of_rho(va),))
-
-
 def maximum_const(a: Tensor, c: float) -> Tensor:
     va = _val(a)
     return closed_form(np.maximum(va, c), (a,), (va > c,))
@@ -178,33 +184,6 @@ def maximum_const(a: Tensor, c: float) -> Tensor:
 def minimum_const(a: Tensor, c: float) -> Tensor:
     va = _val(a)
     return closed_form(np.minimum(va, c), (a,), (va < c,))
-
-
-def linear(x, W, b=None) -> Tensor:
-    """Affine map y = x @ W.T (+ b) over any number of batch axes.
-
-    x has shape [..., n], W is [m, n], b is [m] or None. Every operand may be
-    a Tensor or a constant array.
-    """
-    vx, vw = _val(x), _val(W)
-    out = vx @ vw.T
-    if b is not None:
-        out = out + _val(b)
-    tape = _tape_of(x, W, b) if b is not None else _tape_of(x, W)
-    parents = []
-    vjps = []
-    if isinstance(x, Tensor):
-        parents.append(x)
-        vjps.append(lambda g: g @ vw)
-    if isinstance(W, Tensor):
-        parents.append(W)
-        vjps.append(
-            lambda g: g.reshape(-1, g.shape[-1]).T @ vx.reshape(-1, vx.shape[-1])
-        )
-    if b is not None and isinstance(b, Tensor):
-        parents.append(b)
-        vjps.append(lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))
-    return Tensor(tape, out, tuple(parents), lambda g: tuple(f(g) for f in vjps))
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:

@@ -21,9 +21,11 @@ from .gaussian import (
     VARIANCE_FLOOR,
     GaussianParamGroup,
     SampledLayer,
+    dsigma_of_rho,
     l1_draws,
     misclassified,
     sample_gaussian,
+    sigma_of_rho,
 )
 from .rng import RngStream
 
@@ -204,12 +206,18 @@ def forward_hidden(x: np.ndarray, theta_hidden: list[SampledLayer], spec: ModelS
 
 @dataclass
 class ParamLeaves:
-    """Tape leaves for one layer's trainable hyper-parameters."""
+    """Tape leaves for one layer's trainable hyper-parameters, plus sigma =
+    |rho|^(3/2) and d sigma / d rho of both raw-deviation leaves, computed
+    once per tape and shared by sampling, the conditional head and the KL."""
 
     w_mean: grad.Tensor
     w_rho: grad.Tensor
     b_mean: grad.Tensor
     b_rho: grad.Tensor
+    w_sigma: np.ndarray
+    w_dsigma: np.ndarray
+    b_sigma: np.ndarray
+    b_dsigma: np.ndarray
 
     def grads(self) -> list[np.ndarray]:
         out = []
@@ -225,6 +233,10 @@ def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
             w_rho=tape.leaf(g.w_rho),
             b_mean=tape.leaf(g.b_mean),
             b_rho=tape.leaf(g.b_rho),
+            w_sigma=sigma_of_rho(g.w_rho),
+            w_dsigma=dsigma_of_rho(g.w_rho),
+            b_sigma=sigma_of_rho(g.b_rho),
+            b_dsigma=dsigma_of_rho(g.b_rho),
         )
         for g in model.groups
     ]
@@ -240,14 +252,34 @@ class EstimateResult:
     leaves: list[ParamLeaves]
 
 
-def sample_layer_on_tape(lv: ParamLeaves, rng: RngStream):
-    """Pathwise draw (W, b) = mean + sigma(rho) * zeta of one layer on the
-    tape, with zeta from rng's "w" and "b" children."""
+def sampled_linear(a, lv: ParamLeaves, rng: RngStream) -> grad.Tensor:
+    """One node for a @ W.T + b under a pathwise draw of the layer,
+    (W, b) = mean + sigma(rho) * zeta with zeta from rng's "w" and "b"
+    children.
+
+    ``a`` is a [..., n] Tensor or constant input. The node's parents are
+    the layer's four leaves (and ``a`` if it is a Tensor); the backward pass
+    forms the weight and bias cotangents once and chains them through the
+    draw: d/dmean = gW and d/drho = gW * zeta * dsigma.
+    """
     zw = rng.child("w").normal(lv.w_mean.shape)
     zb = rng.child("b").normal(lv.b_mean.shape)
-    W = grad.add(lv.w_mean, grad.mul(grad.sigma_rho(lv.w_rho), zw))
-    b = grad.add(lv.b_mean, grad.mul(grad.sigma_rho(lv.b_rho), zb))
-    return W, b
+    W = lv.w_mean.value + lv.w_sigma * zw
+    parents = (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)
+    through_a = isinstance(a, grad.Tensor)
+    va = a.value if through_a else a
+    if through_a:
+        parents += (a,)
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gW = g2.T @ va.reshape(-1, va.shape[-1])
+        gb = g2.sum(axis=0)
+        out = (gW, gW * zw * lv.w_dsigma, gb, gb * zb * lv.b_dsigma)
+        return out + (g @ W,) if through_a else out
+
+    out = va @ W.T + (lv.b_mean.value + lv.b_sigma * zb)
+    return grad.Tensor(lv.w_mean.tape, out, parents, vjp)
 
 
 def hidden_forward_on_tape(tape, leaves, x, rng, spec, dropout_prob):
@@ -257,12 +289,48 @@ def hidden_forward_on_tape(tape, leaves, x, rng, spec, dropout_prob):
     """
     a = x
     for k in range(spec.n_layers - 1):
-        pre = grad.linear(a, *sample_layer_on_tape(leaves[k], rng.child("theta", k)))
-        a = grad.relu(pre)
+        a = grad.relu(sampled_linear(a, leaves[k], rng.child("theta", k)))
         if dropout_prob > 0.0:
             mask = apply_dropout(np.ones(a.shape), dropout_prob, rng.child("dropout", k))
             a = grad.mul(a, mask)
     return a
+
+
+def _conditional_l1_node(phi_h: grad.Tensor, last: ParamLeaves, y0, zeta) -> grad.Tensor:
+    """The mean L1 estimate over ``zeta``'s [repeats, batch, q] output draws
+    as one node over phi(H) and the output layer's leaves.
+
+    Builds the conditional moments M = phi W_mean^T + b_mean and
+    V = phi^2 (sigma_W^2)^T + sigma_b^2, floors V at VARIANCE_FLOOR, and
+    sums each input's L1 gradient entries over the repeats through the
+    sampled argmax class, so no [repeats, batch, q] gradient is formed.
+    """
+    phi = phi_h.value
+    batch, q = phi.shape[0], zeta.shape[-1]
+    M = phi @ last.w_mean.value.T + last.b_mean.value
+    phi2, sw2, sb2 = np.square(phi), np.square(last.w_sigma), np.square(last.b_sigma)
+    V = phi2 @ sw2.T + sb2
+    values, cols, dM, dV = l1_draws(M, np.maximum(V, VARIANCE_FLOOR), y0, zeta)
+    n = values.size
+    flat = (np.arange(batch)[:, None] * q + cols).ravel()
+    dM_sum = np.bincount(flat, dM.ravel(), batch * q).reshape(batch, q)
+    dV_sum = np.bincount(flat, dV.ravel(), batch * q).reshape(batch, q)
+
+    def vjp(g):
+        gM = g * (dM_sum / n)
+        gV = g * (dV_sum / n) * (V > VARIANCE_FLOOR)
+        g_sw2 = gV.T @ phi2
+        g_phi = (gV @ sw2) * (2.0 * phi) + gM @ last.w_mean.value
+        return (
+            g_phi,
+            gM.T @ phi,
+            g_sw2 * (2.0 * last.w_sigma) * last.w_dsigma,
+            gM.sum(axis=0),
+            gV.sum(axis=0) * (2.0 * last.b_sigma) * last.b_dsigma,
+        )
+
+    parents = (phi_h, last.w_mean, last.w_rho, last.b_mean, last.b_rho)
+    return grad.Tensor(phi_h.tape, values.mean(), parents, vjp)
 
 
 def batch_error_estimate(
@@ -280,9 +348,9 @@ def batch_error_estimate(
     Samples one set of hidden parameters for the whole batch, computes the
     conditional output moments, then averages the L1 estimator over
     ``repeats`` independent output draws per input. The computation is
-    recorded on the tape, the averaged estimator as one closed-form node over
-    (M, V), so backward() yields pathwise gradients for every mean and raw
-    deviation.
+    recorded on the tape, one node per sampled hidden layer and one for the
+    conditional head, so backward() yields pathwise gradients for every mean
+    and raw deviation.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -298,20 +366,10 @@ def batch_error_estimate(
         leaves = make_leaves(tape, model)
 
     phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, dropout_prob)
-
-    last = leaves[-1]
-    M = grad.linear(phi_h, last.w_mean, last.b_mean)
-    sig_w = grad.sigma_rho(last.w_rho)
-    sig_b = grad.sigma_rho(last.b_rho)
-    V = grad.linear(grad.square(phi_h), grad.square(sig_w), grad.square(sig_b))
-    Vc = grad.maximum_const(V, VARIANCE_FLOOR)
-
     # One block of output draws per batch; entry [r, i, :] belongs to
     # repeat r of input i.
     zeta = rng.child("l1").normal((repeats, batch, q))
-    values, dM, dV = l1_draws(M.value, Vc.value, y0, zeta)
-    n = values.size
-    est = grad.closed_form(values.mean(), (M, Vc), (dM.sum(axis=0) / n, dV.sum(axis=0) / n))
+    est = _conditional_l1_node(phi_h, leaves[-1], y0, zeta)
     return EstimateResult(value=float(est.value), node=est, tape=tape, leaves=leaves)
 
 

@@ -23,13 +23,13 @@ import numpy as np
 from . import grad
 from .bounds import BoundKind, BoundSpec, PenaltyInputs, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
-from .gaussian import dsigma_of_rho, kl_diag, kl_diag_gauss, misclassified, sigma_of_rho
+from .gaussian import kl_diag, kl_diag_gauss, misclassified
 from .network import (
     StochasticModel,
     batch_error_estimate,
     hidden_forward_on_tape,
     make_leaves,
-    sample_layer_on_tape,
+    sampled_linear,
 )
 from .rng import RngStream
 
@@ -163,18 +163,17 @@ def momentum_step(param, grad_value, velocity, lr: float, mu: float):
 
 def kl_node(leaves, groups):
     """KL(Q||P) of the whole model as one closed-form node over every mean
-    and raw-deviation leaf."""
+    and raw-deviation leaf, from the sigmas the leaves carry."""
     total = 0.0
     parents, partials = [], []
     for lv, g in zip(leaves, groups):
-        for mean_leaf, rho_leaf, pmean, psigma in (
-            (lv.w_mean, lv.w_rho, g.prior_w_mean, g.prior_w_sigma),
-            (lv.b_mean, lv.b_rho, g.prior_b_mean, g.prior_b_sigma),
+        for mean_leaf, rho_leaf, sigma, dsigma, pmean, psigma in (
+            (lv.w_mean, lv.w_rho, lv.w_sigma, lv.w_dsigma, g.prior_w_mean, g.prior_w_sigma),
+            (lv.b_mean, lv.b_rho, lv.b_sigma, lv.b_dsigma, g.prior_b_mean, g.prior_b_sigma),
         ):
-            rho = rho_leaf.value
-            total, dmean, dsig = kl_diag(mean_leaf.value, sigma_of_rho(rho), pmean, psigma, total)
+            total, dmean, dsig = kl_diag(mean_leaf.value, sigma, pmean, psigma, total)
             parents += [mean_leaf, rho_leaf]
-            partials += [dmean, dsig * dsigma_of_rho(rho)]
+            partials += [dmean, dsig * dsigma]
     return grad.closed_form(total, parents, partials)
 
 
@@ -201,7 +200,7 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
     """
     phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
     k_last = model.spec.n_layers - 1
-    F = grad.linear(phi_h, *sample_layer_on_tape(leaves[-1], rng.child("theta", k_last)))
+    F = sampled_linear(phi_h, leaves[-1], rng.child("theta", k_last))
 
     z = grad.sub(F, grad.expand_last(grad.max_last(F)))
     e = grad.exp(z)

@@ -6,6 +6,7 @@ them is plain bisection on the mpmath kl.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -101,6 +102,30 @@ class TestKlInv:
 
     def test_infinite_budget(self):
         assert kl_inv(0.4, math.inf) == 1.0
+
+    def test_rounds_up_in_exact_arithmetic(self):
+        """kl(u||v) >= c at 50 digits, so a bound built on v never
+        under-reports; and v is tight: within 1e-12 of c, or one float lower
+        would be (where float64 cannot resolve the root that closely)."""
+        gen = np.random.default_rng(0)
+        points = list(zip(gen.uniform(0.001, 0.5, 2000), gen.uniform(1e-4, 0.5, 2000)))
+        edges = [0.0, 1e-300, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+        points += [(u, c) for u in edges for c in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0)]
+
+        def kl_mp(u, v):
+            if v == 1.0:
+                return mpmath.inf
+            u, v = mpmath.mpf(u), mpmath.mpf(v)
+            out = (1 - u) * (mpmath.log1p(-u) - mpmath.log1p(-v))
+            return out + u * mpmath.log(u / v) if u > 0 else out
+
+        with mpmath.workdps(50):
+            for u, c in points:
+                u, c = float(u), float(c)
+                v = kl_inv(u, c)
+                assert kl_mp(u, v) >= c, (u, c, v)
+                if kl_mp(u, v) - c > 1e-12:
+                    assert kl_mp(u, math.nextafter(v, 0.0)) - c <= 1e-12, (u, c, v)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
-"""Reverse-mode engine: chain rule, primitives, determinism, the
-finite-difference harness, the closed-form KL and L1 nodes against the
-chained-primitive subgraphs they replaced, and the averaged-gradient (affine
-objective) check against an independent numpy re-implementation."""
+"""Reverse-mode engine: chain rule, primitives, determinism, tape lifetime,
+the finite-difference harness, the closed-form KL node and the fused
+sampled-layer and conditional-head nodes against the chained-primitive
+subgraphs they replaced, and the averaged-gradient (affine objective) check
+against an independent numpy re-implementation."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,20 +14,35 @@ from condgauss import grad
 from condgauss.bounds import BoundKind, BoundSpec
 from condgauss.checks import linearization_report, toy_objective_fd_error
 from condgauss.data import synth_blobs
-from condgauss.gaussian import VARIANCE_FLOOR, std_normal_cdf, std_normal_pdf
+from condgauss.gaussian import (
+    VARIANCE_FLOOR,
+    dsigma_of_rho,
+    l1_dense,
+    l1_draws,
+    sigma_of_rho,
+    std_normal_cdf,
+    std_normal_pdf,
+)
 from condgauss.network import (
     ModelSpec,
     StochasticModel,
+    apply_dropout,
     batch_error_estimate,
-    hidden_forward_on_tape,
     make_leaves,
 )
 from condgauss.rng import RngStream
-from condgauss.trainer import TrainConfig, kl_node, penalized_objective, train_condgauss
+from condgauss.trainer import (
+    SURROGATE_PMIN,
+    TrainConfig,
+    _surrogate_batch,
+    kl_node,
+    penalized_objective,
+    train_condgauss,
+)
 
 
-# Chained-primitive reference nodes: the closed-form nodes must reproduce
-# what these compute step by step through the chain rule.
+# Chained-primitive reference nodes: the closed-form and fused nodes must
+# reproduce what these compute step by step through the chain rule.
 def _sum_all(a):
     va = a.value
     return grad.Tensor(a.tape, va.sum(), (a,), lambda g: (np.full_like(va, float(g)),))
@@ -40,6 +58,58 @@ def _ncdf(a):
     return grad.Tensor(a.tape, std_normal_cdf(va), (a,), lambda g: (g * std_normal_pdf(va),))
 
 
+def _square(a):
+    va = a.value
+    return grad.closed_form(np.square(va), (a,), (2.0 * va,))
+
+
+def _sigma_rho(a):
+    va = a.value
+    return grad.closed_form(sigma_of_rho(va), (a,), (dsigma_of_rho(va),))
+
+
+def _linear(x, W, b):
+    """Affine map x @ W.T + b; x may be a constant, W and b are Tensors."""
+    vx = x.value if isinstance(x, grad.Tensor) else x
+    parents, vjps = [], []
+    if isinstance(x, grad.Tensor):
+        parents.append(x)
+        vjps.append(lambda g: g @ W.value)
+    parents += [W, b]
+    vjps.append(lambda g: g.reshape(-1, g.shape[-1]).T @ vx.reshape(-1, vx.shape[-1]))
+    vjps.append(lambda g: g.reshape(-1, g.shape[-1]).sum(axis=0))
+    return grad.Tensor(
+        W.tape, vx @ W.value.T + b.value, tuple(parents), lambda g: tuple(f(g) for f in vjps)
+    )
+
+
+def _sample_layer(lv, rng):
+    """Pathwise draw (W, b) = mean + sigma(rho) * zeta as a chain of nodes."""
+    zw = rng.child("w").normal(lv.w_mean.shape)
+    zb = rng.child("b").normal(lv.b_mean.shape)
+    W = grad.add(lv.w_mean, grad.mul(_sigma_rho(lv.w_rho), zw))
+    b = grad.add(lv.b_mean, grad.mul(_sigma_rho(lv.b_rho), zb))
+    return W, b
+
+
+def _chained_hidden(leaves, x, rng, spec, dropout_prob):
+    """The hidden forward with each sampled layer as a chain of nodes."""
+    a = x
+    for k in range(spec.n_layers - 1):
+        a = grad.relu(_linear(a, *_sample_layer(leaves[k], rng.child("theta", k))))
+        if dropout_prob > 0.0:
+            mask = apply_dropout(np.ones(a.shape), dropout_prob, rng.child("dropout", k))
+            a = grad.mul(a, mask)
+    return a
+
+
+def _chained_moments(phi_h, last):
+    """Conditional moments (M, floored V) as a chain of nodes."""
+    M = _linear(phi_h, last.w_mean, last.b_mean)
+    V = _linear(_square(phi_h), _square(_sigma_rho(last.w_rho)), _square(_sigma_rho(last.b_rho)))
+    return M, grad.maximum_const(V, VARIANCE_FLOOR)
+
+
 def _chained_kl(leaves, groups):
     """KL(Q||P) of the whole model as a chain of elementwise and sum nodes."""
     total = None
@@ -49,9 +119,9 @@ def _chained_kl(leaves, groups):
             (lv.b_mean, lv.b_rho, g.prior_b_mean, g.prior_b_sigma),
         ):
             half_inv_ps2 = 0.5 / np.square(psigma)
-            sig = grad.sigma_rho(rho_leaf)
-            t1 = _sum_all(grad.mul(grad.square(sig), half_inv_ps2))
-            t2 = _sum_all(grad.mul(grad.square(grad.sub(mean_leaf, pmean)), half_inv_ps2))
+            sig = _sigma_rho(rho_leaf)
+            t1 = _sum_all(grad.mul(_square(sig), half_inv_ps2))
+            t2 = _sum_all(grad.mul(_square(grad.sub(mean_leaf, pmean)), half_inv_ps2))
             t3 = _sum_all(grad.log(sig))
             const = float(np.sum(np.log(psigma))) - 0.5 * psigma.size
             part = grad.add(grad.sub(grad.add(t1, t2), t3), const)
@@ -59,20 +129,13 @@ def _chained_kl(leaves, groups):
     return total
 
 
-def _chained_estimate(model, x, y, rng, repeats, tape, leaves):
+def _chained_estimate(model, x, y, rng, repeats, leaves, dropout_prob=0.0):
     """The batch L1 estimate with the head built from gathers, a masked max
     and the normal-CDF primitive."""
     y0 = y - 1
     batch, q = x.shape[0], model.spec.q
-    phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
-    last = leaves[-1]
-    M = grad.linear(phi_h, last.w_mean, last.b_mean)
-    V = grad.linear(
-        grad.square(phi_h),
-        grad.square(grad.sigma_rho(last.w_rho)),
-        grad.square(grad.sigma_rho(last.b_rho)),
-    )
-    Vc = grad.maximum_const(V, VARIANCE_FLOOR)
+    phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout_prob)
+    M, Vc = _chained_moments(phi_h, leaves[-1])
     zeta = rng.child("l1").normal((repeats, batch, q))
     mask = np.zeros((batch, q))
     mask[np.arange(batch), y0] = -1e30
@@ -82,6 +145,20 @@ def _chained_estimate(model, x, y, rng, repeats, tape, leaves):
     return grad.mean_all(_ncdf(z))
 
 
+def _dense_estimate(model, x, y, rng, repeats, leaves, dropout_prob=0.0):
+    """The batch L1 estimate as one closed-form node over (M, V), its
+    partials the dense per-draw l1_draws gradients summed over repeats."""
+    y0 = y - 1
+    batch, q = x.shape[0], model.spec.q
+    phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout_prob)
+    M, Vc = _chained_moments(phi_h, leaves[-1])
+    zeta = rng.child("l1").normal((repeats, batch, q))
+    values, cols, dM, dV = l1_draws(M.value, Vc.value, y0, zeta)
+    n = values.size
+    dM, dV = l1_dense(cols, dM, q), l1_dense(cols, dV, q)
+    return grad.closed_form(values.mean(), (M, Vc), (dM.sum(axis=0) / n, dV.sum(axis=0) / n))
+
+
 class TestTapeBasics:
     def test_pathwise_sample_chain_rule(self):
         # theta = m + sigma(rho) * zeta with zeta=0.7, rho=1:
@@ -89,7 +166,7 @@ class TestTapeBasics:
         tape = grad.Tape()
         m = tape.leaf(np.array(0.3))
         rho = tape.leaf(np.array(1.0))
-        theta = grad.add(m, grad.mul(grad.sigma_rho(rho), 0.7))
+        theta = grad.add(m, grad.mul(_sigma_rho(rho), 0.7))
         tape.backward(theta)
         assert float(m.grad) == pytest.approx(1.0, abs=1e-15)
         assert float(rho.grad) == pytest.approx(1.05, abs=1e-12)
@@ -110,7 +187,7 @@ class TestTapeBasics:
     def test_fanout_accumulates(self):
         tape = grad.Tape()
         a = tape.leaf(np.array(2.0))
-        out = grad.add(grad.square(a), grad.mul(a, 3.0))  # a^2 + 3a
+        out = grad.add(_square(a), grad.mul(a, 3.0))  # a^2 + 3a
         tape.backward(out)
         assert float(a.grad) == pytest.approx(7.0, abs=1e-14)
 
@@ -209,35 +286,108 @@ def _assert_leaf_grads_match(leaves, ref_leaves):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize(
-    "widths", [(20, 256, 4), (784, 200, 10)], ids=["20-256-4", "784-200-10"]
+def _backward_leaves(model, build):
+    """Leaves of a fresh tape after backward through build(leaves)."""
+    tape = grad.Tape()
+    leaves = make_leaves(tape, model)
+    out = build(leaves)
+    tape.backward(out)
+    return float(out.value), leaves
+
+
+_FUSED_SHAPES = pytest.mark.parametrize(
+    "widths, dropout",
+    [((20, 256, 4), 0.0), ((784, 200, 10), 0.0), ((20, 64, 32, 5), 0.3)],
+    ids=["20-256-4", "784-200-10", "20-64-32-5-dropout"],
 )
+
+
+def _check_fused_estimate(widths, dropout, reference):
+    model = _perturbed_model(widths, 12)
+    gen = np.random.default_rng(13)
+    x = gen.uniform(0, 1, (32, widths[0]))
+    y = gen.integers(1, widths[-1] + 1, 32)
+    rng = RngStream(14)
+    ref, ref_leaves = _backward_leaves(
+        model, lambda lv: reference(model, x, y, rng, 5, lv, dropout)
+    )
+    est = batch_error_estimate(model, x, y, rng, repeats=5, dropout_prob=dropout)
+    est.tape.backward(est.node)
+    assert est.value == ref
+    _assert_leaf_grads_match(est.leaves, ref_leaves)
+
+
 class TestClosedFormNodes:
+    @pytest.mark.parametrize(
+        "widths", [(20, 256, 4), (784, 200, 10)], ids=["20-256-4", "784-200-10"]
+    )
     def test_kl_node_matches_chained_kl(self, widths):
         model = _perturbed_model(widths, 11)
-        ref_tape, new_tape = grad.Tape(), grad.Tape()
-        ref_leaves, leaves = make_leaves(ref_tape, model), make_leaves(new_tape, model)
-        ref = _chained_kl(ref_leaves, model.groups)
-        new = kl_node(leaves, model.groups)
-        ref_tape.backward(ref)
-        new_tape.backward(new)
-        assert float(new.value) == pytest.approx(float(ref.value), rel=1e-12)
+        ref, ref_leaves = _backward_leaves(model, lambda lv: _chained_kl(lv, model.groups))
+        new, leaves = _backward_leaves(model, lambda lv: kl_node(lv, model.groups))
+        assert new == pytest.approx(ref, rel=1e-12)
         _assert_leaf_grads_match(leaves, ref_leaves)
 
-    def test_l1_node_matches_chained_estimate(self, widths):
-        model = _perturbed_model(widths, 12)
-        gen = np.random.default_rng(13)
-        x = gen.uniform(0, 1, (32, widths[0]))
-        y = gen.integers(1, widths[-1] + 1, 32)
-        rng = RngStream(14)
-        ref_tape = grad.Tape()
-        ref_leaves = make_leaves(ref_tape, model)
-        ref = _chained_estimate(model, x, y, rng, 5, ref_tape, ref_leaves)
-        ref_tape.backward(ref)
-        est = batch_error_estimate(model, x, y, rng, repeats=5)
-        est.tape.backward(est.node)
-        assert est.value == float(ref.value)
-        _assert_leaf_grads_match(est.leaves, ref_leaves)
+    @_FUSED_SHAPES
+    def test_l1_node_matches_chained_estimate(self, widths, dropout):
+        """Fused sampled-layer and conditional-head nodes against the chain
+        of primitives."""
+        _check_fused_estimate(widths, dropout, _chained_estimate)
+
+    @_FUSED_SHAPES
+    def test_reduced_l1_matches_dense_l1_sum(self, widths, dropout):
+        """The head's per-input sums of L1 gradients over repeats against a
+        closed-form head over the dense per-draw gradients."""
+        _check_fused_estimate(widths, dropout, _dense_estimate)
+
+    def test_surrogate_last_layer_matches_chain(self):
+        """The baseline samples its last layer with the fused node too."""
+        model = _perturbed_model((20, 64, 32, 5), 15)
+        gen = np.random.default_rng(16)
+        x = gen.uniform(0, 1, (32, 20))
+        y0 = gen.integers(0, 5, 32)
+        rng = RngStream(17)
+
+        def chained(leaves):
+            phi_h = _chained_hidden(leaves, x, rng, model.spec, 0.0)
+            F = _linear(phi_h, *_sample_layer(leaves[-1], rng.child("theta", 2)))
+            z = grad.sub(F, grad.expand_last(grad.max_last(F)))
+            e = grad.exp(z)
+            p = grad.div(e, grad.expand_last(grad.sum_last(e)))
+            p_y = grad.maximum_const(grad.gather_rows(p, y0), SURROGATE_PMIN)
+            ell = grad.mul(grad.log(p_y), -1.0 / math.log(1.0 / SURROGATE_PMIN))
+            return grad.mean_all(grad.minimum_const(ell, 1.0))
+
+        ref, ref_leaves = _backward_leaves(model, chained)
+        new, leaves = _backward_leaves(
+            model, lambda lv: _surrogate_batch(model, lv, x, y0, rng, lv[0].w_mean.tape)[0]
+        )
+        assert new == ref
+        _assert_leaf_grads_match(leaves, ref_leaves)
+
+
+def test_step_tape_freed_without_cyclic_collector():
+    """A finished step's tape, and every array on it, is freed by reference
+    counting alone: nothing on the tape refers back to it strongly."""
+    model = _perturbed_model((20, 64, 32, 5), 18)
+    gen = np.random.default_rng(19)
+    x = gen.uniform(0, 1, (16, 20))
+    y = gen.integers(1, 6, 16)
+    spec = BoundSpec(BoundKind.INVKL, kappa=1.0, delta=0.025)
+    gc.collect()
+    gc.disable()
+    try:
+        tape = grad.Tape()
+        leaves = make_leaves(tape, model)
+        est = batch_error_estimate(model, x, y, RngStream(20), 3, tape, leaves, 0.3)
+        obj, pen = penalized_objective(est.node, leaves, model.groups, spec, 4000)
+        tape.backward(obj)
+        tape_ref, grad_ref = weakref.ref(tape), weakref.ref(leaves[0].w_rho.grad)
+        del tape, leaves, est, obj, pen
+        assert tape_ref() is None
+        assert grad_ref() is None
+    finally:
+        gc.enable()
 
 
 def _mcall_numpy_forward(state, x, y0, rng, pen_const, repeats):
