@@ -69,8 +69,9 @@ class LabelledDataset:
         h = hashlib.sha256()
         h.update(self.split_tag.encode())
         h.update(str(self.q).encode())
-        h.update(np.ascontiguousarray(self.inputs).tobytes())
-        h.update(np.ascontiguousarray(self.labels).tobytes())
+        # A memoryview hashes the array's own buffer; tobytes() would copy it.
+        h.update(memoryview(np.ascontiguousarray(self.inputs)))
+        h.update(memoryview(np.ascontiguousarray(self.labels)))
         return h.hexdigest()[:32]
 
     def __len__(self) -> int:
@@ -198,12 +199,14 @@ def synth_blobs(
     raw = rng.child("directions").normal((dim, classes))
     qmat, _ = np.linalg.qr(raw)
     means = 0.5 + 0.5 * separation * qmat.T[:classes]
-    noise = rng.child("noise").normal((classes * per_class, dim)) * 0.02
-    labels = np.repeat(np.arange(1, classes + 1), per_class)
-    inputs = means[labels - 1] + noise
     order = rng.child("order").permutation(classes * per_class)
-    return LabelledDataset(
-        inputs=np.clip(inputs[order], 0.0, 1.0),
-        labels=labels[order],
-        q=classes,
-    )
+    labels = np.repeat(np.arange(1, classes + 1), per_class)[order]
+    # Permute the noise before adding the means and work in place, so at
+    # most two [n, dim] arrays are alive at once.
+    noise = rng.child("noise").normal((classes * per_class, dim))
+    noise *= 0.02
+    noise = noise[order]
+    inputs = means[labels - 1]
+    inputs += noise
+    np.clip(inputs, 0.0, 1.0, out=inputs)
+    return LabelledDataset(inputs=inputs, labels=labels, q=classes)

@@ -189,19 +189,24 @@ def forward_hidden(x: np.ndarray, theta_hidden: list[SampledLayer], spec: ModelS
     Applies affine + relu per hidden layer but returns the last hidden
     layer's PRE-activation values H; the activation of H happens inside the
     conditional-moments computation.
+
+    Runs features-major: each layer computes W @ a.T into a fresh [width, n]
+    array and adds the bias and the relu in place, so a layer allocates one
+    array and BLAS packs the inputs as its cheaper B operand. The result is
+    the [n, width] transposed view of that array.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.p:
         raise ValueError(f"input width {x.shape[-1]} does not match spec p={spec.p}")
     if len(theta_hidden) != spec.n_layers - 1:
         raise ValueError("need one sampled layer per hidden layer")
-    a = x
+    h = x.T
     for k, theta in enumerate(theta_hidden):
-        pre = a @ theta.W.T + theta.b
-        if k == len(theta_hidden) - 1:
-            return pre
-        a = np.maximum(pre, 0.0)
-    raise AssertionError("unreachable")
+        if k:
+            np.maximum(h, 0.0, out=h)
+        h = theta.W @ h
+        h += theta.b[:, None]
+    return h.T
 
 
 @dataclass
@@ -379,10 +384,14 @@ def sample_full(model: StochasticModel, rng: RngStream) -> list[SampledLayer]:
 
 
 def forward_scores(x: np.ndarray, theta: list[SampledLayer], spec: ModelSpec) -> np.ndarray:
-    """Network outputs under a full parameter draw."""
-    H = forward_hidden(x, theta[:-1], spec)
+    """Network outputs [n, q] under a full parameter draw, as the transposed
+    view of a features-major [q, n] array (see ``forward_hidden``)."""
+    phi = forward_hidden(x, theta[:-1], spec).T
+    np.maximum(phi, 0.0, out=phi)
     last = theta[-1]
-    return np.maximum(H, 0.0) @ last.W.T + last.b
+    scores = last.W @ phi
+    scores += last.b[:, None]
+    return scores.T
 
 
 def exact_misclassification(

@@ -212,6 +212,79 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
     return surrogate, float(np.mean(misclassified(F.value, y0)))
 
 
+def _train_step(
+    model, config, m, x, y, rng, lr, velocity, ell, lam_velocity, is_lambda_epoch, where
+):
+    """One batch of ``_train_loop``: the estimate and objective on a fresh
+    tape, backward, and the momentum update of the parameters (in place, with
+    ``velocity``) or of lambda's logit ``ell``.
+
+    Returns (objective, emp_track, penalty, lambda, ell, lam_velocity) as
+    plain numbers, so the step's graph is freed on return and never overlaps
+    the next step's forward pass. ``where`` is the (epoch, batch) pair a
+    divergence is reported at; a diverged step updates nothing.
+    """
+    spec = config.objective
+    tape = grad.Tape()
+    leaves = make_leaves(tape, model)
+
+    if config.phase == "baseline":
+        est_node, emp_track = _surrogate_batch(model, leaves, x, y - 1, rng, tape)
+    else:
+        result = batch_error_estimate(
+            model,
+            x,
+            y,
+            rng,
+            repeats=config.repeats,
+            tape=tape,
+            leaves=leaves,
+            dropout_prob=config.dropout_prob if config.phase == "prior" else 0.0,
+        )
+        est_node, emp_track = result.node, result.value
+
+    lam_node = None
+    lam_leaf = None
+    lam_value = None
+    pen_value = 0.0
+    if spec and spec.kind == BoundKind.LBD:
+        lam_leaf = tape.leaf(ell)
+        lam_node = grad.sigmoid(lam_leaf)
+        lam_value = float(lam_node.value)
+    if spec is not None:
+        obj, pen_node = penalized_objective(est_node, leaves, model.groups, spec, m, lam_node)
+        pen_value = float(pen_node.value)
+    else:
+        obj = est_node
+
+    obj_value = float(obj.value)
+    if not math.isfinite(obj_value) or obj_value > DIVERGENCE_LIMIT:
+        raise TrainingDiverged(
+            f"objective {obj_value} at epoch {where[0] + 1}, batch {where[1] + 1}"
+        )
+    tape.backward(obj)
+
+    if is_lambda_epoch:
+        g_ell = float(lam_leaf.grad) if lam_leaf.grad is not None else 0.0
+        ell, lam_velocity = momentum_step(ell, g_ell, lam_velocity, lr, config.momentum)
+    else:
+        i = 0
+        for group, lv in zip(model.groups, leaves):
+            for name, leaf in (
+                ("w_mean", lv.w_mean),
+                ("w_rho", lv.w_rho),
+                ("b_mean", lv.b_mean),
+                ("b_rho", lv.b_rho),
+            ):
+                g_arr = leaf.grad if leaf.grad is not None else 0.0
+                new_p, velocity[i] = momentum_step(
+                    getattr(group, name), g_arr, velocity[i], lr, config.momentum
+                )
+                setattr(group, name, new_p)
+                i += 1
+    return obj_value, emp_track, pen_value, lam_value, ell, lam_velocity
+
+
 def _train_loop(
     model: StochasticModel,
     data: LabelledDataset,
@@ -254,70 +327,22 @@ def _train_loop(
         last_pen = 0.0
         for b_idx, start in enumerate(range(0, m, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            bsize = idx.size
-            rng_batch = rng_root.child("epoch", epoch, "batch", b_idx)
-            tape = grad.Tape()
-            leaves = make_leaves(tape, model)
-
-            if config.phase == "baseline":
-                est_node, emp_track = _surrogate_batch(
-                    model, leaves, x_all[idx], y_all[idx] - 1, rng_batch, tape
-                )
-            else:
-                result = batch_error_estimate(
-                    model,
-                    x_all[idx],
-                    y_all[idx],
-                    rng_batch,
-                    repeats=config.repeats,
-                    tape=tape,
-                    leaves=leaves,
-                    dropout_prob=config.dropout_prob if config.phase == "prior" else 0.0,
-                )
-                est_node, emp_track = result.node, result.value
-
-            lam_node = None
-            lam_leaf = None
-            if spec and spec.kind == BoundKind.LBD:
-                lam_leaf = tape.leaf(ell)
-                lam_node = grad.sigmoid(lam_leaf)
-                lam_value = float(lam_node.value)
-            if spec is not None:
-                obj, pen_node = penalized_objective(
-                    est_node, leaves, model.groups, spec, m, lam_node
-                )
-                last_pen = float(pen_node.value)
-            else:
-                obj = est_node
-
-            obj_value = float(obj.value)
-            if not math.isfinite(obj_value) or obj_value > DIVERGENCE_LIMIT:
-                raise TrainingDiverged(
-                    f"objective {obj_value} at epoch {epoch + 1}, batch {b_idx + 1}"
-                )
-            tape.backward(obj)
-
-            if is_lambda_epoch:
-                g_ell = float(lam_leaf.grad) if lam_leaf.grad is not None else 0.0
-                ell, lam_velocity = momentum_step(ell, g_ell, lam_velocity, lr, config.momentum)
-            else:
-                i = 0
-                for group, lv in zip(model.groups, leaves):
-                    for name, leaf in (
-                        ("w_mean", lv.w_mean),
-                        ("w_rho", lv.w_rho),
-                        ("b_mean", lv.b_mean),
-                        ("b_rho", lv.b_rho),
-                    ):
-                        g_arr = leaf.grad if leaf.grad is not None else 0.0
-                        new_p, velocity[i] = momentum_step(
-                            getattr(group, name), g_arr, velocity[i], lr, config.momentum
-                        )
-                        setattr(group, name, new_p)
-                        i += 1
-
-            obj_sum += obj_value * bsize
-            emp_sum += emp_track * bsize
+            obj_value, emp_track, last_pen, lam_value, ell, lam_velocity = _train_step(
+                model,
+                config,
+                m,
+                x_all[idx],
+                y_all[idx],
+                rng_root.child("epoch", epoch, "batch", b_idx),
+                lr,
+                velocity,
+                ell,
+                lam_velocity,
+                is_lambda_epoch,
+                (epoch, b_idx),
+            )
+            obj_sum += obj_value * idx.size
+            emp_sum += emp_track * idx.size
 
         kl_now = kl_diag_gauss(model.groups)
         if config.phase == "baseline":

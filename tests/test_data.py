@@ -126,6 +126,17 @@ class TestSynthBlobs:
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize(
+        "args, fingerprint",
+        [
+            ((4, 50, 20, 0.8, 3), "48efc0e7b8dcfce9532dfdd066607ba5"),
+            ((10, 30, 784, 0.8, 0), "c2138b8cbcc50591e484876d86ed49b2"),
+        ],
+    )
+    def test_fingerprint_pinned(self, args, fingerprint):
+        # Pins inputs and labels bit for bit through the content digest.
+        assert synth_blobs(*args).fingerprint == fingerprint
+
     def test_inputs_in_unit_box_balanced_labels(self):
         ds = synth_blobs(3, 40, 8, 0.9, seed=78)
         assert np.all(ds.inputs >= 0.0) and np.all(ds.inputs <= 1.0)
@@ -175,3 +186,13 @@ class TestLabelledDataset:
         assert a.fingerprint != b.fingerprint
         again = synth_blobs(2, 10, 4, 0.5, seed=1)
         assert a.fingerprint == again.fingerprint
+
+    def test_fingerprint_value_pinned(self):
+        # Snapshot prior fingerprints, pair tokens and certificate split
+        # hashes store this digest, so its value must never change.
+        x = np.arange(12, dtype=np.float64).reshape(4, 3) / 11.0
+        ds = LabelledDataset(inputs=x, labels=np.array([1, 2, 2, 1]), q=2)
+        assert ds.fingerprint == "8ae32bc25bad11d540b6469335f3a7c2"
+        strided = np.arange(24, dtype=np.float64).reshape(4, 6)[:, ::2] / 23.0
+        ds = LabelledDataset(inputs=strided, labels=np.array([1, 2, 2, 1]), q=2)
+        assert ds.fingerprint == "8e8601a1fe717af392a44c84517eb93c"

@@ -56,9 +56,9 @@ class TestStdNormalCdf:
         assert std_normal_cdf(1.0) == pytest.approx(NCDF_ONE, abs=1e-12)
 
     def test_matches_mpmath_on_grid(self):
-        mpmath.mp.dps = 30
-        for t in np.linspace(-6, 6, 25):
-            assert std_normal_cdf(t) == pytest.approx(float(mpmath.ncdf(t)), abs=1e-12)
+        with mpmath.workdps(30):
+            for t in np.linspace(-6, 6, 25):
+                assert std_normal_cdf(t) == pytest.approx(float(mpmath.ncdf(t)), abs=1e-12)
 
     def test_deep_tail_no_underflow_crash(self):
         v = std_normal_cdf(-50.0)
@@ -325,20 +325,20 @@ class TestKlDiagGauss:
         g.w_rho = g.w_rho * gen.uniform(0.7, 1.3, (10, 9))
         g.b_mean = g.b_mean + gen.uniform(-0.5, 0.5, 10)
         g.b_rho = g.b_rho * gen.uniform(0.7, 1.3, 10)
-        mpmath.mp.dps = 40
-        total = mpmath.mpf(0)
-        for mean, rho, pm, ps in (
-            (g.w_mean, g.w_rho, g.prior_w_mean, g.prior_w_sigma),
-            (g.b_mean, g.b_rho, g.prior_b_mean, g.prior_b_sigma),
-        ):
-            for m, r, m0, s0 in zip(
-                mean.reshape(-1), rho.reshape(-1), pm.reshape(-1), ps.reshape(-1)
+        with mpmath.workdps(40):
+            total = mpmath.mpf(0)
+            for mean, rho, pm, ps in (
+                (g.w_mean, g.w_rho, g.prior_w_mean, g.prior_w_sigma),
+                (g.b_mean, g.b_rho, g.prior_b_mean, g.prior_b_sigma),
             ):
-                s = abs(mpmath.mpf(r)) ** mpmath.mpf(1.5)
-                s0 = mpmath.mpf(s0)
-                total += (s**2 - s0**2) / (2 * s0**2)
-                total += ((mpmath.mpf(m) - mpmath.mpf(m0)) / s0) ** 2 / 2
-                total += mpmath.log(s0 / s)
+                for m, r, m0, s0 in zip(
+                    mean.reshape(-1), rho.reshape(-1), pm.reshape(-1), ps.reshape(-1)
+                ):
+                    s = abs(mpmath.mpf(r)) ** mpmath.mpf(1.5)
+                    s0 = mpmath.mpf(s0)
+                    total += (s**2 - s0**2) / (2 * s0**2)
+                    total += ((mpmath.mpf(m) - mpmath.mpf(m0)) / s0) ** 2 / 2
+                    total += mpmath.log(s0 / s)
         got = kl_diag_gauss([g])
         assert got >= 0.0
         assert got == pytest.approx(float(total), abs=1e-10)

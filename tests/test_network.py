@@ -1,19 +1,22 @@
 """Stochastic network: forwards, conditional Gaussianity, estimator wiring,
 dropout, the last-layer independence invariant, and snapshot round trips."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import condgauss.network as network
 from condgauss import grad
-from condgauss.data import synth_blobs
+from condgauss.certify import draw_errors
+from condgauss.data import LabelledDataset, synth_blobs
 from condgauss.gaussian import (
     GaussianParamGroup,
     SampledLayer,
     conditional_moments,
     estimator_L1,
     kl_diag_gauss,
+    misclassified,
 )
 from condgauss.network import (
     ModelSpec,
@@ -22,6 +25,7 @@ from condgauss.network import (
     batch_error_estimate,
     exact_misclassification,
     forward_hidden,
+    forward_scores,
     load_model,
     make_leaves,
     sample_full,
@@ -113,6 +117,61 @@ class TestForwardHidden:
         theta = [SampledLayer(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3)), np.zeros(2))]
         with pytest.raises(ValueError):
             forward_hidden(np.ones((4, 5)), theta, spec)
+
+
+def row_major_scores(x, theta):
+    """Reference forward: the plain row-major chain relu(x W^T + b) ... ."""
+    a = x
+    for layer in theta[:-1]:
+        a = np.maximum(a @ layer.W.T + layer.b, 0.0)
+    return a @ theta[-1].W.T + theta[-1].b
+
+
+def drawn_network(widths, m, seed):
+    """A full draw of a fresh model at ``widths`` and m inputs in [0, 1]."""
+    spec = ModelSpec(widths)
+    model = StochasticModel.initialize(spec, sigma0=0.05, rng=RngStream(seed).child("m"))
+    theta = sample_full(model, RngStream(seed).child("draw"))
+    x = RngStream(seed).child("x").uniform(0.0, 1.0, (m, widths[0]))
+    return model, theta, x
+
+
+class TestForwardScores:
+    @pytest.mark.parametrize("widths", [(20, 256, 4), (784, 200, 10), (20, 64, 32, 5)])
+    @pytest.mark.parametrize("m", [300, 2000])
+    def test_matches_row_major_chain(self, widths, m):
+        model, theta, x = drawn_network(widths, m, seed=sum(widths) + m)
+        got = forward_scores(x, theta, model.spec)
+        ref = row_major_scores(x, theta)
+        assert got.shape == (m, widths[-1])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        y0 = np.argmax(ref, axis=1)
+        y0[::3] = (y0[::3] + 1) % widths[-1]
+        np.testing.assert_array_equal(misclassified(got, y0), misclassified(ref, y0))
+
+    def test_draw_errors_independent_of_workers(self, monkeypatch):
+        model, _, x = drawn_network((20, 64, 32, 5), 1000, seed=5)
+        labels = RngStream(5).child("y").generator().integers(1, 6, 1000)
+        ds = LabelledDataset(inputs=x, labels=labels, q=5)
+        monkeypatch.setenv("CONDGAUSS_THREADS", "1")
+        one = draw_errors(model, ds, 8, RngStream(6))
+        monkeypatch.setenv("CONDGAUSS_THREADS", "2")
+        two = draw_errors(model, ds, 8, RngStream(6))
+        np.testing.assert_array_equal(one, two)
+
+    def test_one_hidden_array_per_call(self):
+        # The features-major forward holds one [h, m] float64 array (plus the
+        # small [q, m] scores); the row-major chain needed about two.
+        m, h = 2000, 200
+        model, theta, x = drawn_network((784, h, 10), m, seed=7)
+        forward_scores(x, theta, model.spec)
+        tracemalloc.start()
+        try:
+            forward_scores(x, theta, model.spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * m * h * 8
 
 
 class TestConditionalGaussianity:
