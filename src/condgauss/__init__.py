@@ -40,14 +40,6 @@ from .network import (
     save_model,
 )
 from .rng import RngStream
-from .trainer import (
-    TrainConfig,
-    TrainLog,
-    TrainingDiverged,
-    train_condgauss,
-    train_lambda_alternating,
-    train_prior,
-    train_surrogate_baseline,
-)
+from .trainer import TrainConfig, TrainLog, TrainingDiverged, train_condgauss
 
 __version__ = "0.1.0"

@@ -31,14 +31,7 @@ from .data import (
 )
 from .network import ModelSpec, StochasticModel, load_model, save_model
 from .rng import RngStream
-from .trainer import (
-    TrainConfig,
-    TrainLog,
-    train_condgauss,
-    train_lambda_alternating,
-    train_prior,
-    train_surrogate_baseline,
-)
+from .trainer import TrainConfig, TrainLog, train_condgauss
 
 __all__ = ["main", "cmd_train", "cmd_certify", "cmd_check", "cmd_eval", "RunConfig"]
 
@@ -76,7 +69,8 @@ class PhaseSettings:
 
 @dataclass
 class RunConfig:
-    """Validated contents of a run config file."""
+    """Validated contents of a run config file, with the training settings of
+    each phase (no prior training when ``prior_train`` is None)."""
 
     source: str
     synth: dict
@@ -94,6 +88,8 @@ class RunConfig:
     delta_prime: float
     seed: int
     output_dir: Path
+    prior_train: TrainConfig | None = None
+    posterior_train: TrainConfig | None = None
 
 
 def _parse_schedule(text: str) -> tuple[tuple[int, float], ...]:
@@ -184,6 +180,10 @@ def parse_config(path) -> RunConfig:
         output_dir=Path(cp.get("run", "output_dir")),
     )
     _validate(cfg)
+    if cfg.prior.method != "none":
+        cfg.prior_train = _train_config(cfg.prior, "prior", "prior", cfg)
+    posterior_phase = "baseline" if cfg.posterior.method == "surrogate" else "posterior"
+    cfg.posterior_train = _train_config(cfg.posterior, "posterior", posterior_phase, cfg)
     return cfg
 
 
@@ -200,8 +200,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"posterior method must be condgauss or surrogate, got {cfg.posterior.method}"
         )
-    if cfg.posterior.objective not in _OBJECTIVES:
-        raise ConfigError(f"unknown objective: {cfg.posterior.objective}")
     if cfg.prior.method != "none" and cfg.prior_fraction is None:
         raise ConfigError("a trained prior needs data.prior_fraction")
     if cfg.prior.method == "none" and cfg.prior_fraction is not None:
@@ -265,40 +263,46 @@ def _resolved_config_text(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _train_config(ph: PhaseSettings, phase: str, seed: int, delta: float) -> TrainConfig:
-    if phase == "prior" and ph.method == "erm":
-        objective = None
-    else:
-        kind = _OBJECTIVES[ph.objective]
-        objective = BoundSpec(
-            kind=kind,
-            kappa=ph.kappa,
-            delta=delta,
-            lam=ph.lam if kind == BoundKind.LBD else None,
+def _train_config(ph: PhaseSettings, section: str, phase: str, cfg: RunConfig) -> TrainConfig:
+    """The TrainConfig of one [section]; its phase rules fail as a ConfigError
+    naming the section."""
+    try:
+        if ph.method == "erm":
+            objective = None
+        elif ph.objective not in _OBJECTIVES:
+            raise ValueError(f"unknown objective: {ph.objective}")
+        else:
+            kind = _OBJECTIVES[ph.objective]
+            objective = BoundSpec(
+                kind=kind,
+                kappa=ph.kappa,
+                delta=cfg.delta,
+                lam=ph.lam if kind == BoundKind.LBD else None,
+            )
+        return TrainConfig(
+            objective=objective,
+            lr_schedule=ph.schedule,
+            momentum=ph.momentum,
+            batch_size=ph.batch_size,
+            repeats=ph.repeats,
+            seed=cfg.seed,
+            phase=phase,
+            dropout_prob=ph.dropout,
         )
-    return TrainConfig(
-        objective=objective,
-        lr_schedule=ph.schedule,
-        momentum=ph.momentum,
-        batch_size=ph.batch_size,
-        repeats=ph.repeats,
-        seed=seed,
-        phase=phase,
-        dropout_prob=ph.dropout if phase == "prior" else 0.0,
-    )
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def cmd_train(config_path) -> int:
     cfg = parse_config(config_path)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     whole, holdout = _build_dataset(cfg)
     if cfg.widths[0] != whole.p:
         raise ConfigError(f"model input width {cfg.widths[0]} != data dim {whole.p}")
     if cfg.widths[-1] != whole.q:
         raise ConfigError(f"model output width {cfg.widths[-1]} != class count {whole.q}")
 
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved.cfg").write_text(_resolved_config_text(cfg))
     content = hashlib.sha256()
     content.update(whole.fingerprint.encode())
@@ -309,23 +313,16 @@ def cmd_train(config_path) -> int:
         ModelSpec(cfg.widths, cfg.activation), cfg.sigma0, RngStream(cfg.seed).child("model")
     )
 
-    if cfg.prior.method != "none":
+    if cfg.prior_train is not None:
         prior_ds, bound_ds = split_prior_bound(whole, cfg.prior_fraction, cfg.seed)
-        prior_cfg = _train_config(cfg.prior, "prior", cfg.seed, cfg.delta)
-        model, prior_log = train_prior(model, prior_ds, prior_cfg)
+        model, prior_log = train_condgauss(model, prior_ds, cfg.prior_train)
     else:
         bound_ds = whole
         prior_log = TrainLog(rows=[])
     prior_log.to_csv(out / "train_prior.csv")
     save_model(model, out / "prior.model")
 
-    post_cfg = _train_config(cfg.posterior, _posterior_phase(cfg), cfg.seed, cfg.delta)
-    if cfg.posterior.method == "surrogate":
-        model, post_log = train_surrogate_baseline(model, bound_ds, post_cfg)
-    elif post_cfg.objective.kind == BoundKind.LBD:
-        model, post_log = train_lambda_alternating(model, bound_ds, post_cfg)
-    else:
-        model, post_log = train_condgauss(model, bound_ds, post_cfg)
+    model, post_log = train_condgauss(model, bound_ds, cfg.posterior_train)
     post_log.to_csv(out / "train_posterior.csv")
     save_model(model, out / "posterior.model")
 
@@ -345,13 +342,12 @@ def cmd_train(config_path) -> int:
     return 0
 
 
-def _posterior_phase(cfg: RunConfig) -> str:
-    return "baseline" if cfg.posterior.method == "surrogate" else "posterior"
-
-
 def _dataset_from_args(args) -> LabelledDataset:
     if args.synth:
-        q, n, p, sep, seed = args.synth.split(",")
+        fields = args.synth.split(",")
+        if len(fields) != 5:
+            raise ConfigError(f"--synth takes q,per_class,dim,separation,seed; got {args.synth!r}")
+        q, n, p, sep, seed = fields
         ds = synth_blobs(int(q), int(n), int(p), float(sep), int(seed))
     else:
         if not (args.images and args.labels):

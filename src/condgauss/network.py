@@ -440,41 +440,54 @@ def save_model(model: StochasticModel, path) -> None:
 
 
 def load_model(path) -> StochasticModel:
+    """Read a ``save_model`` snapshot. A truncated or malformed file raises
+    ValueError naming the line and the key, array or layer expected there."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise ValueError(f"not a model snapshot: missing '{SNAPSHOT_HEADER}' header")
+    pos = 0  # index of the line last read
+
+    def next_line(expected: str) -> str:
+        nonlocal pos
+        pos += 1
+        if pos >= len(lines):
+            raise ValueError(f"snapshot truncated: line {pos + 1} should hold {expected}")
+        return lines[pos]
+
+    def numbers(text: str, kind, what: str, line: int) -> list:
+        try:
+            return [kind(v) for v in text.split()]
+        except ValueError:
+            raise ValueError(f"snapshot line {line}: non-numeric value in {what}") from None
+
     fields = {}
-    pos = 1
     for key in ("widths", "activation", "dropout", "prior_fingerprint", "prior_pair_token"):
-        name, _, rest = lines[pos].partition(" ")
+        name, _, rest = next_line(f"'{key}'").partition(" ")
         if name != key:
             raise ValueError(f"snapshot line {pos + 1}: expected '{key}', got '{name}'")
         fields[key] = rest
-        pos += 1
-    widths = tuple(int(w) for w in fields["widths"].split())
+    widths = tuple(numbers(fields["widths"], int, "'widths'", 2))
     spec = ModelSpec(widths, fields["activation"], float(fields["dropout"]))
 
     def parse_block(expect_name: str, shape) -> np.ndarray:
-        nonlocal pos
-        if lines[pos] != expect_name:
-            raise ValueError(f"snapshot line {pos + 1}: expected '{expect_name}'")
-        pos += 1
-        vals = np.array([float(v) for v in lines[pos].split()])
-        pos += 1
+        what = f"array '{expect_name}' of layer {k}"
+        if next_line(what) != expect_name:
+            raise ValueError(f"snapshot line {pos + 1}: expected {what}")
+        text = next_line(f"the values of {what}")
+        vals = np.array(numbers(text, float, what, pos + 1))
         if vals.size != int(np.prod(shape)):
-            raise ValueError(f"array '{expect_name}' has {vals.size} values, expected {np.prod(shape)}")
+            raise ValueError(f"{what} has {vals.size} values, expected {np.prod(shape)}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"array '{expect_name}' of layer {k} has non-finite values")
+            raise ValueError(f"{what} has non-finite values")
         return vals.reshape(shape)
 
     groups = []
     for k in range(spec.n_layers):
-        parts = lines[pos].split()
-        if parts[:2] != ["layer", str(k)]:
-            raise ValueError(f"snapshot line {pos + 1}: expected 'layer {k}'")
-        out_dim, in_dim = int(parts[2]), int(parts[3])
-        pos += 1
+        out_dim, in_dim = widths[k + 1], widths[k]
+        header = f"layer {k} {out_dim} {in_dim}"
+        if next_line(f"'{header}'").split() != header.split():
+            raise ValueError(f"snapshot line {pos + 1}: expected '{header}'")
         g = GaussianParamGroup(
             w_mean=parse_block("w_mean", (out_dim, in_dim)),
             w_rho=parse_block("w_rho", (out_dim, in_dim)),
@@ -488,8 +501,8 @@ def load_model(path) -> StochasticModel:
         for arr in (g.prior_w_mean, g.prior_w_sigma, g.prior_b_mean, g.prior_b_sigma):
             arr.setflags(write=False)
         groups.append(g)
-    if lines[pos] != "end":
-        raise ValueError("snapshot missing 'end' marker")
+    if next_line("'end'") != "end":
+        raise ValueError(f"snapshot line {pos + 1}: expected 'end'")
     model = StochasticModel(spec, groups)
     model.prior_fingerprint = None if fields["prior_fingerprint"] == "none" else fields["prior_fingerprint"]
     model.prior_pair_token = None if fields["prior_pair_token"] == "none" else fields["prior_pair_token"]

@@ -1,5 +1,6 @@
-"""Training loops: conditional PAC-Bayes descent, the lambda-alternating
-variant, prior training, and the surrogate cross-entropy baseline.
+"""Training: conditional PAC-Bayes descent, the lambda-alternating lbd
+variant, prior training, and the surrogate cross-entropy baseline, all run by
+``train_condgauss``; the phase and the objective kind pick the path.
 
 All phases share one engine: per batch, sample the stochastic parameters
 (hidden layers only for the conditional method, every layer for the
@@ -42,9 +43,6 @@ __all__ = [
     "momentum_step",
     "penalized_objective",
     "train_condgauss",
-    "train_lambda_alternating",
-    "train_prior",
-    "train_surrogate_baseline",
 ]
 
 CSV_HEADER = "epoch,objective,emp_est,kl,pen,bound_est,lambda,seconds"
@@ -64,9 +62,12 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """One training phase.
 
-    ``objective`` None means plain empirical-risk minimization (prior phase
-    only). The schedule is a sequence of (epochs, learning_rate) entries run
-    back to back; momentum buffers persist across entries.
+    ``phase`` is "prior", "posterior" or "baseline" (the surrogate-loss
+    baseline). ``objective`` None means plain empirical-risk minimization; a
+    prior trains with ERM or invKL, the other phases need an objective.
+    Dropout applies only in the prior phase. The schedule is a sequence of
+    (epochs, learning_rate) entries run back to back; momentum buffers
+    persist across entries.
     """
 
     objective: BoundSpec | None
@@ -94,8 +95,12 @@ class TrainConfig:
             raise ValueError("repeats must be >= 1")
         if self.objective is None and self.phase != "prior":
             raise ValueError("ERM (objective=None) is only valid in the prior phase")
+        if self.phase == "prior" and self.objective and self.objective.kind != BoundKind.INVKL:
+            raise ValueError("prior training supports ERM (no objective) or invkl")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must be in [0, 1)")
+        if self.dropout_prob > 0.0 and self.phase != "prior":
+            raise ValueError("dropout applies only in the prior phase")
 
     def epoch_lrs(self) -> list[float]:
         out: list[float] = []
@@ -193,7 +198,11 @@ def penalized_objective(est_node, leaves, groups, spec: BoundSpec, m: int, lam_n
 
 
 def _surrogate_batch(model, leaves, x, y0, rng, tape):
-    """Baseline estimate: every layer sampled, bounded cross-entropy loss.
+    """Baseline estimate: every layer sampled pathwise once, and a bounded
+    cross-entropy in place of the error estimate: per input,
+    min(1, -log(p'_y) / log(1/p_min)) with the softmax clamped below at
+    p_min = 1e-4, so the loss stays in [0, 1] and the bound objectives remain
+    valid.
 
     Returns the surrogate loss node plus the plain 0-1 error of the sampled
     network on the batch (for bound tracking; ties count as errors).
@@ -215,7 +224,7 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
 def _train_step(
     model, config, m, x, y, rng, lr, velocity, ell, lam_velocity, is_lambda_epoch, where
 ):
-    """One batch of ``_train_loop``: the estimate and objective on a fresh
+    """One batch of ``train_condgauss``: the estimate and objective on a fresh
     tape, backward, and the momentum update of the parameters (in place, with
     ``velocity``) or of lambda's logit ``ell``.
 
@@ -239,7 +248,7 @@ def _train_step(
             repeats=config.repeats,
             tape=tape,
             leaves=leaves,
-            dropout_prob=config.dropout_prob if config.phase == "prior" else 0.0,
+            dropout_prob=config.dropout_prob,
         )
         est_node, emp_track = result.node, result.value
 
@@ -285,12 +294,26 @@ def _train_step(
     return obj_value, emp_track, pen_value, lam_value, ell, lam_velocity
 
 
-def _train_loop(
-    model: StochasticModel,
-    data: LabelledDataset,
-    config: TrainConfig,
-    lbd_alternating: bool = False,
+def train_condgauss(
+    model: StochasticModel, data: LabelledDataset, config: TrainConfig
 ) -> tuple[StochasticModel, TrainLog]:
+    """Train ``model`` on ``data`` for one phase; returns (model at best
+    epoch, TrainLog).
+
+    The posterior and prior phases descend the conditional error estimate
+    (an ERM prior descends it bare); the baseline phase descends the bounded
+    cross-entropy surrogate of ``_surrogate_batch`` instead.
+
+    An lbd objective doubles the epochs: even epochs step the parameters,
+    odd epochs step only lambda, at the same learning rate. lambda lives
+    behind a logistic reparametrization so it stays in (0, 1); its momentum
+    restarts at every lambda epoch.
+
+    A prior phase penalizes with m = len(data) and the initialization as the
+    KL reference, and ends by freezing the trained means and sigmas into the
+    model as its prior (so the KL reference restarts at zero), stamped with
+    the data's fingerprint and pair token.
+    """
     spec = config.objective
     if not model.prior_frozen:
         raise ValueError("freeze the prior (or the initialization) before training")
@@ -300,25 +323,20 @@ def _train_loop(
     delta_track = spec.delta if spec else 0.025
     rng_root = RngStream(config.seed).child("train", config.phase)
 
+    alternating = spec is not None and spec.kind == BoundKind.LBD
     lrs = config.epoch_lrs()
-    if lbd_alternating:
-        # Doubled epoch count: even epochs step the hyper-parameters, odd
-        # epochs step only lambda, at the same learning rate.
+    if alternating:
         lrs = [lr for lr in lrs for _ in range(2)]
     velocity = [np.zeros_like(a) for a in model.get_state()]
-    ell = math.log(spec.lam / (1.0 - spec.lam)) if (spec and spec.kind == BoundKind.LBD) else 0.0
-    lam_velocity = 0.0
-    prev_lambda_epoch = False
+    ell = math.log(spec.lam / (1.0 - spec.lam)) if alternating else 0.0
 
     rows: list[LogRow] = []
     best_bound = math.inf
     best_state = None
     for epoch, lr in enumerate(lrs):
         t0 = time.perf_counter()
-        is_lambda_epoch = lbd_alternating and (epoch % 2 == 1)
-        if is_lambda_epoch != prev_lambda_epoch:
-            lam_velocity = 0.0
-        prev_lambda_epoch = is_lambda_epoch
+        is_lambda_epoch = alternating and epoch % 2 == 1
+        lam_velocity = 0.0
 
         perm = rng_root.child("shuffle", epoch).permutation(m)
         obj_sum = 0.0
@@ -378,65 +396,6 @@ def _train_loop(
 
     if best_state is not None:
         model.set_state(best_state)
+    if config.phase == "prior":
+        model.freeze_prior(fingerprint=data.fingerprint, pair_token=data.pair_token)
     return model, TrainLog(rows)
-
-
-def train_condgauss(model, data, config: TrainConfig):
-    """Conditional PAC-Bayes training (posterior, or a prior trained with a
-    bound objective). Returns (model at best epoch, TrainLog)."""
-    if config.phase not in ("posterior", "prior"):
-        raise ValueError("train_condgauss runs the posterior or prior phase")
-    if config.objective is None and config.phase == "posterior":
-        raise ValueError("posterior training needs a bound objective")
-    if config.objective is not None and config.objective.kind == BoundKind.LBD:
-        raise ValueError("use train_lambda_alternating for the lbd objective")
-    return _train_loop(model, data, config)
-
-
-def train_lambda_alternating(model, data, config: TrainConfig):
-    """lbd training: doubled epochs alternating parameter and lambda steps.
-
-    lambda lives behind a logistic reparametrization so it stays in (0,1);
-    its momentum buffer is separate and reset at every phase switch.
-    """
-    if config.objective is None or config.objective.kind != BoundKind.LBD:
-        raise ValueError("train_lambda_alternating requires the lbd objective")
-    return _train_loop(model, data, config, lbd_alternating=True)
-
-
-def train_prior(model, prior_data: LabelledDataset, config: TrainConfig):
-    """Train the prior on its own split and freeze it into the model.
-
-    The objective is either bare empirical risk (objective=None) or invKL
-    with a small kappa; the penalty during an invKL prior run uses
-    m = len(prior_data) and the initialization as the KL reference. On
-    completion the trained means and sigmas become the frozen prior and the
-    KL reference restarts at zero.
-    """
-    if config.phase != "prior":
-        raise ValueError("train_prior requires phase='prior'")
-    if config.objective is not None and config.objective.kind != BoundKind.INVKL:
-        raise ValueError("prior training supports ERM (None) or an invKL objective")
-    model, log = _train_loop(model, prior_data, config)
-    model.freeze_prior(
-        fingerprint=prior_data.fingerprint, pair_token=prior_data.pair_token
-    )
-    return model, log
-
-
-def train_surrogate_baseline(model, data, config: TrainConfig):
-    """Standard PAC-Bayes-with-backprop baseline.
-
-    Samples every layer pathwise once per batch and replaces the error
-    estimate with a bounded cross-entropy: per input,
-    min(1, -log(p'_y) / log(1/p_min)) with the softmax clamped below at
-    p_min = 1e-4, so the loss stays in [0, 1] and the bound objectives remain
-    valid. Everything else matches the conditional loop.
-    """
-    if config.phase != "baseline":
-        raise ValueError("train_surrogate_baseline requires phase='baseline'")
-    if config.objective is None:
-        raise ValueError("baseline training needs a bound objective")
-    if config.objective.kind == BoundKind.LBD:
-        return _train_loop(model, data, config, lbd_alternating=True)
-    return _train_loop(model, data, config)

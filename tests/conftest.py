@@ -20,7 +20,7 @@ from condgauss.network import (
     sample_full,
 )
 from condgauss.rng import RngStream
-from condgauss.trainer import TrainConfig, train_condgauss, train_surrogate_baseline
+from condgauss.trainer import TrainConfig, train_condgauss
 
 DESK_CLASSES = 4
 DESK_PER_CLASS = 1000
@@ -112,7 +112,7 @@ def desk_study() -> DeskStudy:
         condgauss_seconds += time.perf_counter() - t0
 
         bmodel = desk_model(seed)
-        bmodel, _ = train_surrogate_baseline(bmodel, ds, desk_train_config(seed, "baseline"))
+        bmodel, _ = train_condgauss(bmodel, ds, desk_train_config(seed, "baseline"))
         bcert = final_certificate(
             bmodel, ds, DESK_CERT_DRAWS, 0.025, 0.01, RngStream(seed).child("cert_b")
         )

@@ -23,7 +23,7 @@ from condgauss.network import (
     sample_full,
 )
 from condgauss.rng import RngStream
-from condgauss.trainer import TrainConfig, train_prior
+from condgauss.trainer import TrainConfig, train_condgauss
 
 
 def toy_model(seed=0, widths=(8, 16, 3), sigma0=0.05):
@@ -180,7 +180,7 @@ class TestDisjointnessGuard:
             seed=21,
             phase="prior",
         )
-        model, _ = train_prior(model, s1, cfg)
+        model, _ = train_condgauss(model, s1, cfg)
         return model, ds, s1, s2
 
     def test_data_free_prior_certifies_anywhere(self):

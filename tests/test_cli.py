@@ -10,7 +10,8 @@ import pytest
 import condgauss.gaussian as gaussian
 from condgauss.certify import Certificate
 from condgauss.cli import ConfigError, main, parse_config
-from condgauss.network import load_model
+from condgauss.network import ModelSpec, StochasticModel, load_model, save_model
+from condgauss.rng import RngStream
 
 QUICK_CONFIG = """\
 [data]
@@ -84,6 +85,17 @@ output_dir = {out}
 """
 
 
+# Trainer paths beyond QUICK_CONFIG and SPLIT_CONFIG, as (template, edit).
+PHASE_VARIANTS = {
+    "invkl_prior": (SPLIT_CONFIG, ("method = erm", "method = invkl\nobjective = invkl\nkappa = 0.1")),
+    "lbd_posterior": (QUICK_CONFIG, ("objective = invkl", "objective = lbd\nlambda = 0.4")),
+    "surrogate_quad": (QUICK_CONFIG, ("method = condgauss\nobjective = invkl",
+                                      "method = surrogate\nobjective = quad")),
+    "surrogate_lbd": (QUICK_CONFIG, ("method = condgauss\nobjective = invkl",
+                                     "method = surrogate\nobjective = lbd")),
+}
+
+
 def write_config(tmp_path, template, name="run.cfg", **fmt):
     out = tmp_path / fmt.pop("out_name", "run_out")
     cfg = tmp_path / name
@@ -119,6 +131,7 @@ class TestTrainCommand:
         assert (out / "train_prior.csv").read_text().count("\n") == 1
         model = load_model(out / "posterior.model")
         assert model.spec.layer_widths == (10, 32, 3)
+        assert parse_config(out / "config.resolved.cfg") == parse_config(cfg)
 
     def test_invalid_deltas_rejected_before_compute(self, tmp_path, capsys):
         cfg, _ = write_config(
@@ -159,6 +172,47 @@ class TestTrainCommand:
         assert len(prior_rows) == 4  # header + 3 epochs
         model = load_model(out / "posterior.model")
         assert model.prior_fingerprint is not None
+        assert parse_config(out / "config.resolved.cfg") == parse_config(cfg)
+
+    @pytest.mark.parametrize("variant", sorted(PHASE_VARIANTS))
+    def test_phase_variant_runs(self, tmp_path, variant):
+        template, (old, new) = PHASE_VARIANTS[variant]
+        cfg, out = write_config(tmp_path, template.replace(old, new))
+        assert main(["train", "--config", str(cfg)]) == 0
+        rows = [r.split(",") for r in (out / "train_posterior.csv").read_text().splitlines()[1:]]
+        epochs = sum(e for e, _ in parse_config(cfg).posterior.schedule)
+        if "lbd" in variant:
+            # Alternating parameter and lambda epochs, lambda logged on each.
+            assert len(rows) == 2 * epochs
+            assert all(r[6] != "NA" for r in rows)
+        else:
+            assert len(rows) == epochs
+            assert all(r[6] == "NA" for r in rows)
+        if variant == "invkl_prior":
+            prior = load_model(out / "prior.model")
+            assert prior.prior_fingerprint is not None
+            assert load_model(out / "posterior.model").prior_fingerprint == prior.prior_fingerprint
+        assert Certificate.from_text((out / "certificate.txt").read_text()).final_bound <= 1.0
+        assert parse_config(out / "config.resolved.cfg") == parse_config(cfg)
+
+    @pytest.mark.parametrize(
+        "section, old, new, message",
+        [
+            ("prior", "batch_size = 120", "batch_size = 0", "batch_size"),
+            ("prior", "method = erm", "method = invkl\nobjective = bogus", "unknown objective"),
+            ("prior", "method = erm", "method = invkl\nobjective = quad", "invkl"),
+            ("posterior", "kappa = 1.0", "kappa = 1.0\ndropout = 0.3", "dropout"),
+        ],
+    )
+    def test_phase_settings_rejected_before_output(self, tmp_path, capsys, section, old, new, message):
+        text = SPLIT_CONFIG.replace(old, new, 1)
+        assert text != SPLIT_CONFIG
+        cfg, out = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] .*{message}"):
+            parse_config(cfg)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config(self, capsys):
         assert main(["train", "--config", "/nonexistent/run.cfg"]) == 1
@@ -211,6 +265,12 @@ class TestCertifyCommand:
 
 
 class TestEvalCommand:
+    def test_synth_field_count_rejected(self, tmp_path, capsys):
+        model = StochasticModel.initialize(ModelSpec((10, 4, 3)), 0.01, RngStream(1))
+        save_model(model, tmp_path / "m.model")
+        assert main(["eval", "--model", str(tmp_path / "m.model"), "--synth", "3,10,4"]) == 1
+        assert "q,per_class,dim,separation,seed" in capsys.readouterr().err
+
     def test_eval_holdout(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, QUICK_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 0

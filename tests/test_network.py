@@ -454,6 +454,30 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="b_rho"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ls: ls[:3], r"line 4 should hold 'dropout'"),
+            (lambda ls: ls[:10], r"line 11 should hold the values of array 'w_rho' of layer 0"),
+            (lambda ls: ls[:-1], r"should hold 'end'"),
+            (lambda ls: ls[:6] + ["layer 0 3"] + ls[7:], r"line 7: expected 'layer 0 3 4'"),
+            (lambda ls: ls[:8] + ["abc " + ls[8]] + ls[9:],
+             r"line 9: non-numeric value in array 'w_mean' of layer 0"),
+            (lambda ls: ls[:1] + ["widths 4 x 2"] + ls[2:], r"line 2: non-numeric value in 'widths'"),
+        ],
+        ids=["cut_after_3", "cut_after_10", "cut_before_end", "short_layer_header",
+             "non_numeric_value", "non_numeric_width"],
+    )
+    def test_rejects_truncated_or_malformed(self, tmp_path, edit, message):
+        model = StochasticModel.initialize(ModelSpec((4, 3, 2)), 0.01, RngStream(75))
+        path = tmp_path / "snap.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        assert lines[6] == "layer 0 3 4" and lines[7] == "w_mean"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("NOT-A-MODEL\n")

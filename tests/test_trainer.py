@@ -1,4 +1,4 @@
-"""Training loops: momentum semantics, phase wiring, penalty bookkeeping,
+"""Training: momentum semantics, phase rules and wiring, penalty bookkeeping,
 lambda alternation, the surrogate baseline, logging, and reproducibility."""
 import math
 
@@ -17,9 +17,6 @@ from condgauss.trainer import (
     TrainingDiverged,
     momentum_step,
     train_condgauss,
-    train_lambda_alternating,
-    train_prior,
-    train_surrogate_baseline,
 )
 
 
@@ -123,11 +120,6 @@ class TestTrainCondgauss:
             logs.append(log)
         assert logs[0].numeric_rows() == logs[1].numeric_rows()
 
-    def test_rejects_lbd_kind(self):
-        with pytest.raises(ValueError):
-            train_condgauss(fresh_model(), blob_task(), quick_config(
-                objective=BoundSpec(BoundKind.LBD, lam=0.5)))
-
     @pytest.mark.parametrize("kind", [BoundKind.MCALL, BoundKind.INVKL])
     def test_divergence_guard(self, kind):
         ds = blob_task()
@@ -184,15 +176,11 @@ class TestLambdaAlternating:
             objective=BoundSpec(BoundKind.LBD, kappa=1.0, delta=0.025, lam=0.5),
             lr_schedule=((6, 0.002),),
         )
-        model, log = train_lambda_alternating(model, ds, cfg)
+        model, log = train_condgauss(model, ds, cfg)
         assert len(log.rows) == 12
         assert all(0.0 < r.lam < 1.0 for r in log.rows)
         # Parameter epochs (even) keep lambda fixed; lambda epochs move it.
         assert log.rows[0].lam == pytest.approx(0.5)
-
-    def test_requires_lbd(self):
-        with pytest.raises(ValueError):
-            train_lambda_alternating(fresh_model(), blob_task(), quick_config())
 
 
 class TestTrainPrior:
@@ -201,7 +189,7 @@ class TestTrainPrior:
         s1, s2 = ds.subset(np.arange(0, 225), "prior", "tok"), ds.subset(np.arange(225, 450), "bound", "tok")
         model = fresh_model()
         cfg = quick_config(objective=None, phase="prior", lr_schedule=((5, 0.002),))
-        model, log = train_prior(model, s1, cfg)
+        model, log = train_condgauss(model, s1, cfg)
         assert kl_diag_gauss(model.groups) == 0.0
         assert model.prior_fingerprint == s1.fingerprint
         assert model.prior_pair_token == "tok"
@@ -216,7 +204,7 @@ class TestTrainPrior:
         model = fresh_model()
         spec = BoundSpec(BoundKind.INVKL, kappa=0.01, delta=0.025)
         cfg = quick_config(objective=spec, phase="prior", lr_schedule=((1, 1e-9),))
-        model, log = train_prior(model, s1, cfg)
+        model, log = train_condgauss(model, s1, cfg)
         row = log.rows[0]
         expect = penalty(PenaltyInputs(0.0, 200, 0.025, 0.01))
         assert row.pen == pytest.approx(expect, rel=1e-3)
@@ -225,17 +213,23 @@ class TestTrainPrior:
         ds = blob_task()
         model = fresh_model()
         cfg = quick_config(objective=None, phase="prior", dropout_prob=0.2, lr_schedule=((3, 0.002),))
-        model, log = train_prior(model, ds.subset(np.arange(300), "prior", "t"), cfg)
+        model, log = train_condgauss(model, ds.subset(np.arange(300), "prior", "t"), cfg)
         assert len(log.rows) == 3
+        for phase in ("posterior", "baseline"):
+            with pytest.raises(ValueError, match="dropout"):
+                quick_config(phase=phase, dropout_prob=0.2)
 
     def test_rejects_wrong_phase_or_objective(self):
-        with pytest.raises(ValueError):
-            train_prior(fresh_model(), blob_task(), quick_config(objective=None, phase="posterior"))
-        with pytest.raises(ValueError):
-            train_prior(
-                fresh_model(), blob_task(),
-                quick_config(objective=BoundSpec(BoundKind.QUAD), phase="prior"),
-            )
+        for phase in ("posterior", "baseline"):
+            with pytest.raises(ValueError, match="prior phase"):
+                quick_config(objective=None, phase=phase)
+        for spec in (
+            BoundSpec(BoundKind.QUAD),
+            BoundSpec(BoundKind.MCALL),
+            BoundSpec(BoundKind.LBD, lam=0.5),
+        ):
+            with pytest.raises(ValueError, match="prior training"):
+                quick_config(objective=spec, phase="prior")
 
 
 class TestSurrogateBaseline:
@@ -243,7 +237,7 @@ class TestSurrogateBaseline:
         ds = blob_task()
         model = fresh_model()
         cfg = quick_config(phase="baseline", lr_schedule=((6, 0.05),))
-        model, log = train_surrogate_baseline(model, ds, cfg)
+        model, log = train_condgauss(model, ds, cfg)
         for r in log.rows:
             assert 0.0 <= r.emp_est <= 1.0
             assert math.isfinite(r.objective)
@@ -271,10 +265,6 @@ class TestSurrogateBaseline:
         )
         assert float(node.value) < 1e-6
 
-    def test_requires_baseline_phase(self):
-        with pytest.raises(ValueError):
-            train_surrogate_baseline(fresh_model(), blob_task(), quick_config())
-
 
 class TestTrainLogCsv:
     def test_csv_layout(self, tmp_path):
@@ -298,7 +288,7 @@ class TestTrainLogCsv:
             objective=BoundSpec(BoundKind.LBD, kappa=1.0, delta=0.025, lam=0.5),
             lr_schedule=((2, 0.002),),
         )
-        model, log = train_lambda_alternating(model, ds, cfg)
+        model, log = train_condgauss(model, ds, cfg)
         path = tmp_path / "log.csv"
         log.to_csv(path)
         rows = path.read_text().strip().splitlines()[1:]
