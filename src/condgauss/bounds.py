@@ -196,6 +196,9 @@ def kl_inv(u: float, c: float) -> float:
         return 1.0
 
     v = min(max(u + math.sqrt(c / 2.0), u + 1e-12), 1.0 - 1e-12)
+    if v <= lo:
+        # u within 1e-12 of 1: the clamped guess is not above u.
+        v = 0.5 * (lo + hi)
     for _ in range(_KL_MAX_ITER):
         f = kl_bernoulli(u, v) - c
         if abs(f) <= _KL_TOL:

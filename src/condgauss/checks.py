@@ -20,7 +20,7 @@ from .bounds import BoundKind, BoundSpec, kl_bernoulli, kl_inv, kl_inv_grad
 from .data import LabelledDataset
 from .network import ModelSpec, StochasticModel, batch_error_estimate, make_leaves
 from .rng import RngStream
-from .trainer import penalized_objective
+from .trainer import penalized_objective, prior_terms
 
 __all__ = [
     "gauss_hermite_normal",
@@ -199,6 +199,7 @@ def toy_objective_fd_error(
     noise_rng = RngStream(seed).child("noise")
 
     state0 = model.get_state()
+    prior = prior_terms(model.groups)
 
     def fn(point):
         model.set_state(point)
@@ -208,7 +209,7 @@ def toy_objective_fd_error(
             model, x, y, noise_rng, repeats=repeats, tape=tape, leaves=leaves
         )
         lam_node = grad.sigmoid(tape.leaf(0.0)) if kind == BoundKind.LBD else None
-        obj, _ = penalized_objective(est.node, leaves, model.groups, spec, pen_m, lam_node)
+        obj, _ = penalized_objective(est.node, leaves, prior, spec, pen_m, lam_node)
         tape.backward(obj)
         grads = []
         for lv in leaves:

@@ -38,6 +38,12 @@ __all__ = ["main", "cmd_train", "cmd_certify", "cmd_check", "cmd_eval", "RunConf
 _OBJECTIVES = {k.value: k for k in BoundKind}
 
 _PHASE_KEYS = "method objective kappa lambda dropout schedule momentum batch_size repeats"
+# [prior] keys a prior method never reads: none trains no prior, and erm has
+# no bound objective. Setting one is an error rather than silently dropped.
+_UNREAD_PRIOR_KEYS = {
+    "none": set(_PHASE_KEYS.split()) - {"method"},
+    "erm": {"objective", "kappa", "lambda"},
+}
 # Every section and key a config may contain; anything else is a typo.
 _CONFIG_KEYS = {
     "data": "source seed classes per_class dim separation holdout_per_class images labels "
@@ -48,6 +54,8 @@ _CONFIG_KEYS = {
     "certify": "n_draws delta delta_prime",
     "run": "seed output_dir",
 }
+# The comma-separated fields of --synth.
+_SYNTH_FIELDS = ("q", "per_class", "dim", "separation", "seed")
 
 
 class ConfigError(ValueError):
@@ -138,6 +146,11 @@ def parse_config(path) -> RunConfig:
     for section in ("data", "model", "run"):
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
+    prior_method = cp.get("prior", "method", fallback="none")
+    unread = _UNREAD_PRIOR_KEYS.get(prior_method, set())
+    ignored = [k for k in cp.options("prior") if k in unread] if cp.has_section("prior") else []
+    if ignored:
+        raise ConfigError(f"[prior] {', '.join(ignored)}: unused when method = {prior_method}")
 
     source = cp.get("data", "source")
     if source not in ("synth", "mnist"):
@@ -239,7 +252,7 @@ def _resolved_config_text(cfg: RunConfig) -> str:
         "sigma0": repr(cfg.sigma0),
     }
     for name, ph in (("prior", cfg.prior), ("posterior", cfg.posterior)):
-        cp[name] = {
+        entries = {
             "method": ph.method,
             "objective": ph.objective,
             "kappa": repr(ph.kappa),
@@ -250,6 +263,8 @@ def _resolved_config_text(cfg: RunConfig) -> str:
             "batch_size": str(ph.batch_size),
             "repeats": str(ph.repeats),
         }
+        unread = _UNREAD_PRIOR_KEYS.get(ph.method, set()) if name == "prior" else set()
+        cp[name] = {k: v for k, v in entries.items() if k not in unread}
     cp["certify"] = {
         "n_draws": str(cfg.n_draws),
         "delta": repr(cfg.delta),
@@ -346,9 +361,15 @@ def _dataset_from_args(args) -> LabelledDataset:
     if args.synth:
         fields = args.synth.split(",")
         if len(fields) != 5:
-            raise ConfigError(f"--synth takes q,per_class,dim,separation,seed; got {args.synth!r}")
-        q, n, p, sep, seed = fields
-        ds = synth_blobs(int(q), int(n), int(p), float(sep), int(seed))
+            raise ConfigError(f"--synth takes {','.join(_SYNTH_FIELDS)}; got {args.synth!r}")
+        values = []
+        for name, kind, text in zip(_SYNTH_FIELDS, (int, int, int, float, int), fields):
+            try:
+                values.append(kind(text))
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError(f"--synth field {name} must be {what}, got {text!r}") from None
+        ds = synth_blobs(*values)
     else:
         if not (args.images and args.labels):
             raise ConfigError("provide --synth or both --images and --labels")

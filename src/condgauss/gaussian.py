@@ -231,41 +231,57 @@ def l1_draws(M, V, y0, zeta):
 
     L1 = psi((max_{i != y} F_i - M_y) / sqrt(V_y)) with F = M + sqrt(V) zeta,
     so only the i != y draws matter. M and V are [..., q] with V > 0, y0
-    holds 0-based labels of shape M.shape[:-1], and zeta [..., q] broadcasts
-    against M from the left (extra leading axes are repeats).
+    holds 0-based labels of shape M.shape[:-1], and zeta holds the draws'
+    full shape: M's, or M's with extra leading axes for repeats.
 
     A draw's gradient is nonzero in two classes only: the sampled argmax j
     of the i != y draws and the true class y. Returns per-draw (values
-    [...], cols [..., 2], dM [..., 2], dV [..., 2]) in the broadcast shape,
-    where cols holds (j, y) and dM, dV the gradient entries of those two
-    classes; ``l1_dense`` expands them to full [..., q] arrays. The max is
-    differentiated through its sampled argmax (ties break to the lowest
-    index, an event of probability zero).
+    [...], idx [2, ...], dM [2, ...], dV [2, ...]) in zeta's leading shape,
+    where idx[0] and idx[1] are the flat positions in M (row offset plus
+    class) of j and y, and dM, dV the gradient entries there; ``l1_dense``
+    expands them to full arrays. The max is differentiated through its
+    sampled argmax (ties break to the lowest index, an event of probability
+    zero). Every gather goes through flat indices into one F buffer.
     """
-    y = np.asarray(y0)[..., None]
+    M = np.asarray(M)
+    q = M.shape[-1]
     sqv = np.sqrt(V)
-    F = M + sqv * zeta
-    y_all = np.broadcast_to(y, F.shape[:-1] + (1,))
-    np.put_along_axis(F, y_all, -np.inf, axis=-1)
-    j = np.argmax(F, axis=-1)[..., None]
-    sy = np.take_along_axis(sqv, y, axis=-1)
-    z = (np.take_along_axis(F, j, axis=-1) - np.take_along_axis(M, y, axis=-1)) / sy
+    F = sqv * zeta
+    F += M
+    shape = F.shape[:-1]
+    rows = np.arange(0, F.size, q).reshape(shape)
+    mrows = np.arange(0, M.size, q).reshape(M.shape[:-1])
+    y_at = mrows + y0
+    F_flat = F.reshape(-1)
+    F_flat[rows + y0] = -np.inf
+    j = np.argmax(F, axis=-1)
+    j_at = rows + j
+    idx = np.empty((2,) + shape, dtype=np.intp)
+    np.add(mrows, j, out=idx[0])
+    idx[1] = y_at
+    sy = sqv.reshape(-1)[y_at]
+    z = F_flat[j_at]
+    z -= M.reshape(-1)[y_at]
+    z /= sy
     dens = std_normal_pdf(z)
-    dm_j = dens / sy
-    sqv_j = np.take_along_axis(np.broadcast_to(sqv, F.shape), j, axis=-1)
-    dv_j = dm_j * np.take_along_axis(zeta, j, axis=-1) / (2.0 * sqv_j)
-    dv_y = -dens * z / (2.0 * np.take_along_axis(V, y, axis=-1))
-    cols = np.concatenate([j, y_all], axis=-1)
-    dM = np.concatenate([dm_j, -dens / sy], axis=-1)
-    dV = np.concatenate([dv_j, dv_y], axis=-1)
-    return std_normal_cdf(z)[..., 0], cols, dM, dV
+    dM = np.empty((2,) + shape)
+    dV = np.empty((2,) + shape)
+    np.divide(dens, sy, out=dM[0])
+    np.multiply(dM[0], zeta.reshape(-1)[j_at], out=dV[0])
+    dV[0] /= 2.0 * sqv.reshape(-1)[idx[0]]
+    neg_dens = np.negative(dens)
+    np.divide(neg_dens, sy, out=dM[1])
+    np.multiply(neg_dens, z, out=dV[1])
+    dV[1] /= 2.0 * np.asarray(V).reshape(-1)[y_at]
+    return std_normal_cdf(z), idx, dM, dV
 
 
-def l1_dense(cols, entries, q: int) -> np.ndarray:
-    """Per-draw [..., q] gradient from the two (class, entry) pairs per draw
-    returned by ``l1_draws``; every other class gets 0."""
-    out = np.zeros(cols.shape[:-1] + (q,))
-    np.put_along_axis(out, cols, entries, axis=-1)
+def l1_dense(idx, entries, size: int) -> np.ndarray:
+    """Per-draw [..., size] gradient from the two (flat position, entry)
+    pairs per draw returned by ``l1_draws``; every other position gets 0."""
+    out = np.zeros(idx.shape[1:] + (size,))
+    for k in range(2):
+        np.put_along_axis(out, idx[k][..., None], entries[k][..., None], axis=-1)
     return out
 
 
@@ -273,8 +289,8 @@ def l1_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
     """n independent draws of the L1 estimator with exact (M, V) gradients:
     (values [n], dM [n, q], dV [n, q]); see ``l1_draws``."""
     M, V, y0 = _check_head_label(head, y)
-    values, cols, dM, dV = l1_draws(M, V, y0, rng.normal((n, M.size)))
-    return values, l1_dense(cols, dM, M.size), l1_dense(cols, dV, M.size)
+    values, idx, dM, dV = l1_draws(M, V, y0, rng.normal((n, M.size)))
+    return values, l1_dense(idx, dM, M.size), l1_dense(idx, dV, M.size)
 
 
 def l2_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
@@ -355,21 +371,26 @@ def misclassified(scores, y0) -> np.ndarray:
     return ~(fy > others.max(axis=-1))
 
 
-def kl_diag(mean, sigma, pmean, psigma, total: float = 0.0):
+def kl_diag(mean, sigma, pmean, psigma, log_psigma, total: float = 0.0):
     """KL of one diagonal-Gaussian parameter array from its prior, added to
     ``total``, with the partials of the KL in mean and sigma.
 
     0.5 sum (s^2 - st^2)/st^2 + 0.5 sum ((m - mt)/st)^2 + sum log(st/s),
-    where tilde quantities are the prior's. Returns (total, dmean, dsigma).
-    The three sums are added to ``total`` one at a time, so a model's KL
-    comes out the same whichever caller accumulates it.
+    where tilde quantities are the prior's and ``log_psigma`` is
+    log(psigma), which a caller holding a fixed prior takes once. Returns
+    (total, dmean, dsigma). The three sums are added to ``total`` one at a
+    time, so a model's KL comes out the same whichever caller accumulates it.
     """
-    r2 = np.square(sigma / psigma)
+    r2m1 = sigma / psigma
+    np.square(r2m1, out=r2m1)
+    r2m1 -= 1.0
     shift = (mean - pmean) / psigma
-    total += 0.5 * float(np.sum(r2 - 1.0))
+    total += 0.5 * float(np.sum(r2m1))
     total += 0.5 * float(np.sum(np.square(shift)))
-    total += float(np.sum(np.log(psigma) - np.log(sigma)))
-    return total, shift / psigma, (r2 - 1.0) / sigma
+    total += float(np.sum(log_psigma - np.log(sigma)))
+    shift /= psigma
+    r2m1 /= sigma
+    return total, shift, r2m1
 
 
 def kl_diag_gauss(groups) -> float:
@@ -386,7 +407,7 @@ def kl_diag_gauss(groups) -> float:
                 raise ValueError("posterior sigma must be strictly positive")
             if np.any(psigma <= 0):
                 raise ValueError("prior sigma must be strictly positive")
-            total = kl_diag(mean, sigma, pmean, psigma, total)[0]
+            total = kl_diag(mean, sigma, pmean, psigma, np.log(psigma), total)[0]
     return max(total, 0.0)
 
 

@@ -6,12 +6,13 @@ accumulating cotangents. Trainable leaves are the mean and raw-deviation
 arrays of the model's parameter groups; everything else (inputs, noise draws,
 masks) enters as plain numpy constants with no gradient.
 
-Primitives are only what the training objectives need: arithmetic, relu,
-max over the class axis with argmax routing, gathers, clamps and
-reductions. A formula whose partial derivatives are known in closed form
+Primitives are only what the training objectives need: arithmetic, the max
+over the class axis with argmax routing, gathers, clamps and reductions.
+A formula whose partial derivatives are known in closed form
 (the KL term, the bound objectives) enters as a single ``closed_form`` node
 rather than as a chain of primitives, and the network builds each sampled
-layer and its conditional head as one node with its own backward.
+layer (with its relu and dropout mask) and its conditional head as one node
+with its own backward.
 Accumulation stays in float64 and intermediates are saved rather than
 recomputed. Tensors hold their tape weakly, so a training step's tape and
 every array on it are freed by reference counting when the step drops its
@@ -168,12 +169,6 @@ def log(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     out = np.exp(_val(a))
     return closed_form(out, (a,), (out,))
-
-
-def relu(a: Tensor) -> Tensor:
-    va = _val(a)
-    mask = va > 0
-    return closed_form(va * mask, (a,), (mask,))
 
 
 def maximum_const(a: Tensor, c: float) -> Tensor:

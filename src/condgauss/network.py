@@ -257,15 +257,18 @@ class EstimateResult:
     leaves: list[ParamLeaves]
 
 
-def sampled_linear(a, lv: ParamLeaves, rng: RngStream) -> grad.Tensor:
+def sampled_linear(
+    a, lv: ParamLeaves, rng: RngStream, relu: bool = False, mask=None
+) -> grad.Tensor:
     """One node for a @ W.T + b under a pathwise draw of the layer,
     (W, b) = mean + sigma(rho) * zeta with zeta from rng's "w" and "b"
-    children.
+    children; a hidden layer (``relu``) applies the relu and then the
+    optional dropout ``mask`` in place on the same array.
 
     ``a`` is a [..., n] Tensor or constant input. The node's parents are
     the layer's four leaves (and ``a`` if it is a Tensor); the backward pass
-    forms the weight and bias cotangents once and chains them through the
-    draw: d/dmean = gW and d/drho = gW * zeta * dsigma.
+    masks the cotangent once, forms the weight and bias cotangents once and
+    chains them through the draw: d/dmean = gW and d/drho = gW * zeta * dsigma.
     """
     zw = rng.child("w").normal(lv.w_mean.shape)
     zb = rng.child("b").normal(lv.b_mean.shape)
@@ -276,28 +279,40 @@ def sampled_linear(a, lv: ParamLeaves, rng: RngStream) -> grad.Tensor:
     if through_a:
         parents += (a,)
 
+    out = va @ W.T
+    out += lv.b_mean.value + lv.b_sigma * zb
+    if relu:
+        np.maximum(out, 0.0, out=out)
+        if mask is not None:
+            out *= mask
+
     def vjp(g):
+        if relu:
+            g = g * (out > 0)
+            if mask is not None:
+                g *= mask
         g2 = g.reshape(-1, g.shape[-1])
         gW = g2.T @ va.reshape(-1, va.shape[-1])
         gb = g2.sum(axis=0)
-        out = (gW, gW * zw * lv.w_dsigma, gb, gb * zb * lv.b_dsigma)
-        return out + (g @ W,) if through_a else out
+        grads = (gW, gW * zw * lv.w_dsigma, gb, gb * zb * lv.b_dsigma)
+        return grads + (g @ W,) if through_a else grads
 
-    out = va @ W.T + (lv.b_mean.value + lv.b_sigma * zb)
     return grad.Tensor(lv.w_mean.tape, out, parents, vjp)
 
 
 def hidden_forward_on_tape(tape, leaves, x, rng, spec, dropout_prob):
-    """Sample hidden layers pathwise and run the hidden forward on the tape.
+    """Sample hidden layers pathwise and run the hidden forward on the tape,
+    one node per layer.
 
     Returns the activated, optionally dropout-masked phi(H) tensor.
     """
     a = x
     for k in range(spec.n_layers - 1):
-        a = grad.relu(sampled_linear(a, leaves[k], rng.child("theta", k)))
+        mask = None
         if dropout_prob > 0.0:
-            mask = apply_dropout(np.ones(a.shape), dropout_prob, rng.child("dropout", k))
-            a = grad.mul(a, mask)
+            shape = np.shape(x)[:-1] + (spec.layer_widths[k + 1],)
+            mask = apply_dropout(np.ones(shape), dropout_prob, rng.child("dropout", k))
+        a = sampled_linear(a, leaves[k], rng.child("theta", k), relu=True, mask=mask)
     return a
 
 
@@ -308,24 +323,33 @@ def _conditional_l1_node(phi_h: grad.Tensor, last: ParamLeaves, y0, zeta) -> gra
     Builds the conditional moments M = phi W_mean^T + b_mean and
     V = phi^2 (sigma_W^2)^T + sigma_b^2, floors V at VARIANCE_FLOOR, and
     sums each input's L1 gradient entries over the repeats through the
-    sampled argmax class, so no [repeats, batch, q] gradient is formed.
+    sampled argmax class, so no [repeats, batch, q] gradient is formed. The
+    backward pass builds the phi cotangent in one [batch, h] buffer, with
+    the factor 2 of d(phi^2) moved onto the small [q, h] sigma_W^2.
     """
     phi = phi_h.value
     batch, q = phi.shape[0], zeta.shape[-1]
-    M = phi @ last.w_mean.value.T + last.b_mean.value
+    M = phi @ last.w_mean.value.T
+    M += last.b_mean.value
     phi2, sw2, sb2 = np.square(phi), np.square(last.w_sigma), np.square(last.b_sigma)
-    V = phi2 @ sw2.T + sb2
-    values, cols, dM, dV = l1_draws(M, np.maximum(V, VARIANCE_FLOOR), y0, zeta)
+    V = phi2 @ sw2.T
+    V += sb2
+    np.maximum(V, VARIANCE_FLOOR, out=V)
+    values, idx, dM, dV = l1_draws(M, V, y0, zeta)
     n = values.size
-    flat = (np.arange(batch)[:, None] * q + cols).ravel()
-    dM_sum = np.bincount(flat, dM.ravel(), batch * q).reshape(batch, q)
-    dV_sum = np.bincount(flat, dV.ravel(), batch * q).reshape(batch, q)
+    # j != y, so each (input, class) bin sums entries of one kind, in repeat
+    # order, whatever the layout of idx.
+    flat = idx.reshape(-1)
+    dM_sum = np.bincount(flat, dM.reshape(-1), batch * q).reshape(batch, q)
+    dV_sum = np.bincount(flat, dV.reshape(-1), batch * q).reshape(batch, q)
 
     def vjp(g):
         gM = g * (dM_sum / n)
         gV = g * (dV_sum / n) * (V > VARIANCE_FLOOR)
         g_sw2 = gV.T @ phi2
-        g_phi = (gV @ sw2) * (2.0 * phi) + gM @ last.w_mean.value
+        g_phi = gV @ (2.0 * sw2)
+        g_phi *= phi
+        g_phi += gM @ last.w_mean.value
         return (
             g_phi,
             gM.T @ phi,
@@ -468,7 +492,10 @@ def load_model(path) -> StochasticModel:
             raise ValueError(f"snapshot line {pos + 1}: expected '{key}', got '{name}'")
         fields[key] = rest
     widths = tuple(numbers(fields["widths"], int, "'widths'", 2))
-    spec = ModelSpec(widths, fields["activation"], float(fields["dropout"]))
+    dropout = numbers(fields["dropout"], float, "'dropout'", 4)
+    if len(dropout) != 1:
+        raise ValueError(f"snapshot line 4: 'dropout' takes one value, got {len(dropout)}")
+    spec = ModelSpec(widths, fields["activation"], dropout[0])
 
     def parse_block(expect_name: str, shape) -> np.ndarray:
         what = f"array '{expect_name}' of layer {k}"

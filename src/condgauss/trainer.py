@@ -42,6 +42,7 @@ __all__ = [
     "kl_node",
     "momentum_step",
     "penalized_objective",
+    "prior_terms",
     "train_condgauss",
 ]
 
@@ -166,32 +167,46 @@ def momentum_step(param, grad_value, velocity, lr: float, mu: float):
     return param - lr * velocity, velocity
 
 
-def kl_node(leaves, groups):
+def prior_terms(groups):
+    """Each group's frozen prior as a (mean, sigma, log sigma) triple for its
+    weights and one for its bias: a training call takes it once, since its
+    prior stays fixed."""
+    return [
+        (
+            (g.prior_w_mean, g.prior_w_sigma, np.log(g.prior_w_sigma)),
+            (g.prior_b_mean, g.prior_b_sigma, np.log(g.prior_b_sigma)),
+        )
+        for g in groups
+    ]
+
+
+def kl_node(leaves, prior):
     """KL(Q||P) of the whole model as one closed-form node over every mean
-    and raw-deviation leaf, from the sigmas the leaves carry."""
+    and raw-deviation leaf, from the sigmas the leaves carry and the
+    ``prior_terms`` of the model's groups."""
     total = 0.0
     parents, partials = [], []
-    for lv, g in zip(leaves, groups):
-        for mean_leaf, rho_leaf, sigma, dsigma, pmean, psigma in (
-            (lv.w_mean, lv.w_rho, lv.w_sigma, lv.w_dsigma, g.prior_w_mean, g.prior_w_sigma),
-            (lv.b_mean, lv.b_rho, lv.b_sigma, lv.b_dsigma, g.prior_b_mean, g.prior_b_sigma),
+    for lv, (w_prior, b_prior) in zip(leaves, prior):
+        for mean_leaf, rho_leaf, sigma, dsigma, (pmean, psigma, log_psigma) in (
+            (lv.w_mean, lv.w_rho, lv.w_sigma, lv.w_dsigma, w_prior),
+            (lv.b_mean, lv.b_rho, lv.b_sigma, lv.b_dsigma, b_prior),
         ):
-            total, dmean, dsig = kl_diag(mean_leaf.value, sigma, pmean, psigma, total)
+            total, dmean, dsig = kl_diag(mean_leaf.value, sigma, pmean, psigma, log_psigma, total)
             parents += [mean_leaf, rho_leaf]
             partials += [dmean, dsig * dsigma]
     return grad.closed_form(total, parents, partials)
 
 
-def penalized_objective(est_node, leaves, groups, spec: BoundSpec, m: int, lam_node=None):
+def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, lam_node=None):
     """The bound objective of a batch estimate on the tape.
 
     The penalty is (kappa/m)(KL(Q||P) + log(2 sqrt(m)/delta)) with m the size
-    of the dataset being trained on; the objective is one closed-form node
-    over (estimate, penalty), plus ``lam_node`` for lbd. Returns (objective,
-    penalty).
+    of the dataset being trained on and ``prior`` the model's
+    ``prior_terms``; the objective is one closed-form node over (estimate,
+    penalty), plus ``lam_node`` for lbd. Returns (objective, penalty).
     """
     log_term = math.log(2.0 * math.sqrt(m) / spec.delta)
-    pen_node = grad.mul(grad.add(kl_node(leaves, groups), log_term), spec.kappa / m)
+    pen_node = grad.mul(grad.add(kl_node(leaves, prior), log_term), spec.kappa / m)
     parents = [node for node in (est_node, pen_node, lam_node) if node is not None]
     value, partials = objective_partials(spec.kind, *[float(node.value) for node in parents])
     return grad.closed_form(value, parents, partials[: len(parents)]), pen_node
@@ -222,11 +237,12 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
 
 
 def _train_step(
-    model, config, m, x, y, rng, lr, velocity, ell, lam_velocity, is_lambda_epoch, where
+    model, config, m, prior, x, y, rng, lr, velocity, ell, lam_velocity, is_lambda_epoch, where
 ):
     """One batch of ``train_condgauss``: the estimate and objective on a fresh
     tape, backward, and the momentum update of the parameters (in place, with
-    ``velocity``) or of lambda's logit ``ell``.
+    ``velocity``) or of lambda's logit ``ell``. ``prior`` is the model's
+    ``prior_terms``.
 
     Returns (objective, emp_track, penalty, lambda, ell, lam_velocity) as
     plain numbers, so the step's graph is freed on return and never overlaps
@@ -261,7 +277,7 @@ def _train_step(
         lam_node = grad.sigmoid(lam_leaf)
         lam_value = float(lam_node.value)
     if spec is not None:
-        obj, pen_node = penalized_objective(est_node, leaves, model.groups, spec, m, lam_node)
+        obj, pen_node = penalized_objective(est_node, leaves, prior, spec, m, lam_node)
         pen_value = float(pen_node.value)
     else:
         obj = est_node
@@ -328,6 +344,7 @@ def train_condgauss(
     if alternating:
         lrs = [lr for lr in lrs for _ in range(2)]
     velocity = [np.zeros_like(a) for a in model.get_state()]
+    prior = prior_terms(model.groups)
     ell = math.log(spec.lam / (1.0 - spec.lam)) if alternating else 0.0
 
     rows: list[LogRow] = []
@@ -349,6 +366,7 @@ def train_condgauss(
                 model,
                 config,
                 m,
+                prior,
                 x_all[idx],
                 y_all[idx],
                 rng_root.child("epoch", epoch, "batch", b_idx),

@@ -202,6 +202,9 @@ class TestTrainCommand:
             ("prior", "method = erm", "method = invkl\nobjective = bogus", "unknown objective"),
             ("prior", "method = erm", "method = invkl\nobjective = quad", "invkl"),
             ("posterior", "kappa = 1.0", "kappa = 1.0\ndropout = 0.3", "dropout"),
+            ("prior", "method = erm", "method = erm\nobjective = invkl", "objective: unused"),
+            ("prior", "method = erm\n", "",
+             "schedule, momentum, batch_size, repeats: unused when method = none"),
         ],
     )
     def test_phase_settings_rejected_before_output(self, tmp_path, capsys, section, old, new, message):
@@ -213,6 +216,16 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 1
         assert f"[{section}]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["", "method = none\n"], ids=["absent", "none"])
+    def test_prior_keys_without_prior_method_rejected(self, tmp_path, method):
+        prior = f"[prior]\n{method}objective = bogus\ndropout = 0.5\nschedule = 3:0.1\n\n"
+        text = QUICK_CONFIG.replace("[posterior]", prior + "[posterior]")
+        cfg, _ = write_config(tmp_path, text)
+        with pytest.raises(
+            ConfigError, match=r"\[prior\] objective, dropout, schedule: unused when method = none"
+        ):
+            parse_config(cfg)
 
     def test_missing_config(self, capsys):
         assert main(["train", "--config", "/nonexistent/run.cfg"]) == 1
@@ -270,6 +283,17 @@ class TestEvalCommand:
         save_model(model, tmp_path / "m.model")
         assert main(["eval", "--model", str(tmp_path / "m.model"), "--synth", "3,10,4"]) == 1
         assert "q,per_class,dim,separation,seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "synth, message",
+        [("3,x,4,0.8,1", "--synth field per_class must be an integer, got 'x'"),
+         ("3,10,4,far,1", "--synth field separation must be a number, got 'far'")],
+    )
+    def test_synth_field_value_rejected(self, tmp_path, capsys, synth, message):
+        model = StochasticModel.initialize(ModelSpec((4, 4, 3)), 0.01, RngStream(1))
+        save_model(model, tmp_path / "m.model")
+        assert main(["eval", "--model", str(tmp_path / "m.model"), "--synth", synth]) == 1
+        assert message in capsys.readouterr().err
 
     def test_eval_holdout(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, QUICK_CONFIG)

@@ -28,6 +28,7 @@ from condgauss.network import (
     StochasticModel,
     apply_dropout,
     batch_error_estimate,
+    hidden_forward_on_tape,
     make_leaves,
 )
 from condgauss.rng import RngStream
@@ -37,6 +38,7 @@ from condgauss.trainer import (
     _surrogate_batch,
     kl_node,
     penalized_objective,
+    prior_terms,
     train_condgauss,
 )
 
@@ -61,6 +63,12 @@ def _ncdf(a):
 def _square(a):
     va = a.value
     return grad.closed_form(np.square(va), (a,), (2.0 * va,))
+
+
+def _relu(a):
+    va = a.value
+    mask = va > 0
+    return grad.closed_form(va * mask, (a,), (mask,))
 
 
 def _sigma_rho(a):
@@ -96,7 +104,7 @@ def _chained_hidden(leaves, x, rng, spec, dropout_prob):
     """The hidden forward with each sampled layer as a chain of nodes."""
     a = x
     for k in range(spec.n_layers - 1):
-        a = grad.relu(_linear(a, *_sample_layer(leaves[k], rng.child("theta", k))))
+        a = _relu(_linear(a, *_sample_layer(leaves[k], rng.child("theta", k))))
         if dropout_prob > 0.0:
             mask = apply_dropout(np.ones(a.shape), dropout_prob, rng.child("dropout", k))
             a = grad.mul(a, mask)
@@ -153,8 +161,9 @@ def _dense_estimate(model, x, y, rng, repeats, leaves, dropout_prob=0.0):
     phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout_prob)
     M, Vc = _chained_moments(phi_h, leaves[-1])
     zeta = rng.child("l1").normal((repeats, batch, q))
-    values, cols, dM, dV = l1_draws(M.value, Vc.value, y0, zeta)
+    values, idx, dM, dV = l1_draws(M.value, Vc.value, y0, zeta)
     n = values.size
+    cols = idx % q  # flat positions in M -> classes
     dM, dV = l1_dense(cols, dM, q), l1_dense(cols, dV, q)
     return grad.closed_form(values.mean(), (M, Vc), (dM.sum(axis=0) / n, dV.sum(axis=0) / n))
 
@@ -255,7 +264,7 @@ class TestDeterminism:
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
             est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, tape, leaves)
-            obj = grad.add(est.node, grad.mul(kl_node(leaves, model.groups), 1e-3))
+            obj = grad.add(est.node, grad.mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
             tape.backward(obj)
             return float(obj.value), [g.copy() for lv in leaves for g in lv.grads()]
 
@@ -324,9 +333,43 @@ class TestClosedFormNodes:
     def test_kl_node_matches_chained_kl(self, widths):
         model = _perturbed_model(widths, 11)
         ref, ref_leaves = _backward_leaves(model, lambda lv: _chained_kl(lv, model.groups))
-        new, leaves = _backward_leaves(model, lambda lv: kl_node(lv, model.groups))
+        new, leaves = _backward_leaves(model, lambda lv: kl_node(lv, prior_terms(model.groups)))
         assert new == pytest.approx(ref, rel=1e-12)
         _assert_leaf_grads_match(leaves, ref_leaves)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["plain", "dropout"])
+    @pytest.mark.parametrize(
+        "widths", [(20, 256, 4), (784, 200, 10), (20, 64, 32, 5)],
+        ids=["20-256-4", "784-200-10", "20-64-32-5"],
+    )
+    def test_fused_hidden_matches_chained_relu_and_mask(self, widths, dropout):
+        """One node per hidden layer, relu and dropout mask inside, against
+        the chain sampled layer -> relu -> mask, through a fixed random
+        readout of phi(H)."""
+        model = _perturbed_model(widths, 21)
+        gen = np.random.default_rng(22)
+        x = gen.uniform(0, 1, (32, widths[0]))
+        readout = gen.normal(size=(32, widths[-2]))
+        rng = RngStream(23)
+
+        def read(phi_h):
+            return grad.closed_form(np.sum(phi_h.value * readout), (phi_h,), (readout,))
+
+        def chained(leaves):
+            return read(_chained_hidden(leaves, x, rng, model.spec, dropout))
+
+        def fused(leaves):
+            tape = leaves[0].w_mean.tape
+            return read(hidden_forward_on_tape(tape, leaves, x, rng, model.spec, dropout))
+
+        ref, ref_leaves = _backward_leaves(model, chained)
+        new, leaves = _backward_leaves(model, fused)
+        assert new == ref
+        _assert_leaf_grads_match(leaves, ref_leaves)
+        tape = grad.Tape()
+        phi = hidden_forward_on_tape(tape, make_leaves(tape, model), x, rng, model.spec, dropout)
+        assert len(tape._nodes) == 4 * model.spec.n_layers + model.spec.n_layers - 1
+        assert np.all(phi.value >= 0.0)
 
     @_FUSED_SHAPES
     def test_l1_node_matches_chained_estimate(self, widths, dropout):
@@ -380,7 +423,7 @@ def test_step_tape_freed_without_cyclic_collector():
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
         est = batch_error_estimate(model, x, y, RngStream(20), 3, tape, leaves, 0.3)
-        obj, pen = penalized_objective(est.node, leaves, model.groups, spec, 4000)
+        obj, pen = penalized_objective(est.node, leaves, prior_terms(model.groups), spec, 4000)
         tape.backward(obj)
         tape_ref, grad_ref = weakref.ref(tape), weakref.ref(leaves[0].w_rho.grad)
         del tape, leaves, est, obj, pen
@@ -437,6 +480,7 @@ class TestAffineObjectiveAveraging:
         y0 = y - 1
         spec = BoundSpec(BoundKind.MCALL, kappa=1.0, delta=0.025)
         m_pen = 4000
+        prior = prior_terms(model.groups)
 
         def tape_grad(d):
             tape = grad.Tape()
@@ -444,7 +488,7 @@ class TestAffineObjectiveAveraging:
             est = batch_error_estimate(
                 model, x, y, RngStream(123).child("noise", d), repeats, tape, leaves
             )
-            obj, _ = penalized_objective(est.node, leaves, model.groups, spec, m_pen)
+            obj, _ = penalized_objective(est.node, leaves, prior, spec, m_pen)
             tape.backward(obj)
             return np.concatenate([g.reshape(-1) for lv in leaves for g in lv.grads()])
 

@@ -464,9 +464,11 @@ class TestSnapshot:
             (lambda ls: ls[:8] + ["abc " + ls[8]] + ls[9:],
              r"line 9: non-numeric value in array 'w_mean' of layer 0"),
             (lambda ls: ls[:1] + ["widths 4 x 2"] + ls[2:], r"line 2: non-numeric value in 'widths'"),
+            (lambda ls: ls[:3] + ["dropout abc"] + ls[4:], r"line 4: non-numeric value in 'dropout'"),
+            (lambda ls: ls[:3] + ["dropout 0 0.5"] + ls[4:], r"line 4: 'dropout' takes one value"),
         ],
         ids=["cut_after_3", "cut_after_10", "cut_before_end", "short_layer_header",
-             "non_numeric_value", "non_numeric_width"],
+             "non_numeric_value", "non_numeric_width", "non_numeric_dropout", "two_dropouts"],
     )
     def test_rejects_truncated_or_malformed(self, tmp_path, edit, message):
         model = StochasticModel.initialize(ModelSpec((4, 3, 2)), 0.01, RngStream(75))
