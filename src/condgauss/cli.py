@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,28 +101,62 @@ class RunConfig:
     posterior_train: TrainConfig | None = None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_schedule(text: str) -> tuple[tuple[int, float], ...]:
     entries = []
     for part in text.split():
         epochs, _, lr = part.partition(":")
-        entries.append((int(epochs), float(lr)))
+        entries.append((int(epochs), _finite(lr)))
     return tuple(entries)
 
 
+def _parse_widths(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in text.split())
+
+
+_EXPECTED = {
+    int: "an integer",
+    _finite: "a finite number",
+    _parse_schedule: "epochs:rate entries",
+    _parse_widths: "integers",
+}
+
+
+def _parse(kind, text: str, where: str):
+    """``kind(text)``; text it cannot parse is a ConfigError naming ``where``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{where} must be {_EXPECTED[kind]}, got {text!r}") from None
+
+
+def _read(cp: configparser.ConfigParser, section: str, key: str, kind, *fallback):
+    """[section] key parsed by ``kind``; the key is required unless a
+    fallback is given."""
+    text = cp.get(section, key, fallback=None) if fallback else cp.get(section, key)
+    return fallback[0] if text is None else _parse(kind, text, f"[{section}] {key}")
+
+
 def _phase(cp: configparser.ConfigParser, section: str, default_method: str) -> PhaseSettings:
-    def get(key, fallback):
-        return cp.get(section, key, fallback=fallback)
+    def get(key, kind, fallback):
+        return _read(cp, section, key, kind, fallback)
 
     return PhaseSettings(
-        method=get("method", default_method),
-        objective=get("objective", "invkl"),
-        kappa=float(get("kappa", "1.0")),
-        lam=float(get("lambda", "0.5")),
-        dropout=float(get("dropout", "0.0")),
-        schedule=_parse_schedule(get("schedule", "")),
-        momentum=float(get("momentum", "0.9")),
-        batch_size=int(get("batch_size", "250")),
-        repeats=int(get("repeats", "100")),
+        method=cp.get(section, "method", fallback=default_method),
+        objective=cp.get(section, "objective", fallback="invkl"),
+        kappa=get("kappa", _finite, 1.0),
+        lam=get("lambda", _finite, 0.5),
+        dropout=get("dropout", _finite, 0.0),
+        schedule=get("schedule", _parse_schedule, ()),
+        momentum=get("momentum", _finite, 0.9),
+        batch_size=get("batch_size", int, 250),
+        repeats=get("repeats", int, 100),
     )
 
 
@@ -155,16 +190,16 @@ def parse_config(path) -> RunConfig:
     source = cp.get("data", "source")
     if source not in ("synth", "mnist"):
         raise ConfigError(f"data source must be synth or mnist, got {source}")
-    seed = cp.getint("run", "seed")
+    seed = _read(cp, "run", "seed", int)
     synth = {}
     mnist_images = mnist_labels = None
     if source == "synth":
         synth = {
-            "classes": cp.getint("data", "classes"),
-            "per_class": cp.getint("data", "per_class"),
-            "dim": cp.getint("data", "dim"),
-            "separation": cp.getfloat("data", "separation"),
-            "holdout_per_class": cp.getint("data", "holdout_per_class", fallback=0),
+            "classes": _read(cp, "data", "classes", int),
+            "per_class": _read(cp, "data", "per_class", int),
+            "dim": _read(cp, "data", "dim", int),
+            "separation": _read(cp, "data", "separation", _finite),
+            "holdout_per_class": _read(cp, "data", "holdout_per_class", int, 0),
         }
     else:
         mnist_images = cp.get("data", "images")
@@ -173,22 +208,21 @@ def parse_config(path) -> RunConfig:
             if not Path(p).exists():
                 raise ConfigError(f"dataset file not found: {p}")
 
-    prior_fraction = cp.getfloat("data", "prior_fraction", fallback=None)
     cfg = RunConfig(
         source=source,
         synth=synth,
         mnist_images=mnist_images,
         mnist_labels=mnist_labels,
-        data_seed=cp.getint("data", "seed", fallback=seed),
-        prior_fraction=prior_fraction,
-        widths=tuple(int(w) for w in cp.get("model", "widths").split()),
+        data_seed=_read(cp, "data", "seed", int, seed),
+        prior_fraction=_read(cp, "data", "prior_fraction", _finite, None),
+        widths=_read(cp, "model", "widths", _parse_widths),
         activation=cp.get("model", "activation", fallback="relu"),
-        sigma0=cp.getfloat("model", "sigma0", fallback=0.01),
+        sigma0=_read(cp, "model", "sigma0", _finite, 0.01),
         prior=_phase(cp, "prior", "none"),
         posterior=_phase(cp, "posterior", "condgauss"),
-        n_draws=cp.getint("certify", "n_draws", fallback=1000),
-        delta=cp.getfloat("certify", "delta", fallback=0.025),
-        delta_prime=cp.getfloat("certify", "delta_prime", fallback=0.01),
+        n_draws=_read(cp, "certify", "n_draws", int, 1000),
+        delta=_read(cp, "certify", "delta", _finite, 0.025),
+        delta_prime=_read(cp, "certify", "delta_prime", _finite, 0.01),
         seed=seed,
         output_dir=Path(cp.get("run", "output_dir")),
     )
@@ -362,14 +396,10 @@ def _dataset_from_args(args) -> LabelledDataset:
         fields = args.synth.split(",")
         if len(fields) != 5:
             raise ConfigError(f"--synth takes {','.join(_SYNTH_FIELDS)}; got {args.synth!r}")
-        values = []
-        for name, kind, text in zip(_SYNTH_FIELDS, (int, int, int, float, int), fields):
-            try:
-                values.append(kind(text))
-            except ValueError:
-                what = "an integer" if kind is int else "a number"
-                raise ConfigError(f"--synth field {name} must be {what}, got {text!r}") from None
-        ds = synth_blobs(*values)
+        kinds = (int, int, int, _finite, int)
+        ds = synth_blobs(
+            *(_parse(k, t, f"--synth field {n}") for n, k, t in zip(_SYNTH_FIELDS, kinds, fields))
+        )
     else:
         if not (args.images and args.labels):
             raise ConfigError("provide --synth or both --images and --labels")

@@ -3,16 +3,15 @@
 A Tape records Tensors in construction order, which is automatically a
 topological order; the backward pass walks that list once in reverse,
 accumulating cotangents. Trainable leaves are the mean and raw-deviation
-arrays of the model's parameter groups; everything else (inputs, noise draws,
-masks) enters as plain numpy constants with no gradient.
+arrays of the model's parameter groups (and lbd's lambda logit); everything
+else (inputs, noise draws, masks) enters as plain numpy constants with no
+gradient.
 
-Primitives are only what the training objectives need: arithmetic, the max
-over the class axis with argmax routing, gathers, clamps and reductions.
-A formula whose partial derivatives are known in closed form
-(the KL term, the bound objectives) enters as a single ``closed_form`` node
-rather than as a chain of primitives, and the network builds each sampled
-layer (with its relu and dropout mask) and its conditional head as one node
-with its own backward.
+There is no general op set: every node of a training step is either a
+``closed_form`` node, whose partial derivatives are computed together with
+its value (the KL term, the bound objectives, the surrogate loss), or a node
+the network builds with its own backward (each sampled layer, with its relu
+and dropout mask, and the conditional head).
 Accumulation stays in float64 and intermediates are saved rather than
 recomputed. Tensors hold their tape weakly, so a training step's tape and
 every array on it are freed by reference counting when the step drops its
@@ -24,18 +23,7 @@ import weakref
 
 import numpy as np
 
-__all__ = ["Tape", "Tensor", "fd_check"]
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a cotangent down to the shape it was broadcast from."""
-    grad = np.asarray(grad)
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+__all__ = ["Tape", "Tensor", "closed_form", "fd_check"]
 
 
 class Tensor:
@@ -93,60 +81,10 @@ class Tape:
             if node.grad is None or node.vjp is None:
                 continue
             for parent, pgrad in zip(node.parents, node.vjp(node.grad)):
-                if pgrad is None:
-                    continue
                 if parent.grad is None:
                     parent.grad = pgrad
                 else:
                     parent.grad = parent.grad + pgrad
-
-
-def _val(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def _tape_of(*args) -> Tape:
-    for a in args:
-        if isinstance(a, Tensor):
-            return a.tape
-    raise TypeError("at least one operand must be a Tensor")
-
-
-def _binary(a, b, out_value, vjp_a, vjp_b) -> Tensor:
-    """Build a node for a two-operand op, skipping constant sides."""
-    tape = _tape_of(a, b)
-    parents = []
-    vjps = []
-    if isinstance(a, Tensor):
-        parents.append(a)
-        vjps.append(lambda g: _unbroadcast(vjp_a(g), a.shape))
-    if isinstance(b, Tensor):
-        parents.append(b)
-        vjps.append(lambda g: _unbroadcast(vjp_b(g), b.shape))
-    return Tensor(
-        tape, out_value, tuple(parents), lambda g: tuple(f(g) for f in vjps)
-    )
-
-
-def add(a, b) -> Tensor:
-    va, vb = _val(a), _val(b)
-    return _binary(a, b, va + vb, lambda g: g, lambda g: g)
-
-
-def sub(a, b) -> Tensor:
-    va, vb = _val(a), _val(b)
-    return _binary(a, b, va - vb, lambda g: g, lambda g: -g)
-
-
-def mul(a, b) -> Tensor:
-    va, vb = _val(a), _val(b)
-    return _binary(a, b, va * vb, lambda g: g * vb, lambda g: g * va)
-
-
-def div(a, b) -> Tensor:
-    va, vb = _val(a), _val(b)
-    out = va / vb
-    return _binary(a, b, out, lambda g: g / vb, lambda g: -g * out / vb)
 
 
 def closed_form(value, parents, partials) -> Tensor:
@@ -159,86 +97,6 @@ def closed_form(value, parents, partials) -> Tensor:
     return Tensor(
         parents[0].tape, value, tuple(parents), lambda g: tuple(g * p for p in partials)
     )
-
-
-def log(a: Tensor) -> Tensor:
-    va = _val(a)
-    return Tensor(a.tape, np.log(va), (a,), lambda g: (g / va,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(_val(a))
-    return closed_form(out, (a,), (out,))
-
-
-def maximum_const(a: Tensor, c: float) -> Tensor:
-    va = _val(a)
-    return closed_form(np.maximum(va, c), (a,), (va > c,))
-
-
-def minimum_const(a: Tensor, c: float) -> Tensor:
-    va = _val(a)
-    return closed_form(np.minimum(va, c), (a,), (va < c,))
-
-
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick entry idx[i] from row i of a [B, q] tensor; scatter-add backward."""
-    va = _val(a)
-    idx = np.asarray(idx)
-    rows = np.arange(va.shape[0])
-
-    def vjp(g):
-        out = np.zeros_like(va)
-        np.add.at(out, (rows, idx), g)
-        return (out,)
-
-    return Tensor(a.tape, va[rows, idx], (a,), vjp)
-
-
-def max_last(a: Tensor) -> Tensor:
-    """Max over the last axis; the cotangent routes to the stored argmax.
-
-    np.argmax breaks ties toward the lowest index, which is the convention
-    for the (probability-zero) tie case.
-    """
-    va = _val(a)
-    idx = np.argmax(va, axis=-1)
-
-    def vjp(g):
-        out = np.zeros_like(va)
-        np.put_along_axis(out, idx[..., None], np.asarray(g)[..., None], axis=-1)
-        return (out,)
-
-    return Tensor(a.tape, np.take_along_axis(va, idx[..., None], axis=-1)[..., 0], (a,), vjp)
-
-
-def sum_last(a: Tensor) -> Tensor:
-    va = _val(a)
-    return Tensor(
-        a.tape,
-        va.sum(axis=-1),
-        (a,),
-        lambda g: (np.broadcast_to(np.asarray(g)[..., None], va.shape).copy(),),
-    )
-
-
-def expand_last(a: Tensor) -> Tensor:
-    """Append a trailing axis of size 1 (for broadcasting against classes)."""
-    va = _val(a)
-    return Tensor(a.tape, va[..., None], (a,), lambda g: (np.asarray(g)[..., 0],))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    va = _val(a)
-    return Tensor(
-        a.tape, va.mean(), (a,), lambda g: (np.full_like(va, float(g) / va.size),)
-    )
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    va = _val(a)
-    out = 1.0 / (1.0 + np.exp(-va))
-    return Tensor(a.tape, out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def fd_check(fn, point, step: float = 1e-5, coords=None) -> float:

@@ -197,27 +197,52 @@ def kl_node(leaves, prior):
     return grad.closed_form(total, parents, partials)
 
 
-def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, lam_node=None):
+def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, logit_leaf=None):
     """The bound objective of a batch estimate on the tape.
 
     The penalty is (kappa/m)(KL(Q||P) + log(2 sqrt(m)/delta)) with m the size
     of the dataset being trained on and ``prior`` the model's
-    ``prior_terms``; the objective is one closed-form node over (estimate,
-    penalty), plus ``lam_node`` for lbd. Returns (objective, penalty).
+    ``prior_terms``. The objective is one closed-form node over the estimate,
+    the KL node and, for lbd, ``logit_leaf``, the logit of lambda; the
+    penalty's scale and the logistic map are folded into its partials.
+    Returns (objective, penalty, lambda), lambda None unless lbd.
     """
-    log_term = math.log(2.0 * math.sqrt(m) / spec.delta)
-    pen_node = grad.mul(grad.add(kl_node(leaves, prior), log_term), spec.kappa / m)
-    parents = [node for node in (est_node, pen_node, lam_node) if node is not None]
-    value, partials = objective_partials(spec.kind, *[float(node.value) for node in parents])
-    return grad.closed_form(value, parents, partials[: len(parents)]), pen_node
+    kl = kl_node(leaves, prior)
+    scale = spec.kappa / m
+    pen = (float(kl.value) + math.log(2.0 * math.sqrt(m) / spec.delta)) * scale
+    lam = None if logit_leaf is None else float(1.0 / (1.0 + np.exp(-logit_leaf.value)))
+    value, (d_est, d_pen, d_lam) = objective_partials(spec.kind, float(est_node.value), pen, lam)
+    parents, partials = [est_node, kl], [d_est, d_pen * scale]
+    if logit_leaf is not None:
+        parents.append(logit_leaf)
+        partials.append(d_lam * lam * (1.0 - lam))
+    return grad.closed_form(value, parents, partials), pen, lam
+
+
+def _bounded_cross_entropy(F, y0):
+    """The surrogate loss of sampled scores ``F`` [B, q] against 0-based
+    labels ``y0`` as one closed-form node: the batch mean of
+    min(1, -log(max(p_y, p_min)) / log(1/p_min)), p the softmax of F.
+
+    Its gradient in F is (p - onehot(y)) / (B log(1/p_min)) on rows where
+    p_y > p_min and the loss is below 1, and 0 on the other rows.
+    """
+    rows = np.arange(F.shape[0])
+    log_inv_pmin = math.log(1.0 / SURROGATE_PMIN)
+    e = np.exp(F.value - F.value.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1)[:, None]
+    p_y = p[rows, y0]
+    ell = np.log(np.maximum(p_y, SURROGATE_PMIN)) * (-1.0 / log_inv_pmin)
+    active = (p_y > SURROGATE_PMIN) & (ell < 1.0)
+    p[rows, y0] -= 1.0
+    p *= active[:, None] / (F.shape[0] * log_inv_pmin)
+    return grad.closed_form(np.minimum(ell, 1.0).mean(), (F,), (p,))
 
 
 def _surrogate_batch(model, leaves, x, y0, rng, tape):
-    """Baseline estimate: every layer sampled pathwise once, and a bounded
-    cross-entropy in place of the error estimate: per input,
-    min(1, -log(p'_y) / log(1/p_min)) with the softmax clamped below at
-    p_min = 1e-4, so the loss stays in [0, 1] and the bound objectives remain
-    valid.
+    """Baseline estimate: every layer sampled pathwise once, and the bounded
+    cross-entropy of ``_bounded_cross_entropy`` in place of the error
+    estimate; it stays in [0, 1], so the bound objectives remain valid.
 
     Returns the surrogate loss node plus the plain 0-1 error of the sampled
     network on the batch (for bound tracking; ties count as errors).
@@ -225,15 +250,7 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
     phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
     k_last = model.spec.n_layers - 1
     F = sampled_linear(phi_h, leaves[-1], rng.child("theta", k_last))
-
-    z = grad.sub(F, grad.expand_last(grad.max_last(F)))
-    e = grad.exp(z)
-    p = grad.div(e, grad.expand_last(grad.sum_last(e)))
-    p_y = grad.maximum_const(grad.gather_rows(p, y0), SURROGATE_PMIN)
-    ell = grad.mul(grad.log(p_y), -1.0 / math.log(1.0 / SURROGATE_PMIN))
-    surrogate = grad.mean_all(grad.minimum_const(ell, 1.0))
-
-    return surrogate, float(np.mean(misclassified(F.value, y0)))
+    return _bounded_cross_entropy(F, y0), float(np.mean(misclassified(F.value, y0)))
 
 
 def _train_step(
@@ -268,19 +285,11 @@ def _train_step(
         )
         est_node, emp_track = result.node, result.value
 
-    lam_node = None
-    lam_leaf = None
-    lam_value = None
-    pen_value = 0.0
-    if spec and spec.kind == BoundKind.LBD:
-        lam_leaf = tape.leaf(ell)
-        lam_node = grad.sigmoid(lam_leaf)
-        lam_value = float(lam_node.value)
-    if spec is not None:
-        obj, pen_node = penalized_objective(est_node, leaves, prior, spec, m, lam_node)
-        pen_value = float(pen_node.value)
+    logit_leaf = tape.leaf(ell) if spec and spec.kind == BoundKind.LBD else None
+    if spec is None:
+        obj, pen_value, lam_value = est_node, 0.0, None
     else:
-        obj = est_node
+        obj, pen_value, lam_value = penalized_objective(est_node, leaves, prior, spec, m, logit_leaf)
 
     obj_value = float(obj.value)
     if not math.isfinite(obj_value) or obj_value > DIVERGENCE_LIMIT:
@@ -290,7 +299,7 @@ def _train_step(
     tape.backward(obj)
 
     if is_lambda_epoch:
-        g_ell = float(lam_leaf.grad) if lam_leaf.grad is not None else 0.0
+        g_ell = float(logit_leaf.grad) if logit_leaf.grad is not None else 0.0
         ell, lam_velocity = momentum_step(ell, g_ell, lam_velocity, lr, config.momentum)
     else:
         i = 0

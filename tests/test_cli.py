@@ -205,6 +205,18 @@ class TestTrainCommand:
             ("prior", "method = erm", "method = erm\nobjective = invkl", "objective: unused"),
             ("prior", "method = erm\n", "",
              "schedule, momentum, batch_size, repeats: unused when method = none"),
+            ("posterior", "schedule = 4:0.002", "schedule = 3:abc",
+             "schedule must be epochs:rate entries, got '3:abc'"),
+            ("posterior", "schedule = 4:0.002", "schedule = 3",
+             "schedule must be epochs:rate entries, got '3'"),
+            ("posterior", "kappa = 1.0", "kappa = abc", "kappa must be a finite number, got 'abc'"),
+            ("posterior", "kappa = 1.0", "kappa = nan", "kappa must be a finite number, got 'nan'"),
+            ("posterior", "schedule = 4:0.002", "schedule = 4:inf",
+             "schedule must be epochs:rate entries, got '4:inf'"),
+            ("posterior", "batch_size = 120\nrepeats = 4\n\n[certify]",
+             "batch_size = 2.5\nrepeats = 4\n\n[certify]",
+             "batch_size must be an integer, got '2.5'"),
+            ("model", "widths = 10 32 3", "widths = 10 x 3", "widths must be integers, got '10 x 3'"),
         ],
     )
     def test_phase_settings_rejected_before_output(self, tmp_path, capsys, section, old, new, message):
@@ -287,7 +299,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "synth, message",
         [("3,x,4,0.8,1", "--synth field per_class must be an integer, got 'x'"),
-         ("3,10,4,far,1", "--synth field separation must be a number, got 'far'")],
+         ("3,10,4,far,1", "--synth field separation must be a finite number, got 'far'")],
     )
     def test_synth_field_value_rejected(self, tmp_path, capsys, synth, message):
         model = StochasticModel.initialize(ModelSpec((4, 4, 3)), 0.01, RngStream(1))

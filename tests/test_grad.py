@@ -1,8 +1,9 @@
-"""Reverse-mode engine: chain rule, primitives, determinism, tape lifetime,
-the finite-difference harness, the closed-form KL node and the fused
-sampled-layer and conditional-head nodes against the chained-primitive
-subgraphs they replaced, and the averaged-gradient (affine objective) check
-against an independent numpy re-implementation."""
+"""Reverse-mode engine: the chain rule through test-local reference ops,
+determinism, tape lifetime, the finite-difference harness, the closed-form
+KL and surrogate-loss nodes and the fused sampled-layer and
+conditional-head nodes against the chained-primitive subgraphs they
+replaced, and the averaged-gradient (affine objective) check against an
+independent numpy re-implementation."""
 import gc
 import math
 import weakref
@@ -30,12 +31,13 @@ from condgauss.network import (
     batch_error_estimate,
     hidden_forward_on_tape,
     make_leaves,
+    sampled_linear,
 )
 from condgauss.rng import RngStream
 from condgauss.trainer import (
     SURROGATE_PMIN,
     TrainConfig,
-    _surrogate_batch,
+    _bounded_cross_entropy,
     kl_node,
     penalized_objective,
     prior_terms,
@@ -44,7 +46,113 @@ from condgauss.trainer import (
 
 
 # Chained-primitive reference nodes: the closed-form and fused nodes must
-# reproduce what these compute step by step through the chain rule.
+# reproduce what these compute step by step through the chain rule. The
+# engine has no generic ops, so the chain is built from these local ones,
+# which TestTapeBasics checks in turn.
+def _val(x):
+    return x.value if isinstance(x, grad.Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _unbroadcast(g, shape):
+    """Sum a cotangent down to the shape it was broadcast from."""
+    g = np.asarray(g)
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def _binary(a, b, out, vjp_a, vjp_b):
+    """A two-operand node; a constant side gets no gradient."""
+    parents, vjps = [], []
+    for x, vjp in ((a, vjp_a), (b, vjp_b)):
+        if isinstance(x, grad.Tensor):
+            parents.append(x)
+            vjps.append(lambda g, x=x, vjp=vjp: _unbroadcast(vjp(g), x.shape))
+    return grad.Tensor(parents[0].tape, out, tuple(parents), lambda g: tuple(f(g) for f in vjps))
+
+
+def _add(a, b):
+    return _binary(a, b, _val(a) + _val(b), lambda g: g, lambda g: g)
+
+
+def _sub(a, b):
+    return _binary(a, b, _val(a) - _val(b), lambda g: g, lambda g: -g)
+
+
+def _mul(a, b):
+    va, vb = _val(a), _val(b)
+    return _binary(a, b, va * vb, lambda g: g * vb, lambda g: g * va)
+
+
+def _div(a, b):
+    va, vb = _val(a), _val(b)
+    out = va / vb
+    return _binary(a, b, out, lambda g: g / vb, lambda g: -g * out / vb)
+
+
+def _log(a):
+    va = a.value
+    return grad.Tensor(a.tape, np.log(va), (a,), lambda g: (g / va,))
+
+
+def _exp(a):
+    out = np.exp(a.value)
+    return grad.closed_form(out, (a,), (out,))
+
+
+def _maximum_const(a, c):
+    return grad.closed_form(np.maximum(a.value, c), (a,), (a.value > c,))
+
+
+def _minimum_const(a, c):
+    return grad.closed_form(np.minimum(a.value, c), (a,), (a.value < c,))
+
+
+def _gather_rows(a, idx):
+    """Entry idx[i] of row i of a [B, q] tensor; scatter-add backward."""
+    rows = np.arange(a.shape[0])
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.add.at(out, (rows, idx), g)
+        return (out,)
+
+    return grad.Tensor(a.tape, a.value[rows, idx], (a,), vjp)
+
+
+def _max_last(a):
+    """Max over the last axis; the cotangent routes to np.argmax's index,
+    the lowest one on a tie."""
+    idx = np.argmax(a.value, axis=-1)[..., None]
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.put_along_axis(out, idx, np.asarray(g)[..., None], axis=-1)
+        return (out,)
+
+    return grad.Tensor(a.tape, np.take_along_axis(a.value, idx, axis=-1)[..., 0], (a,), vjp)
+
+
+def _sum_last(a):
+    va = a.value
+    return grad.Tensor(
+        a.tape, va.sum(axis=-1), (a,),
+        lambda g: (np.broadcast_to(np.asarray(g)[..., None], va.shape).copy(),),
+    )
+
+
+def _expand_last(a):
+    return grad.Tensor(a.tape, a.value[..., None], (a,), lambda g: (np.asarray(g)[..., 0],))
+
+
+def _mean_all(a):
+    va = a.value
+    return grad.Tensor(a.tape, va.mean(), (a,), lambda g: (np.full_like(va, float(g) / va.size),))
+
+
 def _sum_all(a):
     va = a.value
     return grad.Tensor(a.tape, va.sum(), (a,), lambda g: (np.full_like(va, float(g)),))
@@ -95,8 +203,8 @@ def _sample_layer(lv, rng):
     """Pathwise draw (W, b) = mean + sigma(rho) * zeta as a chain of nodes."""
     zw = rng.child("w").normal(lv.w_mean.shape)
     zb = rng.child("b").normal(lv.b_mean.shape)
-    W = grad.add(lv.w_mean, grad.mul(_sigma_rho(lv.w_rho), zw))
-    b = grad.add(lv.b_mean, grad.mul(_sigma_rho(lv.b_rho), zb))
+    W = _add(lv.w_mean, _mul(_sigma_rho(lv.w_rho), zw))
+    b = _add(lv.b_mean, _mul(_sigma_rho(lv.b_rho), zb))
     return W, b
 
 
@@ -107,7 +215,7 @@ def _chained_hidden(leaves, x, rng, spec, dropout_prob):
         a = _relu(_linear(a, *_sample_layer(leaves[k], rng.child("theta", k))))
         if dropout_prob > 0.0:
             mask = apply_dropout(np.ones(a.shape), dropout_prob, rng.child("dropout", k))
-            a = grad.mul(a, mask)
+            a = _mul(a, mask)
     return a
 
 
@@ -115,7 +223,7 @@ def _chained_moments(phi_h, last):
     """Conditional moments (M, floored V) as a chain of nodes."""
     M = _linear(phi_h, last.w_mean, last.b_mean)
     V = _linear(_square(phi_h), _square(_sigma_rho(last.w_rho)), _square(_sigma_rho(last.b_rho)))
-    return M, grad.maximum_const(V, VARIANCE_FLOOR)
+    return M, _maximum_const(V, VARIANCE_FLOOR)
 
 
 def _chained_kl(leaves, groups):
@@ -128,12 +236,12 @@ def _chained_kl(leaves, groups):
         ):
             half_inv_ps2 = 0.5 / np.square(psigma)
             sig = _sigma_rho(rho_leaf)
-            t1 = _sum_all(grad.mul(_square(sig), half_inv_ps2))
-            t2 = _sum_all(grad.mul(_square(grad.sub(mean_leaf, pmean)), half_inv_ps2))
-            t3 = _sum_all(grad.log(sig))
+            t1 = _sum_all(_mul(_square(sig), half_inv_ps2))
+            t2 = _sum_all(_mul(_square(_sub(mean_leaf, pmean)), half_inv_ps2))
+            t3 = _sum_all(_log(sig))
             const = float(np.sum(np.log(psigma))) - 0.5 * psigma.size
-            part = grad.add(grad.sub(grad.add(t1, t2), t3), const)
-            total = part if total is None else grad.add(total, part)
+            part = _add(_sub(_add(t1, t2), t3), const)
+            total = part if total is None else _add(total, part)
     return total
 
 
@@ -147,10 +255,18 @@ def _chained_estimate(model, x, y, rng, repeats, leaves, dropout_prob=0.0):
     zeta = rng.child("l1").normal((repeats, batch, q))
     mask = np.zeros((batch, q))
     mask[np.arange(batch), y0] = -1e30
-    F = grad.add(M, grad.mul(_sqrt(Vc), zeta))
-    fmax = grad.max_last(grad.add(F, mask))
-    z = grad.div(grad.sub(fmax, grad.gather_rows(M, y0)), _sqrt(grad.gather_rows(Vc, y0)))
-    return grad.mean_all(_ncdf(z))
+    F = _add(M, _mul(_sqrt(Vc), zeta))
+    fmax = _max_last(_add(F, mask))
+    z = _div(_sub(fmax, _gather_rows(M, y0)), _sqrt(_gather_rows(Vc, y0)))
+    return _mean_all(_ncdf(z))
+
+
+def _chained_surrogate(F, y0):
+    """The bounded cross-entropy of scores F as a chain of nodes."""
+    e = _exp(_sub(F, _expand_last(_max_last(F))))
+    p = _div(e, _expand_last(_sum_last(e)))
+    p_y = _maximum_const(_gather_rows(p, y0), SURROGATE_PMIN)
+    return _mean_all(_minimum_const(_mul(_log(p_y), -1.0 / math.log(1.0 / SURROGATE_PMIN)), 1.0))
 
 
 def _dense_estimate(model, x, y, rng, repeats, leaves, dropout_prob=0.0):
@@ -175,7 +291,7 @@ class TestTapeBasics:
         tape = grad.Tape()
         m = tape.leaf(np.array(0.3))
         rho = tape.leaf(np.array(1.0))
-        theta = grad.add(m, grad.mul(_sigma_rho(rho), 0.7))
+        theta = _add(m, _mul(_sigma_rho(rho), 0.7))
         tape.backward(theta)
         assert float(m.grad) == pytest.approx(1.0, abs=1e-15)
         assert float(rho.grad) == pytest.approx(1.05, abs=1e-12)
@@ -183,7 +299,7 @@ class TestTapeBasics:
     def test_constant_objective_zero_gradients(self):
         tape = grad.Tape()
         a = tape.leaf(np.arange(4.0))
-        out = grad.mean_all(grad.mul(a, 0.0))
+        out = _mean_all(_mul(a, 0.0))
         tape.backward(out)
         np.testing.assert_array_equal(a.grad, np.zeros(4))
 
@@ -191,25 +307,25 @@ class TestTapeBasics:
         tape = grad.Tape()
         a = tape.leaf(np.ones(3))
         with pytest.raises(ValueError):
-            tape.backward(grad.mul(a, 2.0))
+            tape.backward(_mul(a, 2.0))
 
     def test_fanout_accumulates(self):
         tape = grad.Tape()
         a = tape.leaf(np.array(2.0))
-        out = grad.add(_square(a), grad.mul(a, 3.0))  # a^2 + 3a
+        out = _add(_square(a), _mul(a, 3.0))  # a^2 + 3a
         tape.backward(out)
         assert float(a.grad) == pytest.approx(7.0, abs=1e-14)
 
     def test_max_tie_routes_to_lowest_index(self):
         tape = grad.Tape()
         a = tape.leaf(np.array([[1.0, 1.0, 0.5]]))
-        tape.backward(_sum_all(grad.max_last(a)))
+        tape.backward(_sum_all(_max_last(a)))
         np.testing.assert_array_equal(a.grad, [[1.0, 0.0, 0.0]])
 
     def test_gather_scatter_roundtrip(self):
         tape = grad.Tape()
         a = tape.leaf(np.arange(6.0).reshape(2, 3))
-        out = _sum_all(grad.gather_rows(a, np.array([2, 0])))
+        out = _sum_all(_gather_rows(a, np.array([2, 0])))
         tape.backward(out)
         np.testing.assert_array_equal(a.grad, [[0, 0, 1], [1, 0, 0]])
 
@@ -217,18 +333,18 @@ class TestTapeBasics:
         tape = grad.Tape()
         a = tape.leaf(np.ones(3))
         b = np.ones((5, 2, 3))
-        out = _sum_all(grad.mul(a, b))
+        out = _sum_all(_mul(a, b))
         tape.backward(out)
         np.testing.assert_array_equal(a.grad, np.full(3, 10.0))
 
     def test_clamp_gradients_gate(self):
         tape = grad.Tape()
         a = tape.leaf(np.array([0.5, 2.0]))
-        tape.backward(_sum_all(grad.maximum_const(a, 1.0)))
+        tape.backward(_sum_all(_maximum_const(a, 1.0)))
         np.testing.assert_array_equal(a.grad, [0.0, 1.0])
         tape = grad.Tape()
         a = tape.leaf(np.array([0.5, 2.0]))
-        tape.backward(_sum_all(grad.minimum_const(a, 1.0)))
+        tape.backward(_sum_all(_minimum_const(a, 1.0)))
         np.testing.assert_array_equal(a.grad, [1.0, 0.0])
 
 
@@ -248,7 +364,7 @@ class TestFdCheck:
 
         assert grad.fd_check(fn, [np.array([1.0, 2.0])], step=1e-5) > 0.2
 
-    @pytest.mark.parametrize("kind", [BoundKind.INVKL, BoundKind.MCALL])
+    @pytest.mark.parametrize("kind", list(BoundKind))
     def test_toy_objective_gradients(self, kind):
         assert toy_objective_fd_error(kind, seed=0) < 1e-4
 
@@ -264,7 +380,7 @@ class TestDeterminism:
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
             est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, tape, leaves)
-            obj = grad.add(est.node, grad.mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
+            obj = _add(est.node, _mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
             tape.backward(obj)
             return float(obj.value), [g.copy() for lv in leaves for g in lv.grads()]
 
@@ -383,30 +499,70 @@ class TestClosedFormNodes:
         closed-form head over the dense per-draw gradients."""
         _check_fused_estimate(widths, dropout, _dense_estimate)
 
-    def test_surrogate_last_layer_matches_chain(self):
-        """The baseline samples its last layer with the fused node too."""
-        model = _perturbed_model((20, 64, 32, 5), 15)
+    @_FUSED_SHAPES
+    def test_surrogate_last_layer_matches_chain(self, widths, dropout):
+        """The baseline's fused last sampled layer and closed-form bounded
+        cross-entropy against the chain of primitives."""
+        model = _perturbed_model(widths, 15)
         gen = np.random.default_rng(16)
-        x = gen.uniform(0, 1, (32, 20))
-        y0 = gen.integers(0, 5, 32)
+        x = gen.uniform(0, 1, (32, widths[0]))
+        y0 = gen.integers(0, widths[-1], 32)
         rng = RngStream(17)
+        theta_rng = rng.child("theta", model.spec.n_layers - 1)
 
         def chained(leaves):
-            phi_h = _chained_hidden(leaves, x, rng, model.spec, 0.0)
-            F = _linear(phi_h, *_sample_layer(leaves[-1], rng.child("theta", 2)))
-            z = grad.sub(F, grad.expand_last(grad.max_last(F)))
-            e = grad.exp(z)
-            p = grad.div(e, grad.expand_last(grad.sum_last(e)))
-            p_y = grad.maximum_const(grad.gather_rows(p, y0), SURROGATE_PMIN)
-            ell = grad.mul(grad.log(p_y), -1.0 / math.log(1.0 / SURROGATE_PMIN))
-            return grad.mean_all(grad.minimum_const(ell, 1.0))
+            phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout)
+            return _chained_surrogate(_linear(phi_h, *_sample_layer(leaves[-1], theta_rng)), y0)
+
+        def fused(leaves):
+            tape = leaves[0].w_mean.tape
+            phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, dropout)
+            return _bounded_cross_entropy(sampled_linear(phi_h, leaves[-1], theta_rng), y0)
 
         ref, ref_leaves = _backward_leaves(model, chained)
-        new, leaves = _backward_leaves(
-            model, lambda lv: _surrogate_batch(model, lv, x, y0, rng, lv[0].w_mean.tape)[0]
-        )
+        new, leaves = _backward_leaves(model, fused)
         assert new == ref
         _assert_leaf_grads_match(leaves, ref_leaves)
+
+    def test_surrogate_saturated_rows(self):
+        """Rows with p_y within 1e-10 of 1, rows clamped at p_min and rows
+        at the clamp, where the loss is 1 up to rounding: the closed-form
+        gradient agrees with the chain to a few ulps of its scale, and is
+        exactly zero on the rows the chain's clamp gates off."""
+        batch, q = 12, 4
+        gen = np.random.default_rng(24)
+        F = gen.normal(size=(batch, q))
+        y0 = gen.integers(0, q, batch)
+        rows = np.arange(batch)
+        F[rows, y0] = F.max(axis=1) + 2.0
+        # Rows 0-8: zero scores except the true class's s, so p_y =
+        # e^s / (e^s + q - 1). Rows 0-2 put 1 - p_y near 4e-11, 8e-13 and
+        # 1e-14; rows 3-5 put p_y far below p_min; rows 6-8 put it a hair
+        # above, at and a hair below p_min.
+        at_pmin = math.log((q - 1) * SURROGATE_PMIN / (1.0 - SURROGATE_PMIN))
+        scores = [25.0, 29.0, 33.0, -20.0, -15.0, -12.0, at_pmin + 1e-9, at_pmin, at_pmin - 1e-9]
+        F[: len(scores)] = 0.0
+        F[np.arange(len(scores)), y0[: len(scores)]] = scores
+
+        def run(build):
+            tape = grad.Tape()
+            leaf = tape.leaf(F)
+            out = build(leaf, y0)
+            tape.backward(out)
+            return float(out.value), leaf.grad
+
+        ref, ref_grad = run(_chained_surrogate)
+        new, new_grad = run(_bounded_cross_entropy)
+        e = np.exp(F - F.max(axis=1)[:, None])
+        p_y = e[rows, y0] / e.sum(axis=1)
+        assert np.all((1.0 - p_y[:3] < 1e-10) & (p_y[:3] < 1.0))
+        clamped = p_y <= SURROGATE_PMIN
+        assert clamped[3:6].all() and clamped[8] and not clamped[6]
+        np.testing.assert_array_equal(np.any(ref_grad != 0.0, axis=1), ~clamped)
+        assert new == ref
+        tol = 4.0 * np.finfo(float).eps / (batch * math.log(1.0 / SURROGATE_PMIN))
+        assert np.max(np.abs(new_grad - ref_grad)) <= tol
+        np.testing.assert_array_equal(new_grad[clamped], 0.0)
 
 
 def test_step_tape_freed_without_cyclic_collector():
@@ -423,10 +579,10 @@ def test_step_tape_freed_without_cyclic_collector():
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
         est = batch_error_estimate(model, x, y, RngStream(20), 3, tape, leaves, 0.3)
-        obj, pen = penalized_objective(est.node, leaves, prior_terms(model.groups), spec, 4000)
+        obj, _, _ = penalized_objective(est.node, leaves, prior_terms(model.groups), spec, 4000)
         tape.backward(obj)
         tape_ref, grad_ref = weakref.ref(tape), weakref.ref(leaves[0].w_rho.grad)
-        del tape, leaves, est, obj, pen
+        del tape, leaves, est, obj
         assert tape_ref() is None
         assert grad_ref() is None
     finally:
@@ -488,7 +644,7 @@ class TestAffineObjectiveAveraging:
             est = batch_error_estimate(
                 model, x, y, RngStream(123).child("noise", d), repeats, tape, leaves
             )
-            obj, _ = penalized_objective(est.node, leaves, prior, spec, m_pen)
+            obj, _, _ = penalized_objective(est.node, leaves, prior, spec, m_pen)
             tape.backward(obj)
             return np.concatenate([g.reshape(-1) for lv in leaves for g in lv.grads()])
 

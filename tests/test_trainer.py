@@ -9,13 +9,15 @@ from condgauss import grad
 from condgauss.bounds import BoundKind, BoundSpec, PenaltyInputs, kl_inv, penalty
 from condgauss.data import synth_blobs
 from condgauss.gaussian import kl_diag_gauss
-from condgauss.network import ModelSpec, StochasticModel
+from condgauss.network import ModelSpec, StochasticModel, make_leaves
 from condgauss.rng import RngStream
 from condgauss.trainer import (
     CSV_HEADER,
     TrainConfig,
     TrainingDiverged,
     momentum_step,
+    penalized_objective,
+    prior_terms,
     train_condgauss,
 )
 
@@ -131,41 +133,76 @@ class TestTrainCondgauss:
             )
 
 
+@pytest.mark.parametrize(
+    "phase, kind, nodes",
+    [
+        ("posterior", BoundKind.INVKL, 12),
+        ("posterior", BoundKind.LBD, 13),
+        ("baseline", BoundKind.INVKL, 13),
+    ],
+    ids=["invkl", "lbd", "surrogate"],
+)
+def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
+    """A 20-256-4 step's tape at backward: eight parameter leaves, one node
+    per sampled layer (the baseline samples the output layer too), one for
+    the L1 head or the surrogate loss (the baseline's), the KL node and the
+    objective node, plus lbd's lambda logit leaf."""
+    sizes = []
+    backward = grad.Tape.backward
+
+    def counting(tape, root, seed=1.0):
+        sizes.append(len(tape._nodes))
+        return backward(tape, root, seed)
+
+    monkeypatch.setattr(grad.Tape, "backward", counting)
+    spec = BoundSpec(kind, kappa=1.0, delta=0.025, lam=0.5 if kind == BoundKind.LBD else None)
+    cfg = quick_config(
+        objective=spec, phase=phase, lr_schedule=((1, 0.002),), batch_size=50, repeats=2
+    )
+    data = blob_task(classes=4, per_class=25, dim=20)
+    train_condgauss(fresh_model(widths=(20, 256, 4)), data, cfg)
+    assert len(sizes) == (4 if kind == BoundKind.LBD else 2)
+    assert set(sizes) == {nodes}
+
+
 class TestLambdaAlternating:
+    @staticmethod
+    def _lbd_objective(ell, e_val=0.1, pen_val=0.02):
+        """The trainer's lbd objective node at estimate ``e_val`` and lambda
+        logit ``ell``, on a model at its prior (KL 0) with kappa picked so
+        the penalty is ``pen_val``. Returns (value, d/d ell, penalty)."""
+        model = fresh_model(widths=(3, 4, 2))
+        m = 1000
+        log_term = math.log(2.0 * math.sqrt(m) / 0.025)
+        spec = BoundSpec(BoundKind.LBD, kappa=pen_val * m / log_term, delta=0.025, lam=0.5)
+        tape = grad.Tape()
+        leaves = make_leaves(tape, model)
+        logit = tape.leaf(ell)
+        obj, pen, _ = penalized_objective(
+            tape.leaf(e_val), leaves, prior_terms(model.groups), spec, m, logit
+        )
+        tape.backward(obj)
+        return float(obj.value), float(logit.grad), pen
+
     def test_lbd_gradient_matches_finite_differences(self):
-        # d/dlam (E + Pen/lam) / (1 - lam/2) at lam = 0.5, via the logistic
-        # reparametrization used in training.
-        e_val, pen_val = 0.1, 0.02
-
-        def value(ell):
-            tape = grad.Tape()
-            leaf = tape.leaf(np.array(ell))
-            lam = grad.sigmoid(leaf)
-            obj = grad.div(grad.add(grad.div(np.array(pen_val), lam), e_val),
-                           grad.sub(1.0, grad.mul(lam, 0.5)))
-            tape.backward(obj)
-            return float(obj.value), float(leaf.grad)
-
-        v, analytic = value(0.0)
+        # d/d ell of (E + Pen/lam) / (1 - lam/2) at lam = sigmoid(ell) = 0.5,
+        # through the logistic reparametrization used in training.
+        _, analytic, _ = self._lbd_objective(0.0)
         step = 1e-6
-        up, _ = value(step)
-        dn, _ = value(-step)
+        up, _, _ = self._lbd_objective(step)
+        dn, _, _ = self._lbd_objective(-step)
         assert analytic == pytest.approx((up - dn) / (2 * step), rel=1e-6)
 
     def test_lambda_only_updates_converge_to_grid_optimum(self):
-        e_val, pen_val = 0.1, 0.02
+        e_val = 0.1
+        pen_val = self._lbd_objective(0.0, e_val)[2]
         lams = np.linspace(0.001, 0.999, 999)
         grid_best = lams[np.argmin((e_val + pen_val / lams) / (1 - lams / 2))]
 
         ell, vel = 0.0, 0.0
         for _ in range(600):
-            tape = grad.Tape()
-            leaf = tape.leaf(np.array(ell))
-            lam = grad.sigmoid(leaf)
-            obj = grad.div(grad.add(grad.div(np.array(pen_val), lam), e_val),
-                           grad.sub(1.0, grad.mul(lam, 0.5)))
-            tape.backward(obj)
-            ell, vel = momentum_step(ell, float(leaf.grad), vel, 0.5, 0.5)
+            _, g_ell, _ = self._lbd_objective(ell, e_val)
+            ell, vel = momentum_step(ell, g_ell, vel, 0.5, 0.5)
         lam_final = 1.0 / (1.0 + math.exp(-ell))
         assert abs(lam_final - grid_best) <= 1e-3
 
