@@ -7,7 +7,6 @@ mathematically valid certificate for the trained posterior.
 from .bounds import (
     BoundKind,
     BoundSpec,
-    PenaltyInputs,
     kl_bernoulli,
     kl_inv,
     kl_inv_grad,
@@ -21,8 +20,6 @@ from .gaussian import (
     GaussianParamGroup,
     binary_error_prob,
     conditional_moments,
-    estimator_L1,
-    estimator_L2,
     kl_diag_gauss,
     sample_gaussian,
     sigma_of_rho,
@@ -35,7 +32,6 @@ from .network import (
     apply_dropout,
     batch_error_estimate,
     exact_misclassification,
-    forward_hidden,
     load_model,
     save_model,
 )

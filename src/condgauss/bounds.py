@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "BoundKind",
     "BoundSpec",
-    "PenaltyInputs",
     "kl_bernoulli",
     "kl_inv",
     "kl_inv_grad",
@@ -69,26 +68,6 @@ class BoundSpec:
                 raise ValueError("lbd objective requires lam in (0,1)")
         elif self.lam is not None:
             raise ValueError(f"lam is only meaningful for kind=lbd, got kind={self.kind}")
-
-
-@dataclass(frozen=True)
-class PenaltyInputs:
-    """Inputs of the per-sample complexity term."""
-
-    kl_div: float
-    m: int
-    delta: float
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.kl_div < 0:
-            raise ValueError("kl_div must be non-negative")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0,1)")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
 
 
 def _check_prob(name: str, x: float) -> float:
@@ -249,11 +228,17 @@ def _kl_inv_partials(u: float, v: float) -> tuple[float, float]:
     return du, dc
 
 
-def penalty(inputs: PenaltyInputs) -> float:
+def penalty(kl_div: float, m: int, delta: float, kappa: float = 1.0) -> float:
     """Complexity term (kappa/m) * (KL(Q||P) + log(2*sqrt(m)/delta))."""
-    return (inputs.kappa / inputs.m) * (
-        inputs.kl_div + math.log(2.0 * math.sqrt(inputs.m) / inputs.delta)
-    )
+    if kl_div < 0:
+        raise ValueError("kl_div must be non-negative")
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0,1)")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    return (kappa / m) * (kl_div + math.log(2.0 * math.sqrt(m) / delta))
 
 
 def objective_partials(kind: BoundKind, emp_err: float, pen: float, lam: float | None = None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PenaltyInputs, kl_inv, penalty
+from .bounds import kl_inv, penalty
 from .data import LabelledDataset
 from .gaussian import kl_diag_gauss
 from .network import StochasticModel, exact_misclassification, sample_full
@@ -132,14 +132,16 @@ def draw_errors(
     """Exact 0-1 error of each of n_draws full posterior samples.
 
     Draw n uses the child stream ("draw", n) and lands in slot n, so the
-    array is independent of the worker count and of scheduling.
+    array is independent of the worker count and of scheduling. The layer
+    sigmas are taken once for all draws.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     errors = np.empty(n_draws)
+    sigmas = model.sigmas()
 
     def one(n: int) -> None:
-        theta = sample_full(model, rng.child("draw", n))
+        theta = sample_full(model, rng.child("draw", n), sigmas)
         errors[n] = exact_misclassification(model, dataset.inputs, dataset.labels, theta)
 
     workers = worker_count()
@@ -209,7 +211,7 @@ def final_certificate(
     tilde_e = mc_empirical_error(model, bound_dataset, n_draws, rng)
     inner = inner_bound(tilde_e, n_draws, delta_prime)
     kl = kl_diag_gauss(model.groups)
-    pen = penalty(PenaltyInputs(kl_div=kl, m=m, delta=delta, kappa=1.0))
+    pen = penalty(kl, m, delta)
     final = kl_inv(inner, pen)
     return Certificate(
         tilde_e=tilde_e,

@@ -209,7 +209,7 @@ def toy_objective_fd_error(
             model, x, y, noise_rng, repeats=repeats, tape=tape, leaves=leaves
         )
         logit_leaf = tape.leaf(0.0) if kind == BoundKind.LBD else None
-        obj, _, _ = penalized_objective(est.node, leaves, prior, spec, pen_m, logit_leaf)
+        obj, _, _ = penalized_objective(est, leaves, prior, spec, pen_m, logit_leaf)
         tape.backward(obj)
         grads = []
         for lv in leaves:

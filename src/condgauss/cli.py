@@ -87,8 +87,7 @@ class RunConfig:
     mnist_labels: str | None
     data_seed: int
     prior_fraction: float | None
-    widths: tuple[int, ...]
-    activation: str
+    spec: ModelSpec
     sigma0: float
     prior: PhaseSettings
     posterior: PhaseSettings
@@ -207,6 +206,11 @@ def parse_config(path) -> RunConfig:
         for p in (mnist_images, mnist_labels):
             if not Path(p).exists():
                 raise ConfigError(f"dataset file not found: {p}")
+    widths = _read(cp, "model", "widths", _parse_widths)
+    try:
+        spec = ModelSpec(widths, cp.get("model", "activation", fallback="relu"))
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from None
 
     cfg = RunConfig(
         source=source,
@@ -215,8 +219,7 @@ def parse_config(path) -> RunConfig:
         mnist_labels=mnist_labels,
         data_seed=_read(cp, "data", "seed", int, seed),
         prior_fraction=_read(cp, "data", "prior_fraction", _finite, None),
-        widths=_read(cp, "model", "widths", _parse_widths),
-        activation=cp.get("model", "activation", fallback="relu"),
+        spec=spec,
         sigma0=_read(cp, "model", "sigma0", _finite, 0.01),
         prior=_phase(cp, "prior", "none"),
         posterior=_phase(cp, "posterior", "condgauss"),
@@ -251,12 +254,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("a trained prior needs data.prior_fraction")
     if cfg.prior.method == "none" and cfg.prior_fraction is not None:
         raise ConfigError("data.prior_fraction is set but prior.method is none")
+    if cfg.prior_fraction is not None and not 0.0 < cfg.prior_fraction < 1.0:
+        raise ConfigError(f"[data] prior_fraction must lie in (0, 1), got {cfg.prior_fraction!r}")
+    if not cfg.sigma0 > 0.0:
+        raise ConfigError(f"[model] sigma0 must be positive, got {cfg.sigma0!r}")
     if not cfg.posterior.schedule:
         raise ConfigError("posterior schedule is empty")
     if cfg.n_draws < 1:
         raise ConfigError("certify.n_draws must be >= 1")
-    if len(cfg.widths) < 3:
-        raise ConfigError("model.widths needs input, hidden, and output entries")
 
 
 def _build_dataset(cfg: RunConfig):
@@ -281,8 +286,8 @@ def _resolved_config_text(cfg: RunConfig) -> str:
     if cfg.prior_fraction is not None:
         cp["data"]["prior_fraction"] = repr(cfg.prior_fraction)
     cp["model"] = {
-        "widths": " ".join(str(w) for w in cfg.widths),
-        "activation": cfg.activation,
+        "widths": " ".join(str(w) for w in cfg.spec.layer_widths),
+        "activation": cfg.spec.activation,
         "sigma0": repr(cfg.sigma0),
     }
     for name, ph in (("prior", cfg.prior), ("posterior", cfg.posterior)):
@@ -345,10 +350,10 @@ def _train_config(ph: PhaseSettings, section: str, phase: str, cfg: RunConfig) -
 def cmd_train(config_path) -> int:
     cfg = parse_config(config_path)
     whole, holdout = _build_dataset(cfg)
-    if cfg.widths[0] != whole.p:
-        raise ConfigError(f"model input width {cfg.widths[0]} != data dim {whole.p}")
-    if cfg.widths[-1] != whole.q:
-        raise ConfigError(f"model output width {cfg.widths[-1]} != class count {whole.q}")
+    if cfg.spec.p != whole.p:
+        raise ConfigError(f"model input width {cfg.spec.p} != data dim {whole.p}")
+    if cfg.spec.q != whole.q:
+        raise ConfigError(f"model output width {cfg.spec.q} != class count {whole.q}")
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -358,9 +363,7 @@ def cmd_train(config_path) -> int:
     content.update(_resolved_config_text(cfg).encode())
     (out / "inputs.sha256").write_text(content.hexdigest() + "\n")
 
-    model = StochasticModel.initialize(
-        ModelSpec(cfg.widths, cfg.activation), cfg.sigma0, RngStream(cfg.seed).child("model")
-    )
+    model = StochasticModel.initialize(cfg.spec, cfg.sigma0, RngStream(cfg.seed).child("model"))
 
     if cfg.prior_train is not None:
         prior_ds, bound_ds = split_prior_bound(whole, cfg.prior_fraction, cfg.seed)

@@ -25,12 +25,9 @@ from .rng import RngStream
 __all__ = [
     "ConditionalHead",
     "GaussianParamGroup",
-    "SampledLayer",
     "std_normal_cdf",
     "std_normal_pdf",
     "binary_error_prob",
-    "estimator_L1",
-    "estimator_L2",
     "l1_dense",
     "l1_draws",
     "l1_samples",
@@ -167,30 +164,14 @@ class GaussianParamGroup:
             setattr(self, name, arr)
 
 
-@dataclass(frozen=True)
-class SampledLayer:
-    """One pathwise parameter draw theta = mean + sigma(rho) * zeta.
-
-    Keeps the zeta draws so gradients with respect to (mean, rho) can be
-    chained through the sample later.
-    """
-
-    W: np.ndarray
-    b: np.ndarray
-    zeta_w: np.ndarray
-    zeta_b: np.ndarray
-
-
-def sample_gaussian(group: GaussianParamGroup, rng: RngStream) -> SampledLayer:
-    """Draw the layer's parameters from the posterior via reparametrization."""
-    zeta_w = rng.child("w").normal(group.w_mean.shape)
-    zeta_b = rng.child("b").normal(group.b_mean.shape)
-    return SampledLayer(
-        W=group.w_mean + group.w_sigma * zeta_w,
-        b=group.b_mean + group.b_sigma * zeta_b,
-        zeta_w=zeta_w,
-        zeta_b=zeta_b,
-    )
+def sample_gaussian(w_mean, w_sigma, b_mean, b_sigma, rng: RngStream):
+    """One pathwise draw of a layer, (W, b) = mean + sigma * zeta, with zeta
+    from rng's "w" and "b" children; training and certification both draw
+    through here. Returns (W, b, zeta_w, zeta_b), the zetas for chaining
+    gradients in (mean, rho) through the draw."""
+    zeta_w = rng.child("w").normal(np.shape(w_mean))
+    zeta_b = rng.child("b").normal(np.shape(b_mean))
+    return w_mean + w_sigma * zeta_w, b_mean + b_sigma * zeta_b, zeta_w, zeta_b
 
 
 def conditional_moments(phi_h, group: GaussianParamGroup) -> ConditionalHead:
@@ -325,18 +306,6 @@ def l2_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
     dM[:, y0] = dfy
     dV[:, y0] = dfy * zeta / (2.0 * sqv[y0])
     return values, dM, dV
-
-
-def estimator_L1(head: ConditionalHead, y: int, rng: RngStream):
-    """Single L1 draw: returns (value, (dM, dV)) for one input."""
-    values, dM, dV = l1_samples(head, y, rng, n=1)
-    return float(values[0]), (dM[0], dV[0])
-
-
-def estimator_L2(head: ConditionalHead, y: int, rng: RngStream):
-    """Single L2 draw: returns (value, (dM, dV)) for one input."""
-    values, dM, dV = l2_samples(head, y, rng, n=1)
-    return float(values[0]), (dM[0], dV[0])
 
 
 def argmax_error_frequency(head: ConditionalHead, y: int, rng: RngStream, n: int):

@@ -20,7 +20,6 @@ from . import grad
 from .gaussian import (
     VARIANCE_FLOOR,
     GaussianParamGroup,
-    SampledLayer,
     dsigma_of_rho,
     l1_draws,
     misclassified,
@@ -33,7 +32,6 @@ __all__ = [
     "ModelSpec",
     "StochasticModel",
     "ParamLeaves",
-    "forward_hidden",
     "batch_error_estimate",
     "exact_misclassification",
     "apply_dropout",
@@ -52,20 +50,17 @@ class ModelSpec:
 
     layer_widths: tuple[int, ...]
     activation: str = "relu"
-    dropout_prob: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
         if len(self.layer_widths) < 3:
-            raise ValueError("need at least input, one hidden, and output widths")
+            raise ValueError("widths need input, at least one hidden, and output entries")
         if any(w < 1 for w in self.layer_widths):
-            raise ValueError("layer widths must be positive")
+            raise ValueError("widths must be positive")
         if self.layer_widths[-1] < 2:
-            raise ValueError("output width q must be at least 2")
+            raise ValueError("widths must end in an output width q >= 2")
         if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError("dropout_prob must be in [0, 1)")
+            raise ValueError(f"activation must be relu, got {self.activation!r}")
 
     @property
     def p(self) -> int:
@@ -148,6 +143,10 @@ class StochasticModel:
     def n_params(self) -> int:
         return sum(g.n_params() for g in self.groups)
 
+    def sigmas(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's (w_sigma, b_sigma), derived from its raw deviations."""
+        return [(g.w_sigma, g.b_sigma) for g in self.groups]
+
     def freeze_prior(self, fingerprint: str | None = None, pair_token: str | None = None):
         for g in self.groups:
             g.freeze_prior()
@@ -181,32 +180,6 @@ def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
         return h
     keep = ~rng.bernoulli_mask(np.shape(h), prob)
     return h * keep / (1.0 - prob)
-
-
-def forward_hidden(x: np.ndarray, theta_hidden: list[SampledLayer], spec: ModelSpec) -> np.ndarray:
-    """Deterministic hidden forward pass under sampled hidden parameters.
-
-    Applies affine + relu per hidden layer but returns the last hidden
-    layer's PRE-activation values H; the activation of H happens inside the
-    conditional-moments computation.
-
-    Runs features-major: each layer computes W @ a.T into a fresh [width, n]
-    array and adds the bias and the relu in place, so a layer allocates one
-    array and BLAS packs the inputs as its cheaper B operand. The result is
-    the [n, width] transposed view of that array.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != spec.p:
-        raise ValueError(f"input width {x.shape[-1]} does not match spec p={spec.p}")
-    if len(theta_hidden) != spec.n_layers - 1:
-        raise ValueError("need one sampled layer per hidden layer")
-    h = x.T
-    for k, theta in enumerate(theta_hidden):
-        if k:
-            np.maximum(h, 0.0, out=h)
-        h = theta.W @ h
-        h += theta.b[:, None]
-    return h.T
 
 
 @dataclass
@@ -247,32 +220,19 @@ def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
     ]
 
 
-@dataclass
-class EstimateResult:
-    """A batch error estimate plus its tape context."""
-
-    value: float
-    node: grad.Tensor
-    tape: grad.Tape
-    leaves: list[ParamLeaves]
-
-
 def sampled_linear(
     a, lv: ParamLeaves, rng: RngStream, relu: bool = False, mask=None
 ) -> grad.Tensor:
-    """One node for a @ W.T + b under a pathwise draw of the layer,
-    (W, b) = mean + sigma(rho) * zeta with zeta from rng's "w" and "b"
-    children; a hidden layer (``relu``) applies the relu and then the
-    optional dropout ``mask`` in place on the same array.
+    """One node for a @ W.T + b under the ``sample_gaussian`` draw of the
+    layer from ``rng``; a hidden layer (``relu``) applies the relu and then
+    the optional dropout ``mask`` in place on the same array.
 
     ``a`` is a [..., n] Tensor or constant input. The node's parents are
     the layer's four leaves (and ``a`` if it is a Tensor); the backward pass
     masks the cotangent once, forms the weight and bias cotangents once and
     chains them through the draw: d/dmean = gW and d/drho = gW * zeta * dsigma.
     """
-    zw = rng.child("w").normal(lv.w_mean.shape)
-    zb = rng.child("b").normal(lv.b_mean.shape)
-    W = lv.w_mean.value + lv.w_sigma * zw
+    W, b, zw, zb = sample_gaussian(lv.w_mean.value, lv.w_sigma, lv.b_mean.value, lv.b_sigma, rng)
     parents = (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)
     through_a = isinstance(a, grad.Tensor)
     va = a.value if through_a else a
@@ -280,7 +240,7 @@ def sampled_linear(
         parents += (a,)
 
     out = va @ W.T
-    out += lv.b_mean.value + lv.b_sigma * zb
+    out += b
     if relu:
         np.maximum(out, 0.0, out=out)
         if mask is not None:
@@ -371,8 +331,9 @@ def batch_error_estimate(
     tape: grad.Tape | None = None,
     leaves: list[ParamLeaves] | None = None,
     dropout_prob: float = 0.0,
-) -> EstimateResult:
-    """Conditional Monte-Carlo estimate of the batch misclassification rate.
+) -> grad.Tensor:
+    """Conditional Monte-Carlo estimate of the batch misclassification rate,
+    as the tape node of its value.
 
     Samples one set of hidden parameters for the whole batch, computes the
     conditional output moments, then averages the L1 estimator over
@@ -398,33 +359,48 @@ def batch_error_estimate(
     # One block of output draws per batch; entry [r, i, :] belongs to
     # repeat r of input i.
     zeta = rng.child("l1").normal((repeats, batch, q))
-    est = _conditional_l1_node(phi_h, leaves[-1], y0, zeta)
-    return EstimateResult(value=float(est.value), node=est, tape=tape, leaves=leaves)
+    return _conditional_l1_node(phi_h, leaves[-1], y0, zeta)
 
 
-def sample_full(model: StochasticModel, rng: RngStream) -> list[SampledLayer]:
-    """Draw every layer's parameters (including the output layer)."""
-    return [sample_gaussian(g, rng.child("layer", k)) for k, g in enumerate(model.groups)]
+def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tuple]:
+    """Draw every layer's parameters (including the output layer) as (W, b)
+    pairs. ``sigmas`` holds each layer's (w_sigma, b_sigma); a caller that
+    draws many times passes ``model.sigmas()`` taken once."""
+    if sigmas is None:
+        sigmas = model.sigmas()
+    return [
+        sample_gaussian(g.w_mean, w_sigma, g.b_mean, b_sigma, rng.child("layer", k))[:2]
+        for k, (g, (w_sigma, b_sigma)) in enumerate(zip(model.groups, sigmas))
+    ]
 
 
-def forward_scores(x: np.ndarray, theta: list[SampledLayer], spec: ModelSpec) -> np.ndarray:
-    """Network outputs [n, q] under a full parameter draw, as the transposed
-    view of a features-major [q, n] array (see ``forward_hidden``)."""
-    phi = forward_hidden(x, theta[:-1], spec).T
-    np.maximum(phi, 0.0, out=phi)
-    last = theta[-1]
-    scores = last.W @ phi
-    scores += last.b[:, None]
-    return scores.T
+def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.ndarray:
+    """Network outputs [n, q] under a full parameter draw of (W, b) pairs.
+
+    Runs features-major: each layer computes W @ a into a fresh [width, n]
+    array and adds the bias (and, before the next layer, the relu) in place,
+    so a layer allocates one array and BLAS packs the inputs as its cheaper
+    B operand. The result is the [n, q] transposed view of the last array.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != spec.p:
+        raise ValueError(f"input width {x.shape[-1]} does not match spec p={spec.p}")
+    if len(theta) != spec.n_layers:
+        raise ValueError("theta must include a sample of every layer")
+    h = x.T
+    for k, (W, b) in enumerate(theta):
+        if k:
+            np.maximum(h, 0.0, out=h)
+        h = W @ h
+        h += b[:, None]
+    return h.T
 
 
 def exact_misclassification(
-    model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[SampledLayer]
+    model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple]
 ) -> float:
     """0-1 error rate under a full parameter draw; output ties count as errors."""
-    if len(theta) != model.spec.n_layers:
-        raise ValueError("theta must include a sample of every layer")
-    scores = forward_scores(np.asarray(inputs, dtype=np.float64), theta, model.spec)
+    scores = forward_scores(inputs, theta, model.spec)
     return float(np.mean(misclassified(scores, np.asarray(labels, dtype=np.int64) - 1)))
 
 
@@ -439,7 +415,7 @@ def save_model(model: StochasticModel, path) -> None:
     lines = [SNAPSHOT_HEADER]
     lines.append("widths " + " ".join(str(w) for w in model.spec.layer_widths))
     lines.append(f"activation {model.spec.activation}")
-    lines.append(f"dropout {model.spec.dropout_prob:.17g}")
+    lines.append("dropout 0")
     lines.append(f"prior_fingerprint {model.prior_fingerprint or 'none'}")
     lines.append(f"prior_pair_token {model.prior_pair_token or 'none'}")
     for k, g in enumerate(model.groups):
@@ -495,7 +471,9 @@ def load_model(path) -> StochasticModel:
     dropout = numbers(fields["dropout"], float, "'dropout'", 4)
     if len(dropout) != 1:
         raise ValueError(f"snapshot line 4: 'dropout' takes one value, got {len(dropout)}")
-    spec = ModelSpec(widths, fields["activation"], dropout[0])
+    if dropout[0] != 0.0:
+        raise ValueError(f"snapshot line 4: 'dropout' must be 0, got {dropout[0]!r}")
+    spec = ModelSpec(widths, fields["activation"])
 
     def parse_block(expect_name: str, shape) -> np.ndarray:
         what = f"array '{expect_name}' of layer {k}"

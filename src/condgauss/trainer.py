@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grad
-from .bounds import BoundKind, BoundSpec, PenaltyInputs, kl_inv, objective_partials, penalty
+from .bounds import BoundKind, BoundSpec, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
 from .gaussian import kl_diag, kl_diag_gauss, misclassified
 from .network import (
@@ -208,11 +208,11 @@ def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, logit_
     Returns (objective, penalty, lambda), lambda None unless lbd.
     """
     kl = kl_node(leaves, prior)
-    scale = spec.kappa / m
-    pen = (float(kl.value) + math.log(2.0 * math.sqrt(m) / spec.delta)) * scale
+    # Rounding can leave the summed KL a hair below 0; kl_diag_gauss clamps too.
+    pen = penalty(max(float(kl.value), 0.0), m, spec.delta, spec.kappa)
     lam = None if logit_leaf is None else float(1.0 / (1.0 + np.exp(-logit_leaf.value)))
     value, (d_est, d_pen, d_lam) = objective_partials(spec.kind, float(est_node.value), pen, lam)
-    parents, partials = [est_node, kl], [d_est, d_pen * scale]
+    parents, partials = [est_node, kl], [d_est, d_pen * (spec.kappa / m)]
     if logit_leaf is not None:
         parents.append(logit_leaf)
         partials.append(d_lam * lam * (1.0 - lam))
@@ -273,7 +273,7 @@ def _train_step(
     if config.phase == "baseline":
         est_node, emp_track = _surrogate_batch(model, leaves, x, y - 1, rng, tape)
     else:
-        result = batch_error_estimate(
+        est_node = batch_error_estimate(
             model,
             x,
             y,
@@ -283,7 +283,7 @@ def _train_step(
             leaves=leaves,
             dropout_prob=config.dropout_prob,
         )
-        est_node, emp_track = result.node, result.value
+        emp_track = float(est_node.value)
 
     logit_leaf = tape.leaf(ell) if spec and spec.kind == BoundKind.LBD else None
     if spec is None:
@@ -394,16 +394,13 @@ def train_condgauss(
             # The per-batch 0-1 tracking samples one network per batch and is
             # too noisy to pick a best epoch from; take a proper conditional
             # estimate of the epoch-end state instead.
-            emp_mean = batch_error_estimate(
-                model,
-                x_all,
-                y_all,
-                rng_root.child("track", epoch),
-                repeats=min(config.repeats, 5),
-            ).value
+            est = batch_error_estimate(
+                model, x_all, y_all, rng_root.child("track", epoch), repeats=min(config.repeats, 5)
+            )
+            emp_mean = float(est.value)
         else:
             emp_mean = emp_sum / m
-        pen_track = penalty(PenaltyInputs(kl_now, m, delta_track, 1.0))
+        pen_track = penalty(kl_now, m, delta_track)
         bound_est = kl_inv(emp_mean, pen_track)
         rows.append(
             LogRow(

@@ -189,7 +189,7 @@ def test_criterion_10_full_scale_recipe_documented(tmp_path):
     patched.write_text(text.replace("data/mnist", str(data_dir)))
     cfg = parse_config(patched)
     ok = (
-        cfg.widths == (784, 200, 10)
+        cfg.spec.layer_widths == (784, 200, 10)
         and cfg.posterior.objective == "invkl"
         and cfg.posterior.kappa == 1.0
         and "mnist_invkl.cfg" in readme

@@ -13,7 +13,6 @@ import pytest
 from condgauss.bounds import (
     BoundKind,
     BoundSpec,
-    PenaltyInputs,
     kl_bernoulli,
     kl_inv,
     kl_inv_grad,
@@ -163,26 +162,26 @@ class TestKlInvGrad:
 
 class TestPenalty:
     def test_mnist_scale_value(self):
-        got = penalty(PenaltyInputs(kl_div=0.0, m=60000, delta=0.025, kappa=1.0))
+        got = penalty(0.0, 60000, 0.025, 1.0)
         assert got == pytest.approx(PEN_MNIST, abs=1e-8)
 
     def test_linear_in_kappa(self):
-        base = penalty(PenaltyInputs(kl_div=3.0, m=500, delta=0.05, kappa=1.0))
-        doubled = penalty(PenaltyInputs(kl_div=3.0, m=500, delta=0.05, kappa=2.0))
+        base = penalty(3.0, 500, 0.05, 1.0)
+        doubled = penalty(3.0, 500, 0.05, 2.0)
         assert doubled == pytest.approx(2.0 * base, rel=1e-14)
 
     def test_zero_kl_formula(self):
         m, delta = 777, 0.1
-        got = penalty(PenaltyInputs(kl_div=0.0, m=m, delta=delta, kappa=1.0))
+        got = penalty(0.0, m, delta, 1.0)
         assert got == pytest.approx(math.log(2 * math.sqrt(m) / delta) / m, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PenaltyInputs(kl_div=-1.0, m=10, delta=0.1)
+            penalty(-1.0, 10, 0.1)
         with pytest.raises(ValueError):
-            PenaltyInputs(kl_div=0.0, m=0, delta=0.1)
+            penalty(0.0, 0, 0.1)
         with pytest.raises(ValueError):
-            PenaltyInputs(kl_div=0.0, m=10, delta=1.5)
+            penalty(0.0, 10, 1.5)
 
 
 class TestObjectiveValue:

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from condgauss.bounds import PenaltyInputs, kl_inv, penalty
+import condgauss.gaussian as gaussian
+from condgauss.bounds import kl_inv, penalty
 from condgauss.certify import (
     CERTIFICATE_KEYS,
     Certificate,
     CertificationRefused,
+    draw_errors,
     final_certificate,
     inner_bound,
     mc_empirical_error,
@@ -80,6 +82,26 @@ class TestMcEmpiricalError:
         theta = sample_full(model, rng.child("draw", 0))
         assert got == exact_misclassification(model, ds.inputs, ds.labels, theta)
 
+    def test_sigmas_taken_once_per_call(self, monkeypatch):
+        # sigma = |rho|^(3/2) of every layer is derived once per call, so the
+        # count of sigma_of_rho calls does not grow with the draw count.
+        model = toy_model()
+        ds = toy_data()
+        calls = []
+        original = gaussian.sigma_of_rho
+
+        def counting(rho):
+            calls.append(1)
+            return original(rho)
+
+        monkeypatch.setattr(gaussian, "sigma_of_rho", counting)
+        counts = []
+        for n_draws in (1, 8):
+            calls.clear()
+            draw_errors(model, ds, n_draws, RngStream(12))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_deterministic(self):
         model = toy_model()
         ds = toy_data()
@@ -130,7 +152,7 @@ class TestFinalCertificate:
         expect_inner = 1.0 - (0.01 / 2.0) ** (1.0 / 50)
         assert cert.inner_bound == pytest.approx(expect_inner, rel=1e-9)
         assert cert.final_bound == pytest.approx(
-            kl_inv(expect_inner, penalty(PenaltyInputs(0.0, m, 0.025, 1.0))), rel=1e-9
+            kl_inv(expect_inner, penalty(0.0, m, 0.025, 1.0)), rel=1e-9
         )
 
     def test_nesting_order(self):
@@ -145,7 +167,7 @@ class TestFinalCertificate:
         # The outer lift is nondecreasing in the KL divergence.
         inner = 0.12
         bounds = [
-            kl_inv(inner, penalty(PenaltyInputs(kl, 5000, 0.025, 1.0)))
+            kl_inv(inner, penalty(kl, 5000, 0.025, 1.0))
             for kl in np.linspace(0.0, 400.0, 17)
         ]
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bounds, bounds[1:]))

@@ -217,6 +217,12 @@ class TestTrainCommand:
              "batch_size = 2.5\nrepeats = 4\n\n[certify]",
              "batch_size must be an integer, got '2.5'"),
             ("model", "widths = 10 32 3", "widths = 10 x 3", "widths must be integers, got '10 x 3'"),
+            ("model", "widths = 10 32 3", "widths = 10 0 3", "widths must be positive"),
+            ("model", "sigma0 = 0.01", "sigma0 = 0.01\nactivation = tanh",
+             "activation must be relu, got 'tanh'"),
+            ("model", "sigma0 = 0.01", "sigma0 = -1", "sigma0 must be positive, got -1.0"),
+            ("data", "prior_fraction = 0.5", "prior_fraction = 1.5",
+             r"prior_fraction must lie in \(0, 1\), got 1.5"),
         ],
     )
     def test_phase_settings_rejected_before_output(self, tmp_path, capsys, section, old, new, message):
@@ -352,7 +358,7 @@ class TestParseConfig:
     def test_resolves_defaults(self, tmp_path):
         cfg, out = write_config(tmp_path, QUICK_CONFIG)
         rc = parse_config(cfg)
-        assert rc.widths == (10, 32, 3)
+        assert rc.spec.layer_widths == (10, 32, 3)
         assert rc.delta == 0.025
         assert rc.prior.method == "none"
         assert rc.output_dir == out

@@ -14,8 +14,6 @@ from condgauss.gaussian import (
     binary_error_prob,
     conditional_moments,
     dsigma_of_rho,
-    estimator_L1,
-    estimator_L2,
     kl_diag_gauss,
     l1_samples,
     l2_samples,
@@ -171,18 +169,19 @@ class TestEstimators:
         joint = math.hypot(v1.std() / math.sqrt(len(v1)), v2.std() / math.sqrt(len(v2)))
         assert abs(v1.mean() - v2.mean()) <= 4.0 * joint
 
-    def test_single_draw_wrappers_deterministic(self):
+    def test_single_draws_deterministic(self):
         gen = np.random.default_rng(10)
         head = random_head(gen, 4)
         rng = RngStream(64).child("det")
-        v1, (dm1, dv1) = estimator_L1(head, 2, rng)
-        v2, (dm2, dv2) = estimator_L1(head, 2, rng)
-        assert v1 == v2
+        v1, dm1, dv1 = l1_samples(head, 2, rng, n=1)
+        v2, dm2, dv2 = l1_samples(head, 2, rng, n=1)
+        assert v1.shape == (1,) and dm1.shape == dv1.shape == (1, 4)
+        np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(dm1, dm2)
         np.testing.assert_array_equal(dv1, dv2)
-        w1, _ = estimator_L2(head, 2, rng)
-        w2, _ = estimator_L2(head, 2, rng)
-        assert w1 == w2
+        w1, _, _ = l2_samples(head, 2, rng, n=1)
+        w2, _, _ = l2_samples(head, 2, rng, n=1)
+        np.testing.assert_array_equal(w1, w2)
 
     @pytest.mark.parametrize("sampler", [l1_samples, l2_samples])
     def test_pathwise_gradients_match_fd_with_frozen_noise(self, sampler):
@@ -363,9 +362,9 @@ class TestSampleGaussian:
             w_mean=np.array([[1.0, -2.0]]), w_rho=np.zeros((1, 2)),
             b_mean=np.array([0.5]), b_rho=np.zeros(1),
         )
-        s = sample_gaussian(g, RngStream(70))
-        np.testing.assert_array_equal(s.W, g.w_mean)
-        np.testing.assert_array_equal(s.b, g.b_mean)
+        W, b, _, _ = sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, RngStream(70))
+        np.testing.assert_array_equal(W, g.w_mean)
+        np.testing.assert_array_equal(b, g.b_mean)
 
     def test_same_stream_same_draw(self):
         gen = np.random.default_rng(23)
@@ -374,9 +373,22 @@ class TestSampleGaussian:
             b_mean=gen.normal(size=3), b_rho=np.full(3, 0.5),
         )
         rng = RngStream(71).child("layer", 0)
-        a, b = sample_gaussian(g, rng), sample_gaussian(g, rng)
-        np.testing.assert_array_equal(a.W, b.W)
-        np.testing.assert_array_equal(a.b, b.b)
+        a, b = (sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng) for _ in range(2))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+    def test_draw_is_mean_plus_sigma_zeta(self):
+        gen = np.random.default_rng(24)
+        g = GaussianParamGroup(
+            w_mean=gen.normal(size=(3, 2)), w_rho=gen.uniform(0.2, 0.6, (3, 2)),
+            b_mean=gen.normal(size=3), b_rho=gen.uniform(0.2, 0.6, 3),
+        )
+        rng = RngStream(73)
+        W, b, zeta_w, zeta_b = sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng)
+        np.testing.assert_array_equal(zeta_w, rng.child("w").normal((3, 2)))
+        np.testing.assert_array_equal(zeta_b, rng.child("b").normal(3))
+        np.testing.assert_array_equal(W, g.w_mean + g.w_sigma * zeta_w)
+        np.testing.assert_array_equal(b, g.b_mean + g.b_sigma * zeta_b)
 
     def test_moments_over_many_draws(self):
         # A large group with identical scalar hyper-parameters stands in for
@@ -388,8 +400,8 @@ class TestSampleGaussian:
             w_mean=np.full((n, n), mean), w_rho=np.full((n, n), rho),
             b_mean=np.zeros(n), b_rho=np.zeros(n),
         )
-        s = sample_gaussian(g, RngStream(72))
-        draws = s.W.reshape(-1)
+        W, _, _, _ = sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, RngStream(72))
+        draws = W.reshape(-1)
         se = sigma / math.sqrt(draws.size)
         assert abs(draws.mean() - mean) <= 4 * se
         assert abs(draws.std() - sigma) <= 4 * sigma / math.sqrt(2 * draws.size)

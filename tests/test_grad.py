@@ -380,7 +380,7 @@ class TestDeterminism:
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
             est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, tape, leaves)
-            obj = _add(est.node, _mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
+            obj = _add(est, _mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
             tape.backward(obj)
             return float(obj.value), [g.copy() for lv in leaves for g in lv.grads()]
 
@@ -436,10 +436,14 @@ def _check_fused_estimate(widths, dropout, reference):
     ref, ref_leaves = _backward_leaves(
         model, lambda lv: reference(model, x, y, rng, 5, lv, dropout)
     )
-    est = batch_error_estimate(model, x, y, rng, repeats=5, dropout_prob=dropout)
-    est.tape.backward(est.node)
-    assert est.value == ref
-    _assert_leaf_grads_match(est.leaves, ref_leaves)
+    got, leaves = _backward_leaves(
+        model,
+        lambda lv: batch_error_estimate(
+            model, x, y, rng, repeats=5, tape=lv[0].w_mean.tape, leaves=lv, dropout_prob=dropout
+        ),
+    )
+    assert got == ref
+    _assert_leaf_grads_match(leaves, ref_leaves)
 
 
 class TestClosedFormNodes:
@@ -579,7 +583,7 @@ def test_step_tape_freed_without_cyclic_collector():
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
         est = batch_error_estimate(model, x, y, RngStream(20), 3, tape, leaves, 0.3)
-        obj, _, _ = penalized_objective(est.node, leaves, prior_terms(model.groups), spec, 4000)
+        obj, _, _ = penalized_objective(est, leaves, prior_terms(model.groups), spec, 4000)
         tape.backward(obj)
         tape_ref, grad_ref = weakref.ref(tape), weakref.ref(leaves[0].w_rho.grad)
         del tape, leaves, est, obj
@@ -644,7 +648,7 @@ class TestAffineObjectiveAveraging:
             est = batch_error_estimate(
                 model, x, y, RngStream(123).child("noise", d), repeats, tape, leaves
             )
-            obj, _, _ = penalized_objective(est.node, leaves, prior, spec, m_pen)
+            obj, _, _ = penalized_objective(est, leaves, prior, spec, m_pen)
             tape.backward(obj)
             return np.concatenate([g.reshape(-1) for lv in leaves for g in lv.grads()])
 

@@ -12,11 +12,11 @@ from condgauss.certify import draw_errors
 from condgauss.data import LabelledDataset, synth_blobs
 from condgauss.gaussian import (
     GaussianParamGroup,
-    SampledLayer,
     conditional_moments,
-    estimator_L1,
     kl_diag_gauss,
+    l1_samples,
     misclassified,
+    sample_gaussian,
 )
 from condgauss.network import (
     ModelSpec,
@@ -24,11 +24,12 @@ from condgauss.network import (
     apply_dropout,
     batch_error_estimate,
     exact_misclassification,
-    forward_hidden,
     forward_scores,
+    hidden_forward_on_tape,
     load_model,
     make_leaves,
     sample_full,
+    sampled_linear,
     save_model,
 )
 from condgauss.rng import RngStream
@@ -69,8 +70,6 @@ class TestModelSpec:
             ModelSpec((5, 4, 1))  # q < 2
         with pytest.raises(ValueError):
             ModelSpec((5, 4, 3), activation="tanh")
-        with pytest.raises(ValueError):
-            ModelSpec((5, 4, 3), dropout_prob=1.0)
 
     def test_zero_head_initialization(self):
         model = StochasticModel.initialize(ModelSpec((5, 4, 3)), 0.01, RngStream(1))
@@ -82,49 +81,53 @@ class TestModelSpec:
         assert kl_diag_gauss(model.groups) == 0.0
 
 
-class TestForwardHidden:
+def zero_layers(widths):
+    return [(np.zeros((o, i)), np.zeros(o)) for i, o in zip(widths[:-1], widths[1:])]
+
+
+class TestForwardScoresContract:
     def test_zero_parameters_give_zero(self):
         spec = ModelSpec((3, 2, 2))
-        theta = [SampledLayer(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3)), np.zeros(2))]
-        out = forward_hidden(np.ones((4, 3)), theta, spec)
+        out = forward_scores(np.ones((4, 3)), zero_layers(spec.layer_widths), spec)
         np.testing.assert_array_equal(out, np.zeros((4, 2)))
 
-    def test_hand_computed_two_layer(self):
-        # x -> relu(A x + a) -> B . + b, H returned pre-activation.
+    def test_hand_computed_three_layer(self):
+        # x -> relu(A x + a) -> relu(B . + b) -> C . + c.
         spec = ModelSpec((2, 2, 2, 2))
         A = np.array([[1.0, -1.0], [0.5, 2.0]])
         a = np.array([0.1, -0.2])
         B = np.array([[2.0, 0.0], [1.0, 1.0]])
         b = np.array([0.0, 0.3])
-        theta = [
-            SampledLayer(A, a, np.zeros_like(A), np.zeros_like(a)),
-            SampledLayer(B, b, np.zeros_like(B), np.zeros_like(b)),
-        ]
+        C = np.array([[1.0, -3.0], [0.5, 0.25]])
+        c = np.array([-0.1, 0.2])
         x = np.array([[1.0, 2.0]])
         first = np.maximum(A @ x[0] + a, 0.0)
-        expect = B @ first + b
-        np.testing.assert_allclose(forward_hidden(x, theta, spec)[0], expect, atol=1e-14)
+        expect = C @ np.maximum(B @ first + b, 0.0) + c
+        got = forward_scores(x, [(A, a), (B, b), (C, c)], spec)
+        np.testing.assert_allclose(got[0], expect, atol=1e-14)
 
-    def test_last_hidden_not_activated(self):
+    def test_scores_not_activated(self):
         spec = ModelSpec((2, 2, 2))
         W = np.array([[-5.0, 0.0], [0.0, -5.0]])
-        theta = [SampledLayer(W, np.zeros(2), np.zeros_like(W), np.zeros(2))]
-        out = forward_hidden(np.ones((1, 2)), theta, spec)
-        assert np.all(out < 0)  # relu not applied to H itself
+        theta = [(np.eye(2), np.zeros(2)), (W, np.zeros(2))]
+        out = forward_scores(np.ones((1, 2)), theta, spec)
+        assert np.all(out < 0)  # relu only between layers, never on the scores
 
     def test_shape_mismatch(self):
         spec = ModelSpec((3, 2, 2))
-        theta = [SampledLayer(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 3)), np.zeros(2))]
-        with pytest.raises(ValueError):
-            forward_hidden(np.ones((4, 5)), theta, spec)
+        with pytest.raises(ValueError, match="input width"):
+            forward_scores(np.ones((4, 5)), zero_layers(spec.layer_widths), spec)
+        with pytest.raises(ValueError, match="every layer"):
+            forward_scores(np.ones((4, 3)), zero_layers(spec.layer_widths)[:1], spec)
 
 
 def row_major_scores(x, theta):
     """Reference forward: the plain row-major chain relu(x W^T + b) ... ."""
     a = x
-    for layer in theta[:-1]:
-        a = np.maximum(a @ layer.W.T + layer.b, 0.0)
-    return a @ theta[-1].W.T + theta[-1].b
+    for W, b in theta[:-1]:
+        a = np.maximum(a @ W.T + b, 0.0)
+    W, b = theta[-1]
+    return a @ W.T + b
 
 
 def drawn_network(widths, m, seed):
@@ -148,6 +151,25 @@ class TestForwardScores:
         y0 = np.argmax(ref, axis=1)
         y0[::3] = (y0[::3] + 1) % widths[-1]
         np.testing.assert_array_equal(misclassified(got, y0), misclassified(ref, y0))
+
+    def test_matches_training_forward_on_same_draw(self):
+        # The surrogate training path (hidden layers on the tape, then the
+        # sampled output layer) and the certification forward score one draw
+        # taken under the training keys ("theta", k).
+        model, _, x = drawn_network((20, 64, 32, 5), 300, seed=9)
+        rng = RngStream(10)
+        tape = grad.Tape()
+        leaves = make_leaves(tape, model)
+        phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
+        last = model.spec.n_layers - 1
+        batch_major = sampled_linear(phi_h, leaves[-1], rng.child("theta", last)).value
+        theta = [
+            sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng.child("theta", k))[:2]
+            for k, g in enumerate(model.groups)
+        ]
+        ref = forward_scores(x, theta, model.spec)
+        assert batch_major.shape == ref.shape == (300, 5)
+        np.testing.assert_allclose(batch_major, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
     def test_draw_errors_independent_of_workers(self, monkeypatch):
         model, _, x = drawn_network((20, 64, 32, 5), 1000, seed=5)
@@ -257,18 +279,12 @@ class TestExactMisclassification:
         gen = np.random.default_rng(53)
         x = gen.uniform(0, 1, (400, 4))
         labels = np.tile(np.arange(1, 5), 100)
-        theta = [
-            SampledLayer(g.w_mean, g.b_mean, np.zeros_like(g.w_mean), np.zeros_like(g.b_mean))
-            for g in model.groups
-        ]
+        theta = [(g.w_mean, g.b_mean) for g in model.groups]
         assert exact_misclassification(model, x, labels, theta) == pytest.approx(0.75)
 
     def test_tie_counts_as_error(self):
         model = StochasticModel.initialize(ModelSpec((2, 2, 2)), 1e-6, RngStream(54))
-        theta = [
-            SampledLayer(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)),
-            SampledLayer(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2)),
-        ]
+        theta = zero_layers((2, 2, 2))
         x = np.ones((10, 2))
         labels = np.ones(10, dtype=int)  # all class 1; outputs all tie at 0
         assert exact_misclassification(model, x, labels, theta) == 1.0
@@ -355,7 +371,7 @@ class TestLastLayerIndependence:
         last_idx = model.spec.n_layers - 1
         assert ("theta", 0) in requested
         assert ("theta", last_idx) not in requested
-        tape.backward(est.node)
+        tape.backward(est)
         last = leaves[-1]
         assert np.any(last.w_mean.grad != 0.0)
         assert np.any(last.w_rho.grad != 0.0)
@@ -374,16 +390,15 @@ class TestLastLayerIndependence:
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
         est = batch_error_estimate(model, x, y, rng, 1, tape, leaves)
-        tape.backward(est.node)
+        tape.backward(est)
 
-        # Reproduce the same hidden sample and estimator draw by key.
-        theta_h = []
-        for k, g in enumerate(model.hidden_groups):
-            zw = rng.child("theta", k).child("w").normal(g.w_mean.shape)
-            zb = rng.child("theta", k).child("b").normal(g.b_mean.shape)
-            theta_h.append(SampledLayer(g.w_mean + g.w_sigma * zw, g.b_mean + g.b_sigma * zb, zw, zb))
-        H = forward_hidden(x, theta_h, model.spec)
-        phi = np.maximum(H[0], 0.0)
+        # Reproduce the same hidden sample and estimator draw by key; an
+        # identity output layer makes forward_scores return phi(H).
+        theta = [
+            sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng.child("theta", k))[:2]
+            for k, g in enumerate(model.hidden_groups)
+        ]
+        phi = forward_scores(x, theta + [(np.eye(4), np.zeros(4))], model.spec)[0]
         head = conditional_moments(phi, g_last)
 
         class _FixedStream:
@@ -394,7 +409,7 @@ class TestLastLayerIndependence:
                 return self.z.reshape(shape)
 
         zeta = rng.child("l1").normal((1, 1, 3))
-        _, (dM, dV) = estimator_L1(head, 2, _FixedStream(zeta))
+        _, (dM,), (dV,) = l1_samples(head, 2, _FixedStream(zeta))
         dw_mean = np.outer(dM, phi)
         db_mean = dM
         dw_sigma = dV[:, None] * 2.0 * g_last.w_sigma * phi[None, :] ** 2
@@ -424,7 +439,7 @@ class TestKlAdditivity:
 
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
-        model = StochasticModel.initialize(ModelSpec((5, 4, 3), dropout_prob=0.1), 0.01, RngStream(72))
+        model = StochasticModel.initialize(ModelSpec((5, 4, 3)), 0.01, RngStream(72))
         gen = np.random.default_rng(73)
         for g in model.groups:
             g.w_mean = g.w_mean + gen.normal(0, 0.3, g.w_mean.shape)
@@ -466,9 +481,11 @@ class TestSnapshot:
             (lambda ls: ls[:1] + ["widths 4 x 2"] + ls[2:], r"line 2: non-numeric value in 'widths'"),
             (lambda ls: ls[:3] + ["dropout abc"] + ls[4:], r"line 4: non-numeric value in 'dropout'"),
             (lambda ls: ls[:3] + ["dropout 0 0.5"] + ls[4:], r"line 4: 'dropout' takes one value"),
+            (lambda ls: ls[:3] + ["dropout 0.3"] + ls[4:], r"line 4: 'dropout' must be 0, got 0.3"),
         ],
         ids=["cut_after_3", "cut_after_10", "cut_before_end", "short_layer_header",
-             "non_numeric_value", "non_numeric_width", "non_numeric_dropout", "two_dropouts"],
+             "non_numeric_value", "non_numeric_width", "non_numeric_dropout", "two_dropouts",
+             "nonzero_dropout"],
     )
     def test_rejects_truncated_or_malformed(self, tmp_path, edit, message):
         model = StochasticModel.initialize(ModelSpec((4, 3, 2)), 0.01, RngStream(75))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from condgauss import grad
-from condgauss.bounds import BoundKind, BoundSpec, PenaltyInputs, kl_inv, penalty
+from condgauss.bounds import BoundKind, BoundSpec, kl_inv, penalty
 from condgauss.data import synth_blobs
 from condgauss.gaussian import kl_diag_gauss
 from condgauss.network import ModelSpec, StochasticModel, make_leaves
@@ -15,6 +15,7 @@ from condgauss.trainer import (
     CSV_HEADER,
     TrainConfig,
     TrainingDiverged,
+    kl_node,
     momentum_step,
     penalized_objective,
     prior_terms,
@@ -110,8 +111,23 @@ class TestTrainCondgauss:
             model, ds, quick_config(objective=spec, lr_schedule=((1, 1e-9),), batch_size=50)
         )
         row = log.rows[0]
-        expect = penalty(PenaltyInputs(row.kl, len(ds), 0.025, 1.0))
+        expect = penalty(row.kl, len(ds), 0.025, 1.0)
         assert row.pen == pytest.approx(expect, rel=1e-6)
+
+    def test_rounding_negative_kl_penalized_as_zero(self):
+        # A posterior a few ulps from its prior can sum to a KL node a hair
+        # below 0; the objective takes it as the KL of 0 it is.
+        model = fresh_model(widths=(20, 64, 4), sigma0=0.05)
+        gen = np.random.default_rng(0)
+        for g in model.groups:
+            g.w_rho = g.w_rho * (1.0 + gen.normal(0.0, 1e-14, g.w_rho.shape))
+        prior = prior_terms(model.groups)
+        tape = grad.Tape()
+        leaves = make_leaves(tape, model)
+        assert float(kl_node(leaves, prior).value) < 0.0
+        spec = BoundSpec(BoundKind.INVKL, kappa=1.0, delta=0.025)
+        _, pen, _ = penalized_objective(tape.leaf(0.1), leaves, prior, spec, 1000)
+        assert pen == penalty(0.0, 1000, 0.025)
 
     def test_reproducibility(self):
         ds = blob_task()
@@ -243,7 +259,7 @@ class TestTrainPrior:
         cfg = quick_config(objective=spec, phase="prior", lr_schedule=((1, 1e-9),))
         model, log = train_condgauss(model, s1, cfg)
         row = log.rows[0]
-        expect = penalty(PenaltyInputs(0.0, 200, 0.025, 0.01))
+        expect = penalty(0.0, 200, 0.025, 0.01)
         assert row.pen == pytest.approx(expect, rel=1e-3)
 
     def test_dropout_only_in_prior_phase(self):
@@ -336,5 +352,5 @@ class TestTrainLogCsv:
         model = fresh_model()
         model, log = train_condgauss(model, ds, quick_config(lr_schedule=((3, 0.002),)))
         for r in log.rows:
-            pen1 = penalty(PenaltyInputs(r.kl, len(ds), 0.025, 1.0))
+            pen1 = penalty(r.kl, len(ds), 0.025, 1.0)
             assert r.bound_est == pytest.approx(kl_inv(r.emp_est, pen1), rel=1e-9)
