@@ -354,6 +354,11 @@ def cmd_train(config_path) -> int:
         raise ConfigError(f"model input width {cfg.spec.p} != data dim {whole.p}")
     if cfg.spec.q != whole.q:
         raise ConfigError(f"model output width {cfg.spec.q} != class count {whole.q}")
+    # Split before any output, so a refused split leaves no run directory.
+    if cfg.prior_train is not None:
+        prior_ds, bound_ds = split_prior_bound(whole, cfg.prior_fraction, cfg.seed)
+    else:
+        prior_ds, bound_ds = None, whole
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -365,11 +370,9 @@ def cmd_train(config_path) -> int:
 
     model = StochasticModel.initialize(cfg.spec, cfg.sigma0, RngStream(cfg.seed).child("model"))
 
-    if cfg.prior_train is not None:
-        prior_ds, bound_ds = split_prior_bound(whole, cfg.prior_fraction, cfg.seed)
+    if prior_ds is not None:
         model, prior_log = train_condgauss(model, prior_ds, cfg.prior_train)
     else:
-        bound_ds = whole
         prior_log = TrainLog(rows=[])
     prior_log.to_csv(out / "train_prior.csv")
     save_model(model, out / "prior.model")

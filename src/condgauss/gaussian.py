@@ -9,6 +9,12 @@ posterior and frozen prior (with its partials in the means and deviations).
 Training, certification and the validators all call these single
 implementations.
 
+``std_normal_cdf`` is the one place that touches scipy: it imports
+``scipy.special.ndtr`` at its first call, so training, ``check`` and the
+estimators load scipy at their first normal-CDF evaluation, while importing
+the package and certifying a saved model (the ``certify`` and ``eval``
+commands) run on numpy alone.
+
 Classes are numbered from 1 throughout, matching the label convention of the
 datasets module.
 """
@@ -18,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rng import RngStream
 
@@ -50,6 +55,10 @@ VARIANCE_FLOOR = 1e-12
 
 def std_normal_cdf(t):
     """Standard normal CDF psi(t) = (1 + erf(t/sqrt(2))) / 2, vectorized."""
+    # Imported here, not at module level: scipy.special is slow and large to
+    # load, and certification never evaluates the CDF.
+    from scipy.special import ndtr
+
     return ndtr(t)
 
 

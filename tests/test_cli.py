@@ -235,6 +235,16 @@ class TestTrainCommand:
         assert f"[{section}]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_split_writes_no_output(self, tmp_path, capsys):
+        # 1200 points at fraction 0.995 leave 6 for the bound half.
+        text = SPLIT_CONFIG.replace("per_class = 80", "per_class = 400").replace(
+            "prior_fraction = 0.5", "prior_fraction = 0.995"
+        )
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "bound split would have 6 < 8 points" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["", "method = none\n"], ids=["absent", "none"])
     def test_prior_keys_without_prior_method_rejected(self, tmp_path, method):
         prior = f"[prior]\n{method}objective = bogus\ndropout = 0.5\nschedule = 3:0.1\n\n"

@@ -1,6 +1,11 @@
 """Gaussian primitives: CDF accuracy, estimators and their gradients,
 conditional moments, diagonal KL, and the integration-by-parts validators."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +29,42 @@ from condgauss.gaussian import (
 from condgauss.rng import RngStream
 
 NCDF_ONE = 0.84134474606854294859  # mpmath.ncdf(1), 60 digits
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Run in a fresh interpreter: certification of a saved model must not load
+# scipy.special, and the first estimator call must.
+SCIPY_LOAD_SCRIPT = textwrap.dedent(
+    """
+    import sys, tempfile
+    from pathlib import Path
+
+    import condgauss
+    from condgauss import cli
+    from condgauss.certify import final_certificate
+    from condgauss.data import synth_blobs
+    from condgauss.network import ModelSpec, StochasticModel, batch_error_estimate, save_model
+    from condgauss.rng import RngStream
+
+    def loaded(stage):
+        print("loaded", stage, "scipy.special" in sys.modules)
+
+    loaded("import")
+    model = StochasticModel.initialize(ModelSpec((4, 5, 3)), 0.01, RngStream(1))
+    ds = synth_blobs(3, 10, 4, 0.8, 2)
+    final_certificate(model, ds, 5, 0.025, 0.01, RngStream(3))
+    loaded("final_certificate")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "m.model")
+        save_model(model, path)
+        synth = ["--synth", "3,10,4,0.8,2", "--n-draws", "5"]
+        assert cli.main(["certify", "--model", path, *synth]) == 0
+        loaded("certify")
+        assert cli.main(["eval", "--model", path, *synth]) == 0
+        loaded("eval")
+    batch_error_estimate(model, ds.inputs, ds.labels, RngStream(4), repeats=2)
+    loaded("batch_error_estimate")
+    """
+)
 
 
 def random_head(gen, q):
@@ -65,6 +106,30 @@ class TestStdNormalCdf:
     def test_reflection(self):
         t = np.linspace(-8, 8, 33)
         np.testing.assert_allclose(std_normal_cdf(t) + std_normal_cdf(-t), 1.0, atol=1e-14)
+
+    def test_bit_identical_to_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        t = np.array([0.0, 1e-300, -1e-300, 1.0, -1.0, 8.0, -8.0, 40.0, -40.0, np.inf, -np.inf, np.nan])
+        assert std_normal_cdf(t).tobytes() == ndtr(t).tobytes()
+        for v in t:
+            assert np.float64(std_normal_cdf(v)).tobytes() == np.float64(ndtr(v)).tobytes()
+
+    def test_scipy_loads_only_at_first_cdf_call(self):
+        env = dict(os.environ, CONDGAUSS_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_LOAD_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        stages = dict(line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("loaded "))
+        assert stages == {
+            "import": "False",
+            "final_certificate": "False",
+            "certify": "False",
+            "eval": "False",
+            "batch_error_estimate": "True",
+        }
 
 
 class TestSigmaOfRho:
