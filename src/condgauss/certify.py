@@ -137,6 +137,16 @@ def draw_errors(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
+    spec = model.spec
+    if len(dataset) == 0:
+        raise ValueError("data has no rows")
+    if dataset.p != spec.p:
+        raise ValueError(f"data rows have width {dataset.p}, but the model takes p={spec.p}")
+    if dataset.labels.min() < 1 or dataset.labels.max() > spec.q:
+        raise ValueError(
+            f"data labels span {dataset.labels.min()}..{dataset.labels.max()}, "
+            f"but the model's classes are 1..{spec.q}"
+        )
     errors = np.empty(n_draws)
     sigmas = model.sigmas()
 

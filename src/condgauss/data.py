@@ -27,6 +27,9 @@ __all__ = [
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# Noise rows synth_blobs draws at a time: 3.2 MB at width 784, and enough
+# rows per call that the blocking costs no measurable time.
+BLOB_BLOCK = 512
 
 
 class IdxParseError(ValueError):
@@ -201,12 +204,19 @@ def synth_blobs(
     means = 0.5 + 0.5 * separation * qmat.T[:classes]
     order = rng.child("order").permutation(classes * per_class)
     labels = np.repeat(np.arange(1, classes + 1), per_class)[order]
-    # Permute the noise before adding the means and work in place, so at
-    # most two [n, dim] arrays are alive at once.
-    noise = rng.child("noise").normal((classes * per_class, dim))
-    noise *= 0.02
-    noise = noise[order]
-    inputs = means[labels - 1]
-    inputs += noise
-    np.clip(inputs, 0.0, 1.0, out=inputs)
+    # Noise row j belongs to class j // per_class and lands in row slot[j],
+    # where order[slot[j]] == j. Drawing the rows in blocks from one
+    # generator gives the same values as one [n, dim] draw, and each block
+    # holds one class, so only one block of noise is alive next to the output.
+    slot = np.argsort(order)
+    inputs = np.empty((classes * per_class, dim))
+    noise = rng.child("noise").generator()
+    for c in range(classes):
+        for lo in range(c * per_class, (c + 1) * per_class, BLOB_BLOCK):
+            rows = slice(lo, min(lo + BLOB_BLOCK, (c + 1) * per_class))
+            block = noise.standard_normal((rows.stop - lo, dim))
+            block *= 0.02
+            block += means[c]
+            np.clip(block, 0.0, 1.0, out=block)
+            inputs[slot[rows]] = block
     return LabelledDataset(inputs=inputs, labels=labels, q=classes)

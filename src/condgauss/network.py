@@ -43,6 +43,12 @@ __all__ = [
 
 SNAPSHOT_HEADER = "CONDGAUSS-MODEL v1"
 
+# Rows per forward in exact_misclassification: bounds a certification draw's
+# activations at [h, SCORE_BLOCK] floats. At 784-200-10 and m = 10000 on a
+# 2-core Xeon host, a draw took 2% longer than one forward over all rows
+# with 2048-row blocks and 5% longer with 1024.
+SCORE_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -399,9 +405,23 @@ def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.nda
 def exact_misclassification(
     model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple]
 ) -> float:
-    """0-1 error rate under a full parameter draw; output ties count as errors."""
-    scores = forward_scores(inputs, theta, model.spec)
-    return float(np.mean(misclassified(scores, np.asarray(labels, dtype=np.int64) - 1)))
+    """0-1 error rate under a full parameter draw; output ties count as errors.
+
+    Scores the inputs SCORE_BLOCK rows at a time and sums the blocks' error
+    counts, so a call holds one [h, SCORE_BLOCK] activation whatever the
+    number of inputs. The count over m is the mean of the 0/1 errors bit for
+    bit. A ragged last block can change BLAS's summation order, moving its
+    scores by a few ulps.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    y0 = np.asarray(labels, dtype=np.int64) - 1
+    if np.any(y0 < 0) or np.any(y0 >= model.spec.q):
+        raise ValueError("labels outside 1..q")
+    errors = 0
+    for lo in range(0, len(y0), SCORE_BLOCK):
+        scores = forward_scores(x[lo : lo + SCORE_BLOCK], theta, model.spec)
+        errors += np.count_nonzero(misclassified(scores, y0[lo : lo + SCORE_BLOCK]))
+    return errors / len(y0)
 
 
 def _format_array(arr: np.ndarray) -> str:

@@ -72,6 +72,7 @@ def test_criterion_03_kl_inv_gradients():
     assert report(3, ok, f"worst relative error vs central differences = {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_04_estimator_unbiasedness():
     t0 = time.perf_counter()
     draws = 1_000_000
@@ -146,6 +147,7 @@ def test_criterion_07_bound_ordering():
     assert report(7, ok, f"min(other bounds) - invKL >= {worst_slack:.2e} on the 50x50 grid")
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_scale_training(desk_study):
     bounds = [r.bound for r in desk_study.results]
     violations = sum(r.heldout > r.bound for r in desk_study.results)
@@ -162,6 +164,7 @@ def test_criterion_08_desk_scale_training(desk_study):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_method_comparison(desk_study):
     wins = sum(r.bound <= r.baseline_bound for r in desk_study.results)
     ok = wins >= 0.6 * len(desk_study.results)
@@ -203,6 +206,7 @@ def test_criterion_10_full_scale_recipe_documented(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_linearization_diagnostic(desk_study):
     rep = linearization_report(
         desk_study.model0,

@@ -1,10 +1,12 @@
 """Certification chain: Monte-Carlo error, inner bound, nested final bound,
 the data-disjointness guard, and the serialized certificate format."""
 import math
+import re
 
 import numpy as np
 import pytest
 
+import condgauss.certify as certify
 import condgauss.gaussian as gaussian
 from condgauss.bounds import kl_inv, penalty
 from condgauss.certify import (
@@ -118,6 +120,23 @@ class TestMcEmpiricalError:
         assert worker_count() == 3
         b = mc_empirical_error(model, ds, 30, RngStream(11))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "widths, data, message",
+        [
+            ((6, 8, 3), (5, 6), "labels span 1..5, but the model's classes are 1..3"),
+            ((7, 8, 3), (3, 6), "rows have width 6, but the model takes p=7"),
+        ],
+        ids=["labels_above_q", "width"],
+    )
+    def test_data_not_matching_model_rejected_before_draws(self, monkeypatch, widths, data, message):
+        classes, dim = data
+        model = toy_model(widths=widths)
+        drawn = []
+        monkeypatch.setattr(certify, "sample_full", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            final_certificate(model, toy_data(classes=classes, dim=dim), 5, 0.025, 0.01, RngStream(3))
+        assert drawn == []
 
     def test_rejects_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("CONDGAUSS_THREADS", "zero")

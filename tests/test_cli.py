@@ -323,6 +323,25 @@ class TestEvalCommand:
         assert main(["eval", "--model", str(tmp_path / "m.model"), "--synth", synth]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, synth, message",
+        [
+            pytest.param(command, synth, message, id=f"{command}-{case}")
+            for command in ("certify", "eval")
+            for case, synth, message in (
+                ("labels", "5,20,6,0.8,1", "data labels span 1..5, but the model's classes are 1..3"),
+                ("width", "3,20,4,0.8,1", "data rows have width 4, but the model takes p=6"),
+            )
+        ]
+        + [pytest.param("eval", "3,0,6,0.8,1", "data has no rows", id="eval-empty")],
+    )
+    def test_data_not_matching_model_rejected(self, tmp_path, capsys, command, synth, message):
+        model = StochasticModel.initialize(ModelSpec((6, 8, 3)), 0.01, RngStream(1))
+        save_model(model, tmp_path / "m.model")
+        args = [command, "--model", str(tmp_path / "m.model"), "--synth", synth, "--n-draws", "3"]
+        assert main(args) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_eval_holdout(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, QUICK_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 0

@@ -1,6 +1,7 @@
 """Dataset ingestion and synthesis: IDX parsing against hand-built bytes,
 split bookkeeping, and blob generator properties."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,11 +132,29 @@ class TestSynthBlobs:
         [
             ((4, 50, 20, 0.8, 3), "48efc0e7b8dcfce9532dfdd066607ba5"),
             ((10, 30, 784, 0.8, 0), "c2138b8cbcc50591e484876d86ed49b2"),
+            # Several noise blocks per class, ragged last blocks.
+            ((10, 1000, 784, 0.8, 3), "411fc1de4462958c145c3961d877d375"),
+            ((4, 1000, 20, 0.8, 0), "ffac3d2ab265dbe57a9e0fa91e1e6bc0"),
+            # One row per class, a width that does not divide a block.
+            ((9, 1, 13, 0.5, 5), "b55f0fe53dae62e223249575a117b2ea"),
         ],
     )
     def test_fingerprint_pinned(self, args, fingerprint):
-        # Pins inputs and labels bit for bit through the content digest.
+        # Pins inputs and labels bit for bit through the content digest; the
+        # digests were taken from a one-shot [n, dim] noise draw.
         assert synth_blobs(*args).fingerprint == fingerprint
+
+    def test_peak_memory_near_output_size(self):
+        # The noise is drawn block by block into the output; a one-shot draw
+        # peaked at 2.13x the output's bytes.
+        classes, per_class, dim = 10, 1000, 784
+        tracemalloc.start()
+        try:
+            synth_blobs(classes, per_class, dim, 0.8, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * classes * per_class * dim * 8
 
     def test_inputs_in_unit_box_balanced_labels(self):
         ds = synth_blobs(3, 40, 8, 0.9, seed=78)

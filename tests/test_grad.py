@@ -621,6 +621,7 @@ def _mcall_numpy_forward(state, x, y0, rng, pen_const, repeats):
 
 
 class TestAffineObjectiveAveraging:
+    @pytest.mark.slow
     def test_averaged_gradient_matches_fd_of_averaged_objective(self):
         """For the affine McAll objective, the mean of the stochastic tape
         gradients over many draws must agree with finite differences of the

@@ -321,6 +321,73 @@ class TestExactMisclassification:
         )
         assert abs(exact_vals.mean() - cond_vals.mean()) <= 4 * joint
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 2, 4]], ids=["zero", "above_q"])
+    def test_label_range_checked(self, labels):
+        # Label 0 would otherwise wrap to class q through index -1.
+        model = StochasticModel.initialize(ModelSpec((4, 3, 3)), 0.05, RngStream(48))
+        theta = sample_full(model, RngStream(49))
+        with pytest.raises(ValueError, match="labels outside 1..q"):
+            exact_misclassification(model, np.ones((3, 4)), np.array(labels), theta)
+
+
+def mixed_labels(scores):
+    """1-based labels that make about a third of the rows errors: the
+    argmax class, shifted by one on every third row."""
+    y0 = np.argmax(scores, axis=1)
+    y0[::3] = (y0[::3] + 1) % scores.shape[1]
+    return y0 + 1
+
+
+class TestBlockedScoring:
+    """exact_misclassification scores SCORE_BLOCK rows per forward; it must
+    count the errors of one forward over every row."""
+
+    @pytest.mark.parametrize("widths, m", [((784, 200, 10), 10000), ((20, 256, 4), 4000)])
+    def test_bit_identical_to_one_forward(self, widths, m):
+        model, theta, x = drawn_network(widths, m, seed=m)
+        scores = forward_scores(x, theta, model.spec)
+        labels = mixed_labels(scores)
+        expect = float(np.mean(misclassified(scores, labels - 1)))
+        assert exact_misclassification(model, x, labels, theta) == expect
+
+    @pytest.mark.parametrize(
+        "m",
+        [2500, 1000, 2 * network.SCORE_BLOCK],
+        ids=["ragged_tail", "below_one_block", "whole_blocks"],
+    )
+    def test_block_scores_match_one_forward(self, m):
+        # A ragged last block may sum in another order inside BLAS, so its
+        # scores may move by ulps; on these inputs the 0-1 errors do not.
+        model, theta, x = drawn_network((784, 200, 10), m, seed=m + 1)
+        full = forward_scores(x, theta, model.spec)
+        labels = mixed_labels(full)
+        blocks = np.concatenate(
+            [
+                forward_scores(x[lo : lo + network.SCORE_BLOCK], theta, model.spec)
+                for lo in range(0, m, network.SCORE_BLOCK)
+            ]
+        )
+        np.testing.assert_allclose(blocks, full, rtol=0.0, atol=1e-12 * np.abs(full).max())
+        np.testing.assert_array_equal(
+            misclassified(blocks, labels - 1), misclassified(full, labels - 1)
+        )
+        expect = float(np.mean(misclassified(full, labels - 1)))
+        assert exact_misclassification(model, x, labels, theta) == expect
+
+    def test_peak_memory_bounded_by_one_block(self):
+        # One call holds one [h, SCORE_BLOCK] activation however large m is;
+        # a single forward over m = 10000 rows peaked at 16.8 MB.
+        m, h = 10000, 200
+        model, theta, x = drawn_network((784, h, 10), m, seed=8)
+        labels = np.tile(np.arange(1, 11), m // 10)
+        tracemalloc.start()
+        try:
+            exact_misclassification(model, x, labels, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * h * network.SCORE_BLOCK * 8
+
 
 class TestDropout:
     def test_zero_prob_identity(self):
