@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -35,21 +36,6 @@ __all__ = [
     "worker_count",
 ]
 
-CERTIFICATE_KEYS = (
-    "tilde_e",
-    "n_draws",
-    "delta_prime",
-    "inner_bound",
-    "kl",
-    "m",
-    "delta",
-    "pen",
-    "final_bound",
-    "confidence",
-    "split_hash",
-)
-
-
 class CertificationRefused(RuntimeError):
     """Prior/bound data overlap: the certificate would be invalid."""
 
@@ -57,7 +43,9 @@ class CertificationRefused(RuntimeError):
 @dataclass(frozen=True)
 class Certificate:
     """Final bound record. ``final_bound`` upper-bounds the true error of the
-    posterior with probability at least ``confidence`` = 1 - (delta+delta')."""
+    posterior with probability at least ``confidence`` = 1 - (delta+delta').
+
+    Its text form is one ``key=value`` line per field, in field order."""
 
     tilde_e: float
     n_draws: int
@@ -78,20 +66,12 @@ class Certificate:
             raise ValueError("final bound outside [0, 1]")
 
     def to_text(self) -> str:
-        vals = {
-            "tilde_e": repr(self.tilde_e),
-            "n_draws": str(self.n_draws),
-            "delta_prime": repr(self.delta_prime),
-            "inner_bound": repr(self.inner_bound),
-            "kl": repr(self.kl),
-            "m": str(self.m),
-            "delta": repr(self.delta),
-            "pen": repr(self.pen),
-            "final_bound": repr(self.final_bound),
-            "confidence": repr(self.confidence),
-            "split_hash": self.split_hash,
-        }
-        return "\n".join(f"{k}={vals[k]}" for k in CERTIFICATE_KEYS) + "\n"
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # repr keeps every float digit; an int's or the hash's str is its text.
+            lines.append(f"{f.name}={repr(value) if isinstance(value, float) else value}")
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Certificate":
@@ -99,19 +79,7 @@ class Certificate:
         for line in text.strip().splitlines():
             key, _, val = line.partition("=")
             pairs[key] = val
-        return cls(
-            tilde_e=float(pairs["tilde_e"]),
-            n_draws=int(pairs["n_draws"]),
-            delta_prime=float(pairs["delta_prime"]),
-            inner_bound=float(pairs["inner_bound"]),
-            kl=float(pairs["kl"]),
-            m=int(pairs["m"]),
-            delta=float(pairs["delta"]),
-            pen=float(pairs["pen"]),
-            final_bound=float(pairs["final_bound"]),
-            confidence=float(pairs["confidence"]),
-            split_hash=pairs["split_hash"],
-        )
+        return cls(**{name: kind(pairs[name]) for name, kind in get_type_hints(cls).items()})
 
 
 def worker_count() -> int:

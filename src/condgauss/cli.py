@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -38,66 +39,12 @@ __all__ = ["main", "cmd_train", "cmd_certify", "cmd_check", "cmd_eval", "RunConf
 
 _OBJECTIVES = {k.value: k for k in BoundKind}
 
-_PHASE_KEYS = "method objective kappa lambda dropout schedule momentum batch_size repeats"
-# [prior] keys a prior method never reads: none trains no prior, and erm has
-# no bound objective. Setting one is an error rather than silently dropped.
-_UNREAD_PRIOR_KEYS = {
-    "none": set(_PHASE_KEYS.split()) - {"method"},
-    "erm": {"objective", "kappa", "lambda"},
-}
-# Every section and key a config may contain; anything else is a typo.
-_CONFIG_KEYS = {
-    "data": "source seed classes per_class dim separation holdout_per_class images labels "
-    "prior_fraction",
-    "model": "widths activation sigma0",
-    "prior": _PHASE_KEYS,
-    "posterior": _PHASE_KEYS,
-    "certify": "n_draws delta delta_prime",
-    "run": "seed output_dir",
-}
 # The comma-separated fields of --synth.
 _SYNTH_FIELDS = ("q", "per_class", "dim", "separation", "seed")
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; reported before any compute starts."""
-
-
-@dataclass
-class PhaseSettings:
-    method: str
-    objective: str
-    kappa: float
-    lam: float
-    dropout: float
-    schedule: tuple[tuple[int, float], ...]
-    momentum: float
-    batch_size: int
-    repeats: int
-
-
-@dataclass
-class RunConfig:
-    """Validated contents of a run config file, with the training settings of
-    each phase (no prior training when ``prior_train`` is None)."""
-
-    source: str
-    synth: dict
-    mnist_images: str | None
-    mnist_labels: str | None
-    data_seed: int
-    prior_fraction: float | None
-    spec: ModelSpec
-    sigma0: float
-    prior: PhaseSettings
-    posterior: PhaseSettings
-    n_draws: int
-    delta: float
-    delta_prime: float
-    seed: int
-    output_dir: Path
-    prior_train: TrainConfig | None = None
-    posterior_train: TrainConfig | None = None
 
 
 def _finite(text: str) -> float:
@@ -119,12 +66,105 @@ def _parse_widths(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split())
 
 
-_EXPECTED = {
-    int: "an integer",
-    _finite: "a finite number",
-    _parse_schedule: "epochs:rate entries",
-    _parse_widths: "integers",
+def _existing_file(text: str) -> str:
+    if not Path(text).exists():
+        raise ValueError(text)
+    return text
+
+
+# Each parser a config key may use, with the writer that renders its value
+# back to text that parses to the same value, and what a value that does not
+# parse should have been.
+_KINDS = {
+    int: (str, "an integer"),
+    _finite: (repr, "a finite number"),
+    _parse_schedule: (lambda s: " ".join(f"{e}:{lr!r}" for e, lr in s), "epochs:rate entries"),
+    _parse_widths: (lambda w: " ".join(str(v) for v in w), "integers"),
+    _existing_file: (str, "an existing file"),
+    str: (str, None),
+    Path: (str, None),
 }
+
+_REQUIRED = object()  # the default of a key every config sets
+# [data] keys only a synth source reads, and those only an mnist source reads.
+_SYNTH_DATA = {
+    "classes": (int, _REQUIRED),
+    "per_class": (int, _REQUIRED),
+    "dim": (int, _REQUIRED),
+    "separation": (_finite, _REQUIRED),
+    "holdout_per_class": (int, 0),
+}
+_MNIST_DATA = {"images": (_existing_file, _REQUIRED), "labels": (_existing_file, _REQUIRED)}
+# The bound objective's keys of a phase, which erm does not read.
+_OBJECTIVE = {"objective": (str, "invkl"), "kappa": (_finite, 1.0), "lambda": (_finite, 0.5)}
+_PHASE = {
+    "method": (str, "condgauss"),
+    **_OBJECTIVE,
+    "dropout": (_finite, 0.0),
+    "schedule": (_parse_schedule, ()),
+    "momentum": (_finite, 0.9),
+    "batch_size": (int, 250),
+    "repeats": (int, 100),
+}
+# Every section and key a config may contain, each as (kind, default) and in
+# the order config.resolved.cfg lists them; anything else is a typo. A key
+# whose value is None (prior_fraction unset) is left out of the resolved file.
+_SCHEMA = {
+    "data": {
+        "source": (str, _REQUIRED),
+        "seed": (int, None),  # None: the [run] seed
+        **_SYNTH_DATA,
+        **_MNIST_DATA,
+        "prior_fraction": (_finite, None),
+    },
+    "model": {
+        "widths": (_parse_widths, _REQUIRED),
+        "activation": (str, "relu"),
+        "sigma0": (_finite, 0.01),
+    },
+    "prior": {**_PHASE, "method": (str, "none")},
+    "posterior": _PHASE,
+    "certify": {
+        "n_draws": (int, 1000),
+        "delta": (_finite, 0.025),
+        "delta_prime": (_finite, 0.01),
+    },
+    "run": {"seed": (int, _REQUIRED), "output_dir": (Path, _REQUIRED)},
+}
+# The key that decides which keys of its section a run reads, each value it
+# may take, and the keys that value leaves unread: a synth source reads no
+# files, an mnist source has no blob shape, prior method none trains no prior,
+# and erm has no bound objective. Setting an unread key is an error rather
+# than silently dropped.
+_UNREAD = {
+    "data": ("source", {"synth": set(_MNIST_DATA), "mnist": set(_SYNTH_DATA)}),
+    "prior": ("method", {
+        "none": set(_PHASE) - {"method"},
+        "erm": set(_OBJECTIVE),
+        "invkl": set(),
+    }),
+    "posterior": ("method", {"condgauss": set(), "surrogate": set()}),
+}
+
+
+@dataclass
+class RunConfig:
+    """Validated contents of a run config file: the [data] keys its source
+    reads, the training settings of each phase (no prior training when
+    ``prior_train`` is None), and ``resolved``, the config.resolved.cfg text
+    listing every key the run reads."""
+
+    data: dict
+    spec: ModelSpec
+    sigma0: float
+    prior_train: TrainConfig | None
+    posterior_train: TrainConfig
+    n_draws: int
+    delta: float
+    delta_prime: float
+    seed: int
+    output_dir: Path
+    resolved: str
 
 
 def _parse(kind, text: str, where: str):
@@ -132,31 +172,38 @@ def _parse(kind, text: str, where: str):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{where} must be {_EXPECTED[kind]}, got {text!r}") from None
+        raise ConfigError(f"{where} must be {_KINDS[kind][1]}, got {text!r}") from None
 
 
-def _read(cp: configparser.ConfigParser, section: str, key: str, kind, *fallback):
-    """[section] key parsed by ``kind``; the key is required unless a
-    fallback is given."""
-    text = cp.get(section, key, fallback=None) if fallback else cp.get(section, key)
-    return fallback[0] if text is None else _parse(kind, text, f"[{section}] {key}")
-
-
-def _phase(cp: configparser.ConfigParser, section: str, default_method: str) -> PhaseSettings:
-    def get(key, kind, fallback):
-        return _read(cp, section, key, kind, fallback)
-
-    return PhaseSettings(
-        method=cp.get(section, "method", fallback=default_method),
-        objective=cp.get(section, "objective", fallback="invkl"),
-        kappa=get("kappa", _finite, 1.0),
-        lam=get("lambda", _finite, 0.5),
-        dropout=get("dropout", _finite, 0.0),
-        schedule=get("schedule", _parse_schedule, ()),
-        momentum=get("momentum", _finite, 0.9),
-        batch_size=get("batch_size", int, 250),
-        repeats=get("repeats", int, 100),
-    )
+def _read_section(cp: configparser.ConfigParser, section: str) -> dict:
+    """The typed value of each key of ``section`` the run reads, defaults
+    filled in; a required key left out, or a set key the run does not read, is
+    a ConfigError."""
+    decider, unread_by_value = _UNREAD.get(section, (None, {}))
+    keys = _SCHEMA[section]
+    unread: set = set()
+    values = {}
+    for key, (kind, default) in keys.items():
+        if key in unread:
+            continue
+        text = cp.get(section, key, fallback=None)
+        if text is not None:
+            values[key] = _parse(kind, text, f"[{section}] {key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"[{section}] {key} is required")
+        else:
+            values[key] = default
+        if key == decider:
+            value = values[key]
+            if value not in unread_by_value:
+                raise ConfigError(
+                    f"[{section}] {key} must be one of {', '.join(unread_by_value)}, got {value!r}"
+                )
+            unread = unread_by_value[value]
+            ignored = [k for k in keys if k in unread and cp.has_option(section, k)]
+            if ignored:
+                raise ConfigError(f"[{section}] {', '.join(ignored)}: unused when {key} = {value}")
+    return values
 
 
 def parse_config(path) -> RunConfig:
@@ -167,181 +214,110 @@ def parse_config(path) -> RunConfig:
     cp.read(path)
     unknown = [f"[{cp.default_section}] {k}" for k in cp.defaults()]
     for section in cp.sections():
-        if section not in _CONFIG_KEYS:
+        if section not in _SCHEMA:
             unknown.append(f"[{section}]")
             continue
-        unknown += [
-            f"[{section}] {k}"
-            for k in cp.options(section)
-            if k not in _CONFIG_KEYS[section].split()
-        ]
+        unknown += [f"[{section}] {k}" for k in cp.options(section) if k not in _SCHEMA[section]]
     if unknown:
         raise ConfigError("unknown config entries: " + ", ".join(unknown))
-    for section in ("data", "model", "run"):
-        if not cp.has_section(section):
-            raise ConfigError(f"missing [{section}] section")
-    prior_method = cp.get("prior", "method", fallback="none")
-    unread = _UNREAD_PRIOR_KEYS.get(prior_method, set())
-    ignored = [k for k in cp.options("prior") if k in unread] if cp.has_section("prior") else []
-    if ignored:
-        raise ConfigError(f"[prior] {', '.join(ignored)}: unused when method = {prior_method}")
 
-    source = cp.get("data", "source")
-    if source not in ("synth", "mnist"):
-        raise ConfigError(f"data source must be synth or mnist, got {source}")
-    seed = _read(cp, "run", "seed", int)
-    synth = {}
-    mnist_images = mnist_labels = None
-    if source == "synth":
-        synth = {
-            "classes": _read(cp, "data", "classes", int),
-            "per_class": _read(cp, "data", "per_class", int),
-            "dim": _read(cp, "data", "dim", int),
-            "separation": _read(cp, "data", "separation", _finite),
-            "holdout_per_class": _read(cp, "data", "holdout_per_class", int, 0),
-        }
-    else:
-        mnist_images = cp.get("data", "images")
-        mnist_labels = cp.get("data", "labels")
-        for p in (mnist_images, mnist_labels):
-            if not Path(p).exists():
-                raise ConfigError(f"dataset file not found: {p}")
-    widths = _read(cp, "model", "widths", _parse_widths)
+    values = {section: _read_section(cp, section) for section in _SCHEMA}
+    data, model, prior, posterior, certify, run = values.values()
+    if data["seed"] is None:
+        data["seed"] = run["seed"]
     try:
-        spec = ModelSpec(widths, cp.get("model", "activation", fallback="relu"))
+        spec = ModelSpec(model["widths"], model["activation"])
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from None
+    _validate(values)
 
-    cfg = RunConfig(
-        source=source,
-        synth=synth,
-        mnist_images=mnist_images,
-        mnist_labels=mnist_labels,
-        data_seed=_read(cp, "data", "seed", int, seed),
-        prior_fraction=_read(cp, "data", "prior_fraction", _finite, None),
+    resolved = configparser.ConfigParser()
+    for section, keys in _SCHEMA.items():
+        resolved[section] = {
+            key: _KINDS[kind][0](values[section][key])
+            for key, (kind, _) in keys.items()
+            if values[section].get(key) is not None
+        }
+    text = io.StringIO()
+    resolved.write(text)
+
+    return RunConfig(
+        data=data,
         spec=spec,
-        sigma0=_read(cp, "model", "sigma0", _finite, 0.01),
-        prior=_phase(cp, "prior", "none"),
-        posterior=_phase(cp, "posterior", "condgauss"),
-        n_draws=_read(cp, "certify", "n_draws", int, 1000),
-        delta=_read(cp, "certify", "delta", _finite, 0.025),
-        delta_prime=_read(cp, "certify", "delta_prime", _finite, 0.01),
-        seed=seed,
-        output_dir=Path(cp.get("run", "output_dir")),
+        sigma0=model["sigma0"],
+        prior_train=None if prior["method"] == "none" else _train_config(values, "prior", "prior"),
+        posterior_train=_train_config(
+            values, "posterior", "baseline" if posterior["method"] == "surrogate" else "posterior"
+        ),
+        n_draws=certify["n_draws"],
+        delta=certify["delta"],
+        delta_prime=certify["delta_prime"],
+        seed=run["seed"],
+        output_dir=run["output_dir"],
+        resolved=text.getvalue(),
     )
-    _validate(cfg)
-    if cfg.prior.method != "none":
-        cfg.prior_train = _train_config(cfg.prior, "prior", "prior", cfg)
-    posterior_phase = "baseline" if cfg.posterior.method == "surrogate" else "posterior"
-    cfg.posterior_train = _train_config(cfg.posterior, "posterior", posterior_phase, cfg)
-    return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
-    if not (0.0 < cfg.delta < 1.0 and 0.0 < cfg.delta_prime < 1.0):
+def _validate(values: dict) -> None:
+    data, model, prior, posterior, certify, _ = values.values()
+    delta, delta_prime = certify["delta"], certify["delta_prime"]
+    if not (0.0 < delta < 1.0 and 0.0 < delta_prime < 1.0):
         raise ConfigError("delta and delta_prime must lie in (0, 1)")
-    if cfg.delta + cfg.delta_prime >= 1.0:
-        raise ConfigError(
-            f"delta + delta_prime must be < 1, got {cfg.delta + cfg.delta_prime}"
-        )
-    if cfg.prior.method not in ("none", "erm", "invkl"):
-        raise ConfigError(f"prior method must be none, erm, or invkl, got {cfg.prior.method}")
-    if cfg.posterior.method not in ("condgauss", "surrogate"):
-        raise ConfigError(
-            f"posterior method must be condgauss or surrogate, got {cfg.posterior.method}"
-        )
-    if cfg.prior.method != "none" and cfg.prior_fraction is None:
+    if delta + delta_prime >= 1.0:
+        raise ConfigError(f"delta + delta_prime must be < 1, got {delta + delta_prime}")
+    fraction = data["prior_fraction"]
+    if prior["method"] != "none" and fraction is None:
         raise ConfigError("a trained prior needs data.prior_fraction")
-    if cfg.prior.method == "none" and cfg.prior_fraction is not None:
+    if prior["method"] == "none" and fraction is not None:
         raise ConfigError("data.prior_fraction is set but prior.method is none")
-    if cfg.prior_fraction is not None and not 0.0 < cfg.prior_fraction < 1.0:
-        raise ConfigError(f"[data] prior_fraction must lie in (0, 1), got {cfg.prior_fraction!r}")
-    if not cfg.sigma0 > 0.0:
-        raise ConfigError(f"[model] sigma0 must be positive, got {cfg.sigma0!r}")
-    if not cfg.posterior.schedule:
+    if fraction is not None and not 0.0 < fraction < 1.0:
+        raise ConfigError(f"[data] prior_fraction must lie in (0, 1), got {fraction!r}")
+    if not model["sigma0"] > 0.0:
+        raise ConfigError(f"[model] sigma0 must be positive, got {model['sigma0']!r}")
+    if not posterior["schedule"]:
         raise ConfigError("posterior schedule is empty")
-    if cfg.n_draws < 1:
+    if certify["n_draws"] < 1:
         raise ConfigError("certify.n_draws must be >= 1")
 
 
 def _build_dataset(cfg: RunConfig):
     """Returns (train_or_whole_dataset, holdout_or_None)."""
-    if cfg.source == "mnist":
-        return load_mnist_idx(cfg.mnist_images, cfg.mnist_labels), None
-    s = cfg.synth
-    total = s["per_class"] + s["holdout_per_class"]
-    ds = synth_blobs(s["classes"], total, s["dim"], s["separation"], cfg.data_seed)
-    if s["holdout_per_class"] == 0:
+    d = cfg.data
+    if d["source"] == "mnist":
+        return load_mnist_idx(d["images"], d["labels"]), None
+    total = d["per_class"] + d["holdout_per_class"]
+    ds = synth_blobs(d["classes"], total, d["dim"], d["separation"], d["seed"])
+    if d["holdout_per_class"] == 0:
         return ds, None
-    return split_holdout(ds, s["per_class"])
+    return split_holdout(ds, d["per_class"])
 
 
-def _resolved_config_text(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp["data"] = {"source": cfg.source, "seed": str(cfg.data_seed)}
-    if cfg.source == "synth":
-        cp["data"].update({k: str(v) for k, v in cfg.synth.items()})
-    else:
-        cp["data"].update({"images": cfg.mnist_images, "labels": cfg.mnist_labels})
-    if cfg.prior_fraction is not None:
-        cp["data"]["prior_fraction"] = repr(cfg.prior_fraction)
-    cp["model"] = {
-        "widths": " ".join(str(w) for w in cfg.spec.layer_widths),
-        "activation": cfg.spec.activation,
-        "sigma0": repr(cfg.sigma0),
-    }
-    for name, ph in (("prior", cfg.prior), ("posterior", cfg.posterior)):
-        entries = {
-            "method": ph.method,
-            "objective": ph.objective,
-            "kappa": repr(ph.kappa),
-            "lambda": repr(ph.lam),
-            "dropout": repr(ph.dropout),
-            "schedule": " ".join(f"{e}:{lr!r}" for e, lr in ph.schedule),
-            "momentum": repr(ph.momentum),
-            "batch_size": str(ph.batch_size),
-            "repeats": str(ph.repeats),
-        }
-        unread = _UNREAD_PRIOR_KEYS.get(ph.method, set()) if name == "prior" else set()
-        cp[name] = {k: v for k, v in entries.items() if k not in unread}
-    cp["certify"] = {
-        "n_draws": str(cfg.n_draws),
-        "delta": repr(cfg.delta),
-        "delta_prime": repr(cfg.delta_prime),
-    }
-    cp["run"] = {"seed": str(cfg.seed), "output_dir": str(cfg.output_dir)}
-    from io import StringIO
-
-    buf = StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def _train_config(ph: PhaseSettings, section: str, phase: str, cfg: RunConfig) -> TrainConfig:
-    """The TrainConfig of one [section]; its phase rules fail as a ConfigError
-    naming the section."""
+def _train_config(values: dict, section: str, phase: str) -> TrainConfig:
+    """The TrainConfig of one [section] of the parsed ``values``; its phase
+    rules fail as a ConfigError naming the section."""
+    ph = values[section]
     try:
-        if ph.method == "erm":
+        if ph["method"] == "erm":
             objective = None
-        elif ph.objective not in _OBJECTIVES:
-            raise ValueError(f"unknown objective: {ph.objective}")
+        elif ph["objective"] not in _OBJECTIVES:
+            raise ValueError(f"unknown objective: {ph['objective']}")
         else:
-            kind = _OBJECTIVES[ph.objective]
+            kind = _OBJECTIVES[ph["objective"]]
             objective = BoundSpec(
                 kind=kind,
-                kappa=ph.kappa,
-                delta=cfg.delta,
-                lam=ph.lam if kind == BoundKind.LBD else None,
+                kappa=ph["kappa"],
+                delta=values["certify"]["delta"],
+                lam=ph["lambda"] if kind == BoundKind.LBD else None,
             )
         return TrainConfig(
             objective=objective,
-            lr_schedule=ph.schedule,
-            momentum=ph.momentum,
-            batch_size=ph.batch_size,
-            repeats=ph.repeats,
-            seed=cfg.seed,
+            lr_schedule=ph["schedule"],
+            momentum=ph["momentum"],
+            batch_size=ph["batch_size"],
+            repeats=ph["repeats"],
+            seed=values["run"]["seed"],
             phase=phase,
-            dropout_prob=ph.dropout,
+            dropout_prob=ph["dropout"],
         )
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
@@ -356,22 +332,24 @@ def cmd_train(config_path) -> int:
         raise ConfigError(f"model output width {cfg.spec.q} != class count {whole.q}")
     # Split before any output, so a refused split leaves no run directory.
     if cfg.prior_train is not None:
-        prior_ds, bound_ds = split_prior_bound(whole, cfg.prior_fraction, cfg.seed)
+        prior_ds, bound_ds = split_prior_bound(whole, cfg.data["prior_fraction"], cfg.seed)
     else:
         prior_ds, bound_ds = None, whole
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved.cfg").write_text(_resolved_config_text(cfg))
+    (out / "config.resolved.cfg").write_text(cfg.resolved)
     content = hashlib.sha256()
     content.update(whole.fingerprint.encode())
-    content.update(_resolved_config_text(cfg).encode())
+    content.update(cfg.resolved.encode())
     (out / "inputs.sha256").write_text(content.hexdigest() + "\n")
+    del whole  # after a prior split, keeping it would hold the data twice
 
     model = StochasticModel.initialize(cfg.spec, cfg.sigma0, RngStream(cfg.seed).child("model"))
 
     if prior_ds is not None:
         model, prior_log = train_condgauss(model, prior_ds, cfg.prior_train)
+        del prior_ds  # never read again
     else:
         prior_log = TrainLog(rows=[])
     prior_log.to_csv(out / "train_prior.csv")

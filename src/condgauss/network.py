@@ -42,6 +42,18 @@ __all__ = [
 ]
 
 SNAPSHOT_HEADER = "CONDGAUSS-MODEL v1"
+# A snapshot's arrays of one layer, in file order. Each names a
+# GaussianParamGroup field; a w_ array is [out, in] and a b_ array [out].
+_LAYER_ARRAYS = (
+    "w_mean",
+    "w_rho",
+    "b_mean",
+    "b_rho",
+    "prior_w_mean",
+    "prior_w_sigma",
+    "prior_b_mean",
+    "prior_b_sigma",
+)
 
 # Rows per forward in exact_misclassification: bounds a certification draw's
 # activations at [h, SCORE_BLOCK] floats. At 784-200-10 and m = 10000 on a
@@ -442,18 +454,9 @@ def save_model(model: StochasticModel, path) -> None:
         if not g.prior_frozen:
             raise ValueError("snapshot requires a frozen prior")
         lines.append(f"layer {k} {g.out_dim} {g.in_dim}")
-        for name, arr in (
-            ("w_mean", g.w_mean),
-            ("w_rho", g.w_rho),
-            ("b_mean", g.b_mean),
-            ("b_rho", g.b_rho),
-            ("prior_w_mean", g.prior_w_mean),
-            ("prior_w_sigma", g.prior_w_sigma),
-            ("prior_b_mean", g.prior_b_mean),
-            ("prior_b_sigma", g.prior_b_sigma),
-        ):
+        for name in _LAYER_ARRAYS:
             lines.append(name)
-            lines.append(_format_array(arr))
+            lines.append(_format_array(getattr(g, name)))
     lines.append("end")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -513,19 +516,13 @@ def load_model(path) -> StochasticModel:
         header = f"layer {k} {out_dim} {in_dim}"
         if next_line(f"'{header}'").split() != header.split():
             raise ValueError(f"snapshot line {pos + 1}: expected '{header}'")
-        g = GaussianParamGroup(
-            w_mean=parse_block("w_mean", (out_dim, in_dim)),
-            w_rho=parse_block("w_rho", (out_dim, in_dim)),
-            b_mean=parse_block("b_mean", (out_dim,)),
-            b_rho=parse_block("b_rho", (out_dim,)),
-        )
-        g.prior_w_mean = parse_block("prior_w_mean", (out_dim, in_dim))
-        g.prior_w_sigma = parse_block("prior_w_sigma", (out_dim, in_dim))
-        g.prior_b_mean = parse_block("prior_b_mean", (out_dim,))
-        g.prior_b_sigma = parse_block("prior_b_sigma", (out_dim,))
-        for arr in (g.prior_w_mean, g.prior_w_sigma, g.prior_b_mean, g.prior_b_sigma):
-            arr.setflags(write=False)
-        groups.append(g)
+        arrays = {}
+        for name in _LAYER_ARRAYS:
+            weights = name.removeprefix("prior_").startswith("w_")
+            arrays[name] = parse_block(name, (out_dim, in_dim) if weights else (out_dim,))
+            if name.startswith("prior_"):
+                arrays[name].setflags(write=False)
+        groups.append(GaussianParamGroup(**arrays))
     if next_line("'end'") != "end":
         raise ValueError(f"snapshot line {pos + 1}: expected 'end'")
     model = StochasticModel(spec, groups)

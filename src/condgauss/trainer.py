@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -122,19 +122,8 @@ class LogRow:
     seconds: float
 
     def csv_line(self) -> str:
-        lam = "NA" if self.lam is None else repr(self.lam)
-        return ",".join(
-            [
-                str(self.epoch),
-                repr(self.objective),
-                repr(self.emp_est),
-                repr(self.kl),
-                repr(self.pen),
-                repr(self.bound_est),
-                lam,
-                repr(self.seconds),
-            ]
-        )
+        """The fields in order, as repr; no lambda is written NA."""
+        return ",".join("NA" if v is None else repr(v) for v in astuple(self))
 
 
 @dataclass
@@ -148,11 +137,9 @@ class TrainLog:
                 fh.write(row.csv_line() + "\n")
 
     def numeric_rows(self) -> list[tuple]:
-        """Rows without the wall-time column, for determinism comparisons."""
-        return [
-            (r.epoch, r.objective, r.emp_est, r.kl, r.pen, r.bound_est, r.lam)
-            for r in self.rows
-        ]
+        """Rows without the wall-time column (the last field), for determinism
+        comparisons."""
+        return [astuple(r)[:-1] for r in self.rows]
 
     def best_bound(self) -> float:
         return min(r.bound_est for r in self.rows) if self.rows else math.inf

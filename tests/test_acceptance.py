@@ -193,8 +193,8 @@ def test_criterion_10_full_scale_recipe_documented(tmp_path):
     cfg = parse_config(patched)
     ok = (
         cfg.spec.layer_widths == (784, 200, 10)
-        and cfg.posterior.objective == "invkl"
-        and cfg.posterior.kappa == 1.0
+        and cfg.posterior_train.objective.kind.value == "invkl"
+        and cfg.posterior_train.objective.kappa == 1.0
         and "mnist_invkl.cfg" in readme
         and "0.35" in readme
     )

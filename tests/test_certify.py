@@ -10,7 +10,6 @@ import condgauss.certify as certify
 import condgauss.gaussian as gaussian
 from condgauss.bounds import kl_inv, penalty
 from condgauss.certify import (
-    CERTIFICATE_KEYS,
     Certificate,
     CertificationRefused,
     draw_errors,
@@ -271,7 +270,15 @@ class TestCertificateSerialization:
         )
         text = cert.to_text()
         keys = [line.split("=")[0] for line in text.strip().splitlines()]
-        assert tuple(keys) == CERTIFICATE_KEYS
+        assert tuple(keys) == (
+            "tilde_e", "n_draws", "delta_prime", "inner_bound", "kl", "m",
+            "delta", "pen", "final_bound", "confidence", "split_hash",
+        )
+        assert text == (
+            "tilde_e=0.1\nn_draws=100\ndelta_prime=0.01\ninner_bound=0.13\nkl=12.5\n"
+            "m=4000\ndelta=0.025\npen=0.005\nfinal_bound=0.2\nconfidence=0.965\n"
+            "split_hash=deadbeef\n"
+        )
         assert Certificate.from_text(text) == cert
 
     def test_nesting_enforced(self):

@@ -2,16 +2,22 @@
 determinism, certification and evaluation of snapshots, and the check
 battery with its negative control."""
 import os
+import re
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condgauss.cli as cli
 import condgauss.gaussian as gaussian
 from condgauss.certify import Certificate
 from condgauss.cli import ConfigError, main, parse_config
+from condgauss.data import split_prior_bound
 from condgauss.network import ModelSpec, StochasticModel, load_model, save_model
 from condgauss.rng import RngStream
+from condgauss.trainer import CSV_HEADER, train_condgauss
 
 QUICK_CONFIG = """\
 [data]
@@ -84,6 +90,94 @@ seed = 11
 output_dir = {out}
 """
 
+# config.resolved.cfg of QUICK_CONFIG and SPLIT_CONFIG: every key the run
+# reads, in schema order, with defaults filled in and floats as repr.
+QUICK_RESOLVED = """\
+[data]
+source = synth
+seed = 7
+classes = 3
+per_class = 60
+dim = 10
+separation = 0.8
+holdout_per_class = 10
+
+[model]
+widths = 10 32 3
+activation = relu
+sigma0 = 0.01
+
+[prior]
+method = none
+
+[posterior]
+method = condgauss
+objective = invkl
+kappa = 1.0
+lambda = 0.5
+dropout = 0.0
+schedule = 6:0.002 2:0.0004
+momentum = 0.5
+batch_size = 90
+repeats = 5
+
+[certify]
+n_draws = 40
+delta = 0.025
+delta_prime = 0.01
+
+[run]
+seed = 7
+output_dir = {out}
+
+"""
+
+SPLIT_RESOLVED = """\
+[data]
+source = synth
+seed = 11
+classes = 3
+per_class = 80
+dim = 10
+separation = 0.8
+holdout_per_class = 0
+prior_fraction = 0.5
+
+[model]
+widths = 10 32 3
+activation = relu
+sigma0 = 0.01
+
+[prior]
+method = erm
+dropout = 0.0
+schedule = 3:0.002
+momentum = 0.5
+batch_size = 120
+repeats = 4
+
+[posterior]
+method = condgauss
+objective = invkl
+kappa = 1.0
+lambda = 0.5
+dropout = 0.0
+schedule = 4:0.002
+momentum = 0.5
+batch_size = 120
+repeats = 4
+
+[certify]
+n_draws = 25
+delta = 0.025
+delta_prime = 0.01
+
+[run]
+seed = 11
+output_dir = {out}
+
+"""
+
 
 # Trainer paths beyond QUICK_CONFIG and SPLIT_CONFIG, as (template, edit).
 PHASE_VARIANTS = {
@@ -131,6 +225,7 @@ class TestTrainCommand:
         assert (out / "train_prior.csv").read_text().count("\n") == 1
         model = load_model(out / "posterior.model")
         assert model.spec.layer_widths == (10, 32, 3)
+        assert (out / "config.resolved.cfg").read_text() == QUICK_RESOLVED.format(out=out)
         assert parse_config(out / "config.resolved.cfg") == parse_config(cfg)
 
     def test_invalid_deltas_rejected_before_compute(self, tmp_path, capsys):
@@ -172,6 +267,7 @@ class TestTrainCommand:
         assert len(prior_rows) == 4  # header + 3 epochs
         model = load_model(out / "posterior.model")
         assert model.prior_fingerprint is not None
+        assert (out / "config.resolved.cfg").read_text() == SPLIT_RESOLVED.format(out=out)
         assert parse_config(out / "config.resolved.cfg") == parse_config(cfg)
 
     @pytest.mark.parametrize("variant", sorted(PHASE_VARIANTS))
@@ -180,7 +276,7 @@ class TestTrainCommand:
         cfg, out = write_config(tmp_path, template.replace(old, new))
         assert main(["train", "--config", str(cfg)]) == 0
         rows = [r.split(",") for r in (out / "train_posterior.csv").read_text().splitlines()[1:]]
-        epochs = sum(e for e, _ in parse_config(cfg).posterior.schedule)
+        epochs = sum(e for e, _ in parse_config(cfg).posterior_train.lr_schedule)
         if "lbd" in variant:
             # Alternating parameter and lambda epochs, lambda logged on each.
             assert len(rows) == 2 * epochs
@@ -223,6 +319,10 @@ class TestTrainCommand:
             ("model", "sigma0 = 0.01", "sigma0 = -1", "sigma0 must be positive, got -1.0"),
             ("data", "prior_fraction = 0.5", "prior_fraction = 1.5",
              r"prior_fraction must lie in \(0, 1\), got 1.5"),
+            ("data", "classes = 3\n", "", "classes is required"),
+            ("data", "source = synth\nclasses = 3\nper_class = 80\ndim = 10\nseparation = 0.8",
+             "source = mnist\nimages = missing.idx\nlabels = missing.idx",
+             "images must be an existing file, got 'missing.idx'"),
         ],
     )
     def test_phase_settings_rejected_before_output(self, tmp_path, capsys, section, old, new, message):
@@ -234,6 +334,27 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 1
         assert f"[{section}]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_datasets_released_before_posterior_training(self, tmp_path, monkeypatch):
+        # The whole dataset and the prior half are dead weight once the prior
+        # is trained: neither may outlive it into posterior training.
+        refs = []
+
+        def split(ds, fraction, seed):
+            prior_ds, bound_ds = split_prior_bound(ds, fraction, seed)
+            refs.extend([weakref.ref(ds), weakref.ref(prior_ds)])
+            return prior_ds, bound_ds
+
+        def train(model, dataset, config):
+            if config.phase == "posterior":
+                assert [ref() for ref in refs] == [None, None]
+            return train_condgauss(model, dataset, config)
+
+        monkeypatch.setattr(cli, "split_prior_bound", split)
+        monkeypatch.setattr(cli, "train_condgauss", train)
+        cfg, _ = write_config(tmp_path, SPLIT_CONFIG)
+        assert cli.cmd_train(cfg) == 0
+        assert len(refs) == 2
 
     def test_refused_split_writes_no_output(self, tmp_path, capsys):
         # 1200 points at fraction 0.995 leave 6 for the bound half.
@@ -389,12 +510,12 @@ class TestParseConfig:
         rc = parse_config(cfg)
         assert rc.spec.layer_widths == (10, 32, 3)
         assert rc.delta == 0.025
-        assert rc.prior.method == "none"
+        assert rc.prior_train is None
         assert rc.output_dir == out
 
     def test_shipped_synth_config_parses(self):
         cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "synth_quick.cfg")
-        assert cfg.posterior.batch_size == 1000
+        assert cfg.posterior_train.batch_size == 1000
 
     def test_unknown_key_and_section_rejected(self, tmp_path):
         typo = QUICK_CONFIG.replace("batch_size = 90", "batchsize = 1000")
@@ -402,7 +523,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[posterior\] batchsize, \[posteriour\]"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("source = synth", "source = synth\nimages = x",
+             r"\[data\] images: unused when source = synth"),
+            ("source = synth", "source = mnist\nimages = x\nlabels = y",
+             r"\[data\] classes, per_class, dim, separation, holdout_per_class: "
+             "unused when source = mnist"),
+        ],
+        ids=["synth", "mnist"],
+    )
+    def test_data_keys_the_source_never_reads_rejected(self, tmp_path, old, new, message):
+        cfg, _ = write_config(tmp_path, QUICK_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+
     def test_unknown_objective(self, tmp_path):
         cfg, _ = write_config(tmp_path, QUICK_CONFIG.replace("objective = invkl", "objective = magic"))
         with pytest.raises(ValueError):
             parse_config(cfg)
+
+
+def test_readme_lists_run_file_formats():
+    """The README's certificate keys and CSV header are the ones the code writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = re.search(r"`certificate.txt` \(keys `([^`]*)`\)", readme).group(1)
+    assert re.split(r",\s+", keys) == [f.name for f in fields(Certificate)]
+    assert re.search(r"CSV logs\s+\(`([^`]*)`\)", readme).group(1) == CSV_HEADER

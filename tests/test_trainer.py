@@ -13,6 +13,7 @@ from condgauss.network import ModelSpec, StochasticModel, make_leaves
 from condgauss.rng import RngStream
 from condgauss.trainer import (
     CSV_HEADER,
+    LogRow,
     TrainConfig,
     TrainingDiverged,
     kl_node,
@@ -320,6 +321,12 @@ class TestSurrogateBaseline:
 
 
 class TestTrainLogCsv:
+    def test_csv_line_literal(self):
+        row = LogRow(3, 0.25, 0.1, 12.0, 0.05, 0.30000000000000004, None, 1.5)
+        assert row.csv_line() == "3,0.25,0.1,12.0,0.05,0.30000000000000004,NA,1.5"
+        row.lam = 0.4
+        assert row.csv_line() == "3,0.25,0.1,12.0,0.05,0.30000000000000004,0.4,1.5"
+
     def test_csv_layout(self, tmp_path):
         ds = blob_task()
         model = fresh_model()
