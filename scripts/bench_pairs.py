@@ -1,0 +1,111 @@
+"""Paired benchmark runs of two source checkouts.
+
+    python3 scripts/bench_pairs.py --parent ../base --change . --workload desk_train --pairs 10
+
+Runs ``bench/run.py`` of each checkout, in that checkout, ``--pairs`` times
+per side. Pair i runs the parent first when i is even and the change first
+when i is odd. Each run's last output line is its JSON result. Seeds cycle
+through ``--seeds``, the same seed for both runs of a pair.
+
+For every end-to-end metric of the change's ``BENCHMARK.json`` the report
+gives each side's median and quartiles and the change's wins, ties counting
+for neither side. A gain holds when the change wins at least nine tenths of
+the pairs and its median beats the parent's by more than the distance
+between the parent's quartiles. Failed operations and the reference check
+of every run are listed too.
+
+Standard library only, so it runs whatever the checkouts' environments hold.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run: its JSON line plus its reference status."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: bench/run.py failed\n{proc.stdout}{proc.stderr}")
+    result = json.loads(lines[-1])
+    match = re.search(r"; reference: (.*)$", proc.stdout, re.MULTILINE)
+    result["reference"] = match.group(1) if match else "not reported"
+    return result
+
+
+def value(result: dict, name: str) -> float:
+    """A metric of one run, NaN when the run did not report it."""
+    return result["metrics"].get(name, {}).get("value", float("nan"))
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def report(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
+    """Print per-metric medians, quartiles and wins; True if every run was
+    correct and failed nothing."""
+    print(f"{'metric':<15}{'parent median [q1, q3]':>34}{'change median [q1, q3]':>34}"
+          f"{'wins':>8}  gain rule")
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        par = [value(r, name) for r in runs["parent"]]
+        chg = [value(r, name) for r in runs["change"]]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(par, chg))
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(par), quartiles(chg)
+        gain = (cmed - pmed) if higher else (pmed - cmed)
+        holds = wins >= 0.9 * len(par) and gain > pq3 - pq1
+        print(f"{name:<15}{pmed:>14.5g} [{pq1:.5g}, {pq3:.5g}]{cmed:>14.5g} [{cq1:.5g}, {cq3:.5g}]"
+              f"{wins:>5}/{len(par)}  {'holds' if holds else 'not met'}"
+              f" (median change {100.0 * (cmed - pmed) / pmed:+.1f}%)")
+    ok = True
+    for side, results in runs.items():
+        failed = [r["failed"] for r in results]
+        refs = sorted({r["reference"] for r in results})
+        correct = all(r["correct"] for r in results)
+        ok = ok and correct and not any(failed)
+        print(f"{side}: failed operations {failed}; all correct {correct}; reference {refs}")
+    return ok
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, type=Path, help="parent source checkout")
+    p.add_argument("--change", required=True, type=Path, help="changed source checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    p.add_argument("--seconds", type=float, help="run length (default: the benchmark's)")
+    args = p.parse_args()
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seeds[i % len(args.seeds)]
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_bench(sides[side], args.workload, seed, seconds))
+        line = "  ".join(
+            f"{side} {name}={value(runs[side][-1], name):.5g}"
+            for side in ("parent", "change")
+            for name in ("op_ms_p50", "samples_per_s", "peak_rss_mb")
+        )
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): {line}", flush=True)
+    return 0 if report(spec["end_to_end"], runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

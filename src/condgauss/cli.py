@@ -210,7 +210,8 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # No interpolation: a value such as "runs/50%done" is read as written.
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.read(path)
     unknown = [f"[{cp.default_section}] {k}" for k in cp.defaults()]
     for section in cp.sections():
@@ -231,7 +232,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"[model] {exc}") from None
     _validate(values)
 
-    resolved = configparser.ConfigParser()
+    resolved = configparser.ConfigParser(interpolation=None)
     for section, keys in _SCHEMA.items():
         resolved[section] = {
             key: _KINDS[kind][0](values[section][key])

@@ -7,11 +7,10 @@ arrays of the model's parameter groups (and lbd's lambda logit); everything
 else (inputs, noise draws, masks) enters as plain numpy constants with no
 gradient.
 
-There is no general op set: every node of a training step is either a
+There is no general op set: every node of a training step is a
 ``closed_form`` node, whose partial derivatives are computed together with
-its value (the KL term, the bound objectives, the surrogate loss), or a node
-the network builds with its own backward (each sampled layer, with its relu
-and dropout mask, and the conditional head).
+its value: the batch error estimate (or the surrogate loss), the KL term
+and the bound objective.
 Accumulation stays in float64 and intermediates are saved rather than
 recomputed. Tensors hold their tape weakly, so a training step's tape and
 every array on it are freed by reference counting when the step drops its
@@ -87,16 +86,29 @@ class Tape:
                     parent.grad = parent.grad + pgrad
 
 
-def closed_form(value, parents, partials) -> Tensor:
+def closed_form(value, parents, partials, in_place: bool = False) -> Tensor:
     """Node whose partial derivatives were computed together with its value.
 
     ``partials[k]`` is d(value)/d(parents[k]): an array of the parent's shape
     for a scalar node, or the elementwise derivative for an elementwise one.
     The backward pass multiplies each partial by the incoming cotangent.
+    With ``in_place`` the partials are float64 arrays the node owns: the
+    backward pass scales them in place and hands them on, so no copy of a
+    parameter-sized partial is made, and the node backpropagates once.
     """
-    return Tensor(
-        parents[0].tape, value, tuple(parents), lambda g: tuple(g * p for p in partials)
-    )
+    if in_place:
+
+        def vjp(g):
+            for p in partials:
+                p *= g
+            return partials
+
+    else:
+
+        def vjp(g):
+            return tuple(g * p for p in partials)
+
+    return Tensor(parents[0].tape, value, tuple(parents), vjp)
 
 
 def fd_check(fn, point, step: float = 1e-5, coords=None) -> float:

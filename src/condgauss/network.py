@@ -4,10 +4,11 @@ Hidden-layer parameters are sampled pathwise; the last linear layer is never
 sampled during conditional training. Given the sampled hidden activations,
 the output is exactly Gaussian with moments (M, V) computed in closed form,
 and the misclassification probability is estimated by averaging the L1
-estimator over repeated output draws. The whole batch computation can be
-recorded on a gradient tape so the objective differentiates end to end
-through both the sampled hidden parameters and the explicit (M, V)
-dependence on the last layer's hyper-parameters.
+estimator over repeated output draws. The batch estimate is one node on a
+gradient tape, with its partials in every mean and raw deviation: through
+the sampled hidden parameters and through the explicit (M, V) dependence on
+the last layer's hyper-parameters. It is built TRAIN_BLOCK rows at a time,
+each block's backward run right after its forward.
 """
 from __future__ import annotations
 
@@ -60,6 +61,11 @@ _LAYER_ARRAYS = (
 # 2-core Xeon host, a draw took 2% longer than one forward over all rows
 # with 2048-row blocks and 5% longer with 1024.
 SCORE_BLOCK = 2048
+
+# Rows per block of a training step's estimate node: at 256 hidden units a
+# block's activations and cotangents are 0.5 MB each, so the block's
+# backward finds them in a core's L2 cache, and no [batch, h] array is made.
+TRAIN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -238,106 +244,159 @@ def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
     ]
 
 
-def sampled_linear(
-    a, lv: ParamLeaves, rng: RngStream, relu: bool = False, mask=None
-) -> grad.Tensor:
-    """One node for a @ W.T + b under the ``sample_gaussian`` draw of the
-    layer from ``rng``; a hidden layer (``relu``) applies the relu and then
-    the optional dropout ``mask`` in place on the same array.
+def draw_partials(lv: ParamLeaves, draw, gW, gb) -> list[np.ndarray]:
+    """The partials in (w_mean, w_rho, b_mean, b_rho) of a layer drawn by
+    ``sample_gaussian`` as ``draw`` = (W, b, zeta_w, zeta_b), from the
+    summed cotangents ``gW`` of W and ``gb`` of b: the draw chains
+    d/dmean = gW and d/drho = gW * zeta * dsigma."""
+    return [gW, gW * draw[2] * lv.w_dsigma, gb, gb * draw[3] * lv.b_dsigma]
 
-    ``a`` is a [..., n] Tensor or constant input. The node's parents are
-    the layer's four leaves (and ``a`` if it is a Tensor); the backward pass
-    masks the cotangent once, forms the weight and bias cotangents once and
-    chains them through the draw: d/dmean = gW and d/drho = gW * zeta * dsigma.
+
+def accumulate(sums, parts):
+    """A running sum of arrays: ``parts`` added in place to ``sums``, or
+    ``parts`` themselves when ``sums`` is None (the first block)."""
+    if sums is None:
+        return list(parts)
+    for acc, part in zip(sums, parts):
+        acc += part
+    return sums
+
+
+def hidden_forward_on_tape(x, draws, masks=None) -> list[np.ndarray]:
+    """The hidden forward of one row block under the step's hidden-layer
+    draws, each (W, b, zeta_w, zeta_b): relu(a @ W.T + b), times the block's
+    dropout mask of the layer when ``masks`` holds them.
+
+    Returns [x, phi_1, ..., phi_h], the input of every hidden layer and the
+    last hidden output, which the block's backward pass reads while they
+    are still in cache.
     """
-    W, b, zw, zb = sample_gaussian(lv.w_mean.value, lv.w_sigma, lv.b_mean.value, lv.b_sigma, rng)
-    parents = (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)
-    through_a = isinstance(a, grad.Tensor)
-    va = a.value if through_a else a
-    if through_a:
-        parents += (a,)
-
-    out = va @ W.T
-    out += b
-    if relu:
+    acts = [x]
+    for k, (W, b, _, _) in enumerate(draws):
+        out = acts[-1] @ W.T
+        out += b
         np.maximum(out, 0.0, out=out)
-        if mask is not None:
-            out *= mask
-
-    def vjp(g):
-        if relu:
-            g = g * (out > 0)
-            if mask is not None:
-                g *= mask
-        g2 = g.reshape(-1, g.shape[-1])
-        gW = g2.T @ va.reshape(-1, va.shape[-1])
-        gb = g2.sum(axis=0)
-        grads = (gW, gW * zw * lv.w_dsigma, gb, gb * zb * lv.b_dsigma)
-        return grads + (g @ W,) if through_a else grads
-
-    return grad.Tensor(lv.w_mean.tape, out, parents, vjp)
+        if masks is not None:
+            out *= masks[k]
+        acts.append(out)
+    return acts
 
 
-def hidden_forward_on_tape(tape, leaves, x, rng, spec, dropout_prob):
-    """Sample hidden layers pathwise and run the hidden forward on the tape,
-    one node per layer.
+def estimate_node(tape, leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=True):
+    """A batch estimate as one closed-form node over every parameter leaf,
+    built TRAIN_BLOCK rows at a time.
 
-    Returns the activated, optionally dropout-masked phi(H) tensor.
+    Each hidden layer is drawn once under ``rng``'s ("theta", k) and each
+    dropout mask once for the whole batch under ("dropout", k). Each row
+    block then runs the hidden forward, ``head.block`` (its value sum and
+    the cotangent of its last hidden output under a unit cotangent of the
+    estimate, an array the loop overwrites) and at once the backward
+    through the hidden layers into per-layer weight and bias sums. The
+    estimate is the sum of the block sums over ``head.n``, and the node's
+    partials are the finished sums with the head's own ``head.partials()``
+    for the output layer, which the backward pass scales by the cotangent
+    in place. Without ``need_grad`` no backward runs and the node is a bare
+    leaf holding the value.
     """
-    a = x
-    for k in range(spec.n_layers - 1):
-        mask = None
-        if dropout_prob > 0.0:
-            shape = np.shape(x)[:-1] + (spec.layer_widths[k + 1],)
-            mask = apply_dropout(np.ones(shape), dropout_prob, rng.child("dropout", k))
-        a = sampled_linear(a, leaves[k], rng.child("theta", k), relu=True, mask=mask)
-    return a
+    n_hidden = spec.n_layers - 1
+    draws = [
+        sample_gaussian(
+            lv.w_mean.value, lv.w_sigma, lv.b_mean.value, lv.b_sigma, rng.child("theta", k)
+        )
+        for k, lv in enumerate(leaves[:n_hidden])
+    ]
+    masks = None
+    if dropout_prob > 0.0:
+        masks = [
+            apply_dropout(
+                np.ones((len(x), spec.layer_widths[k + 1])), dropout_prob, rng.child("dropout", k)
+            )
+            for k in range(n_hidden)
+        ]
+    sums = [None] * n_hidden
+    total = 0.0
+    for lo in range(0, len(x), TRAIN_BLOCK):
+        rows = slice(lo, lo + TRAIN_BLOCK)
+        block_masks = None if masks is None else [mask[rows] for mask in masks]
+        acts = hidden_forward_on_tape(x[rows], draws, block_masks)
+        value, g = head.block(acts[-1], rows, need_grad)
+        total += value
+        if not need_grad:
+            continue
+        for k in reversed(range(n_hidden)):
+            g *= acts[k + 1] > 0
+            if block_masks is not None:
+                g *= block_masks[k]
+            sums[k] = accumulate(sums[k], (g.T @ acts[k], g.sum(axis=0)))
+            if k:
+                g = g @ draws[k][0]
+    total /= head.n
+    if not need_grad:
+        return tape.leaf(total)
+    partials = []
+    for lv, draw, (gW, gb) in zip(leaves, draws, sums):
+        partials += draw_partials(lv, draw, gW, gb)
+    partials += head.partials()
+    parents = [leaf for lv in leaves for leaf in (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)]
+    return grad.closed_form(total, parents, partials, in_place=True)
 
 
-def _conditional_l1_node(phi_h: grad.Tensor, last: ParamLeaves, y0, zeta) -> grad.Tensor:
+class _ConditionalL1Head:
     """The mean L1 estimate over ``zeta``'s [repeats, batch, q] output draws
-    as one node over phi(H) and the output layer's leaves.
+    given the last hidden output, one row block at a time, with the output
+    layer unsampled.
 
-    Builds the conditional moments M = phi W_mean^T + b_mean and
+    A block builds the conditional moments M = phi W_mean^T + b_mean and
     V = phi^2 (sigma_W^2)^T + sigma_b^2, floors V at VARIANCE_FLOOR, and
     sums each input's L1 gradient entries over the repeats through the
-    sampled argmax class, so no [repeats, batch, q] gradient is formed. The
-    backward pass builds the phi cotangent in one [batch, h] buffer, with
-    the factor 2 of d(phi^2) moved onto the small [q, h] sigma_W^2.
+    sampled argmax class, so no [repeats, rows, q] gradient is formed. Its
+    phi cotangent takes the factor 2 of d(phi^2) on the small [q, h]
+    sigma_W^2.
     """
-    phi = phi_h.value
-    batch, q = phi.shape[0], zeta.shape[-1]
-    M = phi @ last.w_mean.value.T
-    M += last.b_mean.value
-    phi2, sw2, sb2 = np.square(phi), np.square(last.w_sigma), np.square(last.b_sigma)
-    V = phi2 @ sw2.T
-    V += sb2
-    np.maximum(V, VARIANCE_FLOOR, out=V)
-    values, idx, dM, dV = l1_draws(M, V, y0, zeta)
-    n = values.size
-    # j != y, so each (input, class) bin sums entries of one kind, in repeat
-    # order, whatever the layout of idx.
-    flat = idx.reshape(-1)
-    dM_sum = np.bincount(flat, dM.reshape(-1), batch * q).reshape(batch, q)
-    dV_sum = np.bincount(flat, dV.reshape(-1), batch * q).reshape(batch, q)
 
-    def vjp(g):
-        gM = g * (dM_sum / n)
-        gV = g * (dV_sum / n) * (V > VARIANCE_FLOOR)
-        g_sw2 = gV.T @ phi2
-        g_phi = gV @ (2.0 * sw2)
-        g_phi *= phi
-        g_phi += gM @ last.w_mean.value
-        return (
-            g_phi,
-            gM.T @ phi,
-            g_sw2 * (2.0 * last.w_sigma) * last.w_dsigma,
-            gM.sum(axis=0),
-            gV.sum(axis=0) * (2.0 * last.b_sigma) * last.b_dsigma,
+    def __init__(self, last: ParamLeaves, y0, zeta):
+        self.last, self.y0, self.zeta = last, y0, zeta
+        self.n = zeta.shape[0] * zeta.shape[1]
+        self.sw2, self.sb2 = np.square(last.w_sigma), np.square(last.b_sigma)
+        self.sums = None  # d/dw_mean, d/dsigma_W^2, d/db_mean, d/dsigma_b^2
+
+    def block(self, phi, rows, need_grad):
+        w_mean = self.last.w_mean.value
+        M = phi @ w_mean.T
+        M += self.last.b_mean.value
+        phi2 = np.square(phi)
+        V = phi2 @ self.sw2.T
+        V += self.sb2
+        np.maximum(V, VARIANCE_FLOOR, out=V)
+        values, idx, dM, dV = l1_draws(M, V, self.y0[rows], self.zeta[:, rows])
+        if not need_grad:
+            return values.sum(), None
+        size = M.size
+        # j != y, so each (input, class) bin sums entries of one kind, in
+        # repeat order, whatever the layout of idx.
+        flat = idx.reshape(-1)
+        gM = np.bincount(flat, dM.reshape(-1), size).reshape(M.shape)
+        gV = np.bincount(flat, dV.reshape(-1), size).reshape(M.shape)
+        gM /= self.n
+        gV /= self.n
+        gV *= V > VARIANCE_FLOOR
+        self.sums = accumulate(
+            self.sums, (gM.T @ phi, gV.T @ phi2, gM.sum(axis=0), gV.sum(axis=0))
         )
+        g_phi = gV @ (2.0 * self.sw2)
+        g_phi *= phi
+        g_phi += gM @ w_mean
+        return values.sum(), g_phi
 
-    parents = (phi_h, last.w_mean, last.w_rho, last.b_mean, last.b_rho)
-    return grad.Tensor(phi_h.tape, values.mean(), parents, vjp)
+    def partials(self):
+        last = self.last
+        g_wm, g_sw2, g_bm, g_sb2 = self.sums
+        return [
+            g_wm,
+            g_sw2 * (2.0 * last.w_sigma) * last.w_dsigma,
+            g_bm,
+            g_sb2 * (2.0 * last.b_sigma) * last.b_dsigma,
+        ]
 
 
 def batch_error_estimate(
@@ -355,10 +414,10 @@ def batch_error_estimate(
 
     Samples one set of hidden parameters for the whole batch, computes the
     conditional output moments, then averages the L1 estimator over
-    ``repeats`` independent output draws per input. The computation is
-    recorded on the tape, one node per sampled hidden layer and one for the
-    conditional head, so backward() yields pathwise gradients for every mean
-    and raw deviation.
+    ``repeats`` independent output draws per input. The estimate is one
+    ``estimate_node`` over every mean and raw-deviation leaf, so backward()
+    yields pathwise gradients for all of them. Without a ``tape`` only the
+    value is computed.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -366,18 +425,20 @@ def batch_error_estimate(
     y0 = np.asarray(labels, dtype=np.int64) - 1
     batch = x.shape[0]
     q = model.spec.q
+    if batch < 1:
+        raise ValueError("the batch is empty")
     if np.any(y0 < 0) or np.any(y0 >= q):
         raise ValueError("labels outside 1..q")
+    need_grad = tape is not None
     if tape is None:
         tape = grad.Tape()
     if leaves is None:
         leaves = make_leaves(tape, model)
-
-    phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, dropout_prob)
     # One block of output draws per batch; entry [r, i, :] belongs to
     # repeat r of input i.
     zeta = rng.child("l1").normal((repeats, batch, q))
-    return _conditional_l1_node(phi_h, leaves[-1], y0, zeta)
+    head = _ConditionalL1Head(leaves[-1], y0, zeta)
+    return estimate_node(tape, leaves, x, rng, model.spec, head, dropout_prob, need_grad)
 
 
 def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tuple]:

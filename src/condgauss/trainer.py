@@ -24,13 +24,14 @@ import numpy as np
 from . import grad
 from .bounds import BoundKind, BoundSpec, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
-from .gaussian import kl_diag, kl_diag_gauss, misclassified
+from .gaussian import kl_diag, kl_diag_gauss, misclassified, sample_gaussian
 from .network import (
     StochasticModel,
+    accumulate,
     batch_error_estimate,
-    hidden_forward_on_tape,
+    draw_partials,
+    estimate_node,
     make_leaves,
-    sampled_linear,
 )
 from .rng import RngStream
 
@@ -181,7 +182,7 @@ def kl_node(leaves, prior):
             total, dmean, dsig = kl_diag(mean_leaf.value, sigma, pmean, psigma, log_psigma, total)
             parents += [mean_leaf, rho_leaf]
             partials += [dmean, dsig * dsigma]
-    return grad.closed_form(total, parents, partials)
+    return grad.closed_form(total, parents, partials, in_place=True)
 
 
 def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, logit_leaf=None):
@@ -206,24 +207,53 @@ def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, logit_
     return grad.closed_form(value, parents, partials), pen, lam
 
 
-def _bounded_cross_entropy(F, y0):
-    """The surrogate loss of sampled scores ``F`` [B, q] against 0-based
-    labels ``y0`` as one closed-form node: the batch mean of
-    min(1, -log(max(p_y, p_min)) / log(1/p_min)), p the softmax of F.
+def _bounded_cross_entropy(F, y0, batch: int):
+    """The surrogate loss of sampled scores ``F`` [rows, q] against 0-based
+    labels ``y0``, summed over the rows: min(1, -log(max(p_y, p_min)) /
+    log(1/p_min)), p the softmax of F. Returns (loss sum, gradient in F of
+    the loss's mean over a batch of ``batch`` rows).
 
-    Its gradient in F is (p - onehot(y)) / (B log(1/p_min)) on rows where
+    That gradient is (p - onehot(y)) / (batch log(1/p_min)) on rows where
     p_y > p_min and the loss is below 1, and 0 on the other rows.
     """
     rows = np.arange(F.shape[0])
     log_inv_pmin = math.log(1.0 / SURROGATE_PMIN)
-    e = np.exp(F.value - F.value.max(axis=-1, keepdims=True))
+    e = np.exp(F - F.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1)[:, None]
     p_y = p[rows, y0]
     ell = np.log(np.maximum(p_y, SURROGATE_PMIN)) * (-1.0 / log_inv_pmin)
     active = (p_y > SURROGATE_PMIN) & (ell < 1.0)
     p[rows, y0] -= 1.0
-    p *= active[:, None] / (F.shape[0] * log_inv_pmin)
-    return grad.closed_form(np.minimum(ell, 1.0).mean(), (F,), (p,))
+    p *= active[:, None] / (batch * log_inv_pmin)
+    return np.minimum(ell, 1.0).sum(), p
+
+
+class _SurrogateHead:
+    """The baseline's head of ``estimate_node``, one row block at a time:
+    the output layer drawn pathwise once from ``rng``, the bounded
+    cross-entropy of its scores, and the count of the sampled network's 0-1
+    errors (ties count as errors)."""
+
+    def __init__(self, last, y0, rng):
+        self.last, self.y0, self.n = last, y0, len(y0)
+        self.draw = sample_gaussian(
+            last.w_mean.value, last.w_sigma, last.b_mean.value, last.b_sigma, rng
+        )
+        self.errors = 0
+        self.sums = None  # cotangent sums of the drawn W and b
+
+    def block(self, phi, rows, need_grad):
+        W, b = self.draw[:2]
+        F = phi @ W.T
+        F += b
+        y0 = self.y0[rows]
+        self.errors += int(np.count_nonzero(misclassified(F, y0)))
+        loss, gF = _bounded_cross_entropy(F, y0, self.n)
+        self.sums = accumulate(self.sums, (gF.T @ phi, gF.sum(axis=0)))
+        return loss, gF @ W
+
+    def partials(self):
+        return draw_partials(self.last, self.draw, *self.sums)
 
 
 def _surrogate_batch(model, leaves, x, y0, rng, tape):
@@ -234,10 +264,9 @@ def _surrogate_batch(model, leaves, x, y0, rng, tape):
     Returns the surrogate loss node plus the plain 0-1 error of the sampled
     network on the batch (for bound tracking; ties count as errors).
     """
-    phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
-    k_last = model.spec.n_layers - 1
-    F = sampled_linear(phi_h, leaves[-1], rng.child("theta", k_last))
-    return _bounded_cross_entropy(F, y0), float(np.mean(misclassified(F.value, y0)))
+    head = _SurrogateHead(leaves[-1], y0, rng.child("theta", model.spec.n_layers - 1))
+    node = estimate_node(tape, leaves, x, rng, model.spec, head)
+    return node, head.errors / len(y0)
 
 
 def _train_step(

@@ -513,6 +513,17 @@ class TestParseConfig:
         assert rc.prior_train is None
         assert rc.output_dir == out
 
+    def test_percent_in_value_round_trips(self, tmp_path):
+        cfg, out = write_config(tmp_path, QUICK_CONFIG, out_name="runs/50%done")
+        rc = parse_config(cfg)
+        assert rc.output_dir == out
+        assert f"output_dir = {out}\n" in rc.resolved
+        resolved = tmp_path / "config.resolved.cfg"
+        resolved.write_text(rc.resolved)
+        again = parse_config(resolved)
+        assert again.output_dir == out
+        assert again.resolved == rc.resolved
+
     def test_shipped_synth_config_parses(self):
         cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "synth_quick.cfg")
         assert cfg.posterior_train.batch_size == 1000

@@ -1,9 +1,9 @@
 """Reverse-mode engine: the chain rule through test-local reference ops,
 determinism, tape lifetime, the finite-difference harness, the closed-form
-KL and surrogate-loss nodes and the fused sampled-layer and
-conditional-head nodes against the chained-primitive subgraphs they
-replaced, and the averaged-gradient (affine objective) check against an
-independent numpy re-implementation."""
+KL node and the block-built estimate node (its hidden layers, conditional
+head and surrogate head) against the chained-primitive subgraphs they
+replaced, the block sums against one block, and the averaged-gradient
+(affine objective) check against an independent numpy re-implementation."""
 import gc
 import math
 import weakref
@@ -11,15 +11,16 @@ import weakref
 import numpy as np
 import pytest
 
-from condgauss import grad
+from condgauss import grad, network
 from condgauss.bounds import BoundKind, BoundSpec
-from condgauss.checks import linearization_report, toy_objective_fd_error
+from condgauss.checks import _toy_model, linearization_report, toy_objective_fd_error
 from condgauss.data import synth_blobs
 from condgauss.gaussian import (
     VARIANCE_FLOOR,
     dsigma_of_rho,
     l1_dense,
     l1_draws,
+    sample_gaussian,
     sigma_of_rho,
     std_normal_cdf,
     std_normal_pdf,
@@ -29,15 +30,16 @@ from condgauss.network import (
     StochasticModel,
     apply_dropout,
     batch_error_estimate,
+    estimate_node,
     hidden_forward_on_tape,
     make_leaves,
-    sampled_linear,
 )
 from condgauss.rng import RngStream
 from condgauss.trainer import (
     SURROGATE_PMIN,
     TrainConfig,
     _bounded_cross_entropy,
+    _SurrogateHead,
     kl_node,
     penalized_objective,
     prior_terms,
@@ -284,6 +286,41 @@ def _dense_estimate(model, x, y, rng, repeats, leaves, dropout_prob=0.0):
     return grad.closed_form(values.mean(), (M, Vc), (dM.sum(axis=0) / n, dV.sum(axis=0) / n))
 
 
+class _ReadoutHead:
+    """An estimate-node head reading phi(H) out through a fixed [batch, h]
+    array: value sum(phi * readout), phi cotangent the readout. The output
+    layer's partials are zero."""
+
+    n = 1
+
+    def __init__(self, last, readout):
+        self.last, self.readout = last, readout
+
+    def block(self, phi, rows, need_grad):
+        return np.sum(phi * self.readout[rows]), self.readout[rows].copy()
+
+    def partials(self):
+        lv = self.last
+        return [np.zeros_like(t.value) for t in (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)]
+
+
+def _surrogate_node(F, y0):
+    """The bounded cross-entropy's batch mean as a closed-form node over
+    the scores F."""
+    loss, dF = _bounded_cross_entropy(F.value, y0, F.shape[0])
+    return grad.closed_form(loss / F.shape[0], (F,), (dF,))
+
+
+def _estimate(head, model, x, y, rng, leaves, dropout_prob):
+    """The estimate node under the conditional L1 head (repeats 5) or the
+    baseline's surrogate head."""
+    tape = leaves[0].w_mean.tape
+    if head == "l1":
+        return batch_error_estimate(model, x, y, rng, 5, tape, leaves, dropout_prob)
+    last = _SurrogateHead(leaves[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
+    return estimate_node(tape, leaves, x, rng, model.spec, last, dropout_prob)
+
+
 class TestTapeBasics:
     def test_pathwise_sample_chain_rule(self):
         # theta = m + sigma(rho) * zeta with zeta=0.7, rho=1:
@@ -463,33 +500,36 @@ class TestClosedFormNodes:
         ids=["20-256-4", "784-200-10", "20-64-32-5"],
     )
     def test_fused_hidden_matches_chained_relu_and_mask(self, widths, dropout):
-        """One node per hidden layer, relu and dropout mask inside, against
-        the chain sampled layer -> relu -> mask, through a fixed random
-        readout of phi(H)."""
+        """The estimate node's hidden forward and backward, relu and dropout
+        mask inside, against the chain sampled layer -> relu -> mask,
+        through a fixed random readout of phi(H) as the head."""
         model = _perturbed_model(widths, 21)
         gen = np.random.default_rng(22)
         x = gen.uniform(0, 1, (32, widths[0]))
         readout = gen.normal(size=(32, widths[-2]))
         rng = RngStream(23)
 
-        def read(phi_h):
-            return grad.closed_form(np.sum(phi_h.value * readout), (phi_h,), (readout,))
-
         def chained(leaves):
-            return read(_chained_hidden(leaves, x, rng, model.spec, dropout))
+            phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout)
+            return grad.closed_form(np.sum(phi_h.value * readout), (phi_h,), (readout,))
 
         def fused(leaves):
             tape = leaves[0].w_mean.tape
-            return read(hidden_forward_on_tape(tape, leaves, x, rng, model.spec, dropout))
+            head = _ReadoutHead(leaves[-1], readout)
+            return estimate_node(tape, leaves, x, rng, model.spec, head, dropout)
 
         ref, ref_leaves = _backward_leaves(model, chained)
         new, leaves = _backward_leaves(model, fused)
         assert new == ref
         _assert_leaf_grads_match(leaves, ref_leaves)
         tape = grad.Tape()
-        phi = hidden_forward_on_tape(tape, make_leaves(tape, model), x, rng, model.spec, dropout)
-        assert len(tape._nodes) == 4 * model.spec.n_layers + model.spec.n_layers - 1
-        assert np.all(phi.value >= 0.0)
+        fused(make_leaves(tape, model))
+        assert len(tape._nodes) == 4 * model.spec.n_layers + 1
+        draws = [
+            sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng.child("theta", k))
+            for k, g in enumerate(model.hidden_groups)
+        ]
+        assert np.all(hidden_forward_on_tape(x, draws)[-1] >= 0.0)
 
     @_FUSED_SHAPES
     def test_l1_node_matches_chained_estimate(self, widths, dropout):
@@ -505,8 +545,9 @@ class TestClosedFormNodes:
 
     @_FUSED_SHAPES
     def test_surrogate_last_layer_matches_chain(self, widths, dropout):
-        """The baseline's fused last sampled layer and closed-form bounded
-        cross-entropy against the chain of primitives."""
+        """The estimate node under the baseline's head (the sampled output
+        layer and the bounded cross-entropy) against the chain of
+        primitives."""
         model = _perturbed_model(widths, 15)
         gen = np.random.default_rng(16)
         x = gen.uniform(0, 1, (32, widths[0]))
@@ -520,8 +561,8 @@ class TestClosedFormNodes:
 
         def fused(leaves):
             tape = leaves[0].w_mean.tape
-            phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, dropout)
-            return _bounded_cross_entropy(sampled_linear(phi_h, leaves[-1], theta_rng), y0)
+            head = _SurrogateHead(leaves[-1], y0, theta_rng)
+            return estimate_node(tape, leaves, x, rng, model.spec, head, dropout)
 
         ref, ref_leaves = _backward_leaves(model, chained)
         new, leaves = _backward_leaves(model, fused)
@@ -556,7 +597,7 @@ class TestClosedFormNodes:
             return float(out.value), leaf.grad
 
         ref, ref_grad = run(_chained_surrogate)
-        new, new_grad = run(_bounded_cross_entropy)
+        new, new_grad = run(_surrogate_node)
         e = np.exp(F - F.max(axis=1)[:, None])
         p_y = e[rows, y0] / e.sum(axis=1)
         assert np.all((1.0 - p_y[:3] < 1e-10) & (p_y[:3] < 1.0))
@@ -567,6 +608,58 @@ class TestClosedFormNodes:
         tol = 4.0 * np.finfo(float).eps / (batch * math.log(1.0 / SURROGATE_PMIN))
         assert np.max(np.abs(new_grad - ref_grad)) <= tol
         np.testing.assert_array_equal(new_grad[clamped], 0.0)
+
+
+_HEADS = pytest.mark.parametrize("head", ["l1", "surrogate"])
+
+
+class TestBlockBuiltEstimate:
+    @_HEADS
+    @pytest.mark.parametrize(
+        "widths, batch, dropout",
+        [((20, 256, 4), 1000, 0.0), ((784, 200, 10), 250, 0.0), ((20, 64, 32, 5), 600, 0.3)],
+        ids=["20-256-4-b1000", "784-200-10-b250", "20-64-32-5-dropout"],
+    )
+    def test_block_sums_match_one_block(self, monkeypatch, widths, batch, dropout, head):
+        """TRAIN_BLOCK-row blocks (1000 rows: 256, 256, 256 and 232) and
+        one block of the whole batch give the same estimate and leaf
+        gradients up to the reordered float sums."""
+        model = _perturbed_model(widths, 25)
+        gen = np.random.default_rng(26)
+        x = gen.uniform(0, 1, (batch, widths[0]))
+        y = gen.integers(1, widths[-1] + 1, batch)
+        rng = RngStream(27)
+
+        def build(leaves):
+            return _estimate(head, model, x, y, rng, leaves, dropout)
+
+        blocked, leaves = _backward_leaves(model, build)
+        monkeypatch.setattr(network, "TRAIN_BLOCK", batch + 1)
+        whole, ref_leaves = _backward_leaves(model, build)
+        assert blocked == pytest.approx(whole, rel=1e-12, abs=0.0)
+        _assert_leaf_grads_match(leaves, ref_leaves)
+
+    @_HEADS
+    def test_node_gradients_match_finite_differences(self, monkeypatch, head):
+        """Every leaf gradient of the node, over ragged blocks of 3, 3 and
+        2 rows with dropout, against central differences of the
+        frozen-noise value, on the check battery's toy net."""
+        monkeypatch.setattr(network, "TRAIN_BLOCK", 3)
+        model, x, y = _toy_model(0, (5, 6, 4, 3))
+        rng = RngStream(30)
+
+        def fn(point):
+            model.set_state(point)
+            value, leaves = _backward_leaves(
+                model, lambda lv: _estimate(head, model, x, y, rng, lv, 0.3)
+            )
+            return value, [g for lv in leaves for g in lv.grads()]
+
+        state0 = model.get_state()
+        try:
+            assert grad.fd_check(fn, state0, step=1e-5) < 1e-4
+        finally:
+            model.set_state(state0)
 
 
 def test_step_tape_freed_without_cyclic_collector():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import condgauss.network as network
-from condgauss import grad
+from condgauss import grad, trainer
 from condgauss.certify import draw_errors
 from condgauss.data import LabelledDataset, synth_blobs
 from condgauss.gaussian import (
@@ -25,11 +25,9 @@ from condgauss.network import (
     batch_error_estimate,
     exact_misclassification,
     forward_scores,
-    hidden_forward_on_tape,
     load_model,
     make_leaves,
     sample_full,
-    sampled_linear,
     save_model,
 )
 from condgauss.rng import RngStream
@@ -152,17 +150,24 @@ class TestForwardScores:
         y0[::3] = (y0[::3] + 1) % widths[-1]
         np.testing.assert_array_equal(misclassified(got, y0), misclassified(ref, y0))
 
-    def test_matches_training_forward_on_same_draw(self):
-        # The surrogate training path (hidden layers on the tape, then the
-        # sampled output layer) and the certification forward score one draw
-        # taken under the training keys ("theta", k).
+    def test_matches_training_forward_on_same_draw(self, monkeypatch):
+        # The surrogate training path (the hidden layers, then the sampled
+        # output layer, in row blocks of 256 and 44) and the certification
+        # forward score one draw taken under the training keys ("theta", k).
         model, _, x = drawn_network((20, 64, 32, 5), 300, seed=9)
         rng = RngStream(10)
+        blocks = []
+        loss = trainer._bounded_cross_entropy
+
+        def recording(F, y0, batch):
+            blocks.append(F.copy())
+            return loss(F, y0, batch)
+
+        monkeypatch.setattr(trainer, "_bounded_cross_entropy", recording)
         tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        phi_h = hidden_forward_on_tape(tape, leaves, x, rng, model.spec, 0.0)
-        last = model.spec.n_layers - 1
-        batch_major = sampled_linear(phi_h, leaves[-1], rng.child("theta", last)).value
+        trainer._surrogate_batch(model, make_leaves(tape, model), x, np.zeros(300, int), rng, tape)
+        assert [len(F) for F in blocks] == [256, 44]
+        batch_major = np.concatenate(blocks)
         theta = [
             sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng.child("theta", k))[:2]
             for k, g in enumerate(model.groups)

@@ -1,6 +1,8 @@
 """Training: momentum semantics, phase rules and wiring, penalty bookkeeping,
-lambda alternation, the surrogate baseline, logging, and reproducibility."""
+lambda alternation, the surrogate baseline, logging, reproducibility, and
+a step's tape and peak memory."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from condgauss.trainer import (
     LogRow,
     TrainConfig,
     TrainingDiverged,
+    _train_step,
     kl_node,
     momentum_step,
     penalized_objective,
@@ -153,17 +156,16 @@ class TestTrainCondgauss:
 @pytest.mark.parametrize(
     "phase, kind, nodes",
     [
-        ("posterior", BoundKind.INVKL, 12),
-        ("posterior", BoundKind.LBD, 13),
-        ("baseline", BoundKind.INVKL, 13),
+        ("posterior", BoundKind.INVKL, 11),
+        ("posterior", BoundKind.LBD, 12),
+        ("baseline", BoundKind.INVKL, 11),
     ],
     ids=["invkl", "lbd", "surrogate"],
 )
 def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
-    """A 20-256-4 step's tape at backward: eight parameter leaves, one node
-    per sampled layer (the baseline samples the output layer too), one for
-    the L1 head or the surrogate loss (the baseline's), the KL node and the
-    objective node, plus lbd's lambda logit leaf."""
+    """A 20-256-4 step's tape at backward: eight parameter leaves, one
+    estimate node (the L1 estimate, or the baseline's surrogate loss), the
+    KL node and the objective node, plus lbd's lambda logit leaf."""
     sizes = []
     backward = grad.Tape.backward
 
@@ -180,6 +182,32 @@ def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     train_condgauss(fresh_model(widths=(20, 256, 4)), data, cfg)
     assert len(sizes) == (4 if kind == BoundKind.LBD else 2)
     assert set(sizes) == {nodes}
+
+
+def test_step_peak_memory_below_batch_by_hidden_arrays():
+    """A steady-state 20-256-4 step at batch 1000, the synth_quick shape,
+    peaks below 4.5 MB of traced allocations: it holds [256, 256] row-block
+    arrays, where a single [1000, 256] array takes 2.05 MB. A step that
+    builds the estimate over the whole batch at once peaked at 9.0 MB."""
+    model = fresh_model(widths=(20, 256, 4))
+    data = blob_task(classes=4, per_class=250, dim=20)
+    config = quick_config(batch_size=1000, repeats=10)
+    prior = prior_terms(model.groups)
+    velocity = [np.zeros_like(a) for a in model.get_state()]
+
+    def step(b):
+        rng = RngStream(5).child("batch", b)
+        args = (rng, 0.001, velocity, 0.0, 0.0, False, (0, b))
+        _train_step(model, config, len(data), prior, data.inputs, data.labels, *args)
+
+    step(0)
+    tracemalloc.start()
+    try:
+        step(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 class TestLambdaAlternating:
