@@ -14,6 +14,11 @@ the pairs and its median beats the parent's by more than the distance
 between the parent's quartiles. Failed operations and the reference check
 of every run are listed too.
 
+With ``--trace``, one ``--trace 1`` run per side follows the pairs, on the
+first seed, and the report adds each per-layer metric of ``BENCHMARK.json``
+for both sides with the change's difference, and every reach or other
+check the traced runs failed: it shows in which layer a saving sits.
+
 Standard library only, so it runs whatever the checkouts' environments hold.
 """
 from __future__ import annotations
@@ -27,10 +32,11 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run: its JSON line plus its reference status."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``bench/run.py`` run: its JSON line plus its reference status and
+    the names of the checks it failed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -38,6 +44,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     match = re.search(r"; reference: (.*)$", proc.stdout, re.MULTILINE)
     result["reference"] = match.group(1) if match else "not reported"
+    match = re.search(r"^checks: .*failed: (.*); reference", proc.stdout, re.MULTILINE)
+    result["failed_checks"] = match.group(1) if match else "not reported"
     return result
 
 
@@ -79,6 +87,22 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
     return ok
 
 
+def report_layers(metrics: list[dict], traced: dict[str, dict]) -> None:
+    """Print each per-layer metric of both traced runs, with the change's
+    difference, and the checks each traced run failed."""
+    print(f"{'per-layer metric':<38}{'parent':>12}{'change':>12}  change vs parent")
+    for m in metrics:
+        name = m["name"]
+        par, chg = value(traced["parent"], name), value(traced["change"], name)
+        if par == 0.0 and chg == 0.0:
+            continue
+        diff = f"{100.0 * (chg - par) / par:+.1f}%" if par else "n/a"
+        print(f"{name:<38}{par:>12.5g}{chg:>12.5g}  {diff} ({m['better']} is better)")
+    for side, result in traced.items():
+        print(f"{side} traced run: failed checks {result['failed_checks']}; "
+              f"reference {result['reference']}")
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, type=Path, help="parent source checkout")
@@ -87,6 +111,8 @@ def main() -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--seconds", type=float, help="run length (default: the benchmark's)")
+    p.add_argument("--trace", action="store_true",
+                   help="after the pairs, compare one traced run per side layer by layer")
     args = p.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -104,7 +130,13 @@ def main() -> int:
             for name in ("op_ms_p50", "samples_per_s", "peak_rss_mb")
         )
         print(f"pair {i + 1} seed {seed} ({order[0]} first): {line}", flush=True)
-    return 0 if report(spec["end_to_end"], runs) else 1
+    ok = report(spec["end_to_end"], runs)
+    if args.trace:
+        traced = {side: run_bench(path, args.workload, args.seeds[0], seconds, trace=1)
+                  for side, path in sides.items()}
+        report_layers(spec["per_layer"], traced)
+        ok = ok and all(r["correct"] and not r["failed"] for r in traced.values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 These back the `check` CLI command and double as test oracles: Gaussian
 integration-by-parts identities verified by Gauss-Hermite quadrature, the
 kl_inv round trip and gradient, estimator unbiasedness against a brute-force
-argmax frequency, a finite-difference pass over a toy network objective, and
-the linearization report that justifies treating the non-affine bounds as
+argmax frequency, a finite-difference pass over a toy network objective, the
+float32 screen of certification against extended precision, and the
+linearization report that justifies treating the non-affine bounds as
 almost affine where the error estimate concentrates.
 """
 from __future__ import annotations
@@ -18,7 +19,16 @@ from numpy.polynomial.hermite import hermgauss
 from . import gaussian, grad
 from .bounds import BoundKind, BoundSpec, kl_bernoulli, kl_inv, kl_inv_grad
 from .data import LabelledDataset
-from .network import ModelSpec, StochasticModel, batch_error_estimate, make_leaves
+from .network import (
+    ModelSpec,
+    ScoreScreen,
+    StochasticModel,
+    batch_error_estimate,
+    exact_misclassification,
+    forward_scores,
+    make_leaves,
+    sample_full,
+)
 from .rng import RngStream
 from .trainer import penalized_objective, prior_terms
 
@@ -31,6 +41,7 @@ __all__ = [
     "kl_inv_grad_worst",
     "estimator_bias_sigmas",
     "toy_objective_fd_error",
+    "screened_scoring_worst",
     "LinearizationReport",
     "linearization_report",
     "run_battery",
@@ -233,6 +244,43 @@ def toy_objective_fd_error(
         model.set_state(state0)
 
 
+def screened_scoring_worst(seed: int = 0, draws: int = 50, m: int = 200) -> tuple[float, int]:
+    """The float32 screen of ``exact_misclassification`` on toy nets.
+
+    Returns the worst ratio, over rows and classes, of |s32 - s_ref| +
+    |s64 - s_ref| to the screen's bound E, with s_ref the forward in extended
+    precision (np.longdouble), and how many draws' error counts differ from
+    one float64 forward's. Every other draw gives output classes 1 and 2 the
+    same weights, so exact ties reach the float64 fallback. A sound screen
+    has a ratio of at most 1 and no differing draw.
+    """
+    worst, differ = 0.0, 0
+    for k, widths in enumerate(((6, 5, 3), (20, 64, 32, 5))):
+        rng = RngStream(seed).child("screen", k)
+        model = StochasticModel.initialize(ModelSpec(widths), sigma0=0.05, rng=rng.child("model"))
+        spec = model.spec
+        x = rng.child("x").uniform(0.0, 1.0, (m, widths[0]))
+        y = rng.child("y").generator().integers(1, widths[-1] + 1, m)
+        x32 = x.astype(np.float32)
+        wide_x = x.astype(np.longdouble)
+        sigmas = model.sigmas()
+        for n in range(draws):
+            theta = sample_full(model, rng.child("draw", n), sigmas)
+            if n % 2:
+                W, b = theta[-1]
+                W[1], b[1] = W[0], b[0]
+            screen = ScoreScreen(theta, spec)
+            bound, _ = screen.tolerance(x32)
+            s64 = forward_scores(x, theta, spec)
+            wide = [(W.astype(np.longdouble), b.astype(np.longdouble)) for W, b in theta]
+            ref = forward_scores(wide_x, wide, spec)
+            gap = np.abs(forward_scores(x32, screen.theta32, spec) - ref) + np.abs(s64 - ref)
+            worst = float(np.maximum(worst, np.max(gap / bound)))  # NaN stays NaN
+            count = np.count_nonzero(gaussian.misclassified(s64, y - 1))
+            differ += int(exact_misclassification(model, x, y, theta) != count / m)
+    return worst, differ
+
+
 @dataclass
 class LinearizationReport:
     """Distribution of the error estimate and local bound-slope variation.
@@ -339,4 +387,13 @@ def run_battery(seed: int = 0):
         results.append(
             (f"gradient_fd_{kind.value}", err < 1e-4, f"worst rel err = {err:.3e}")
         )
+
+    ratio, differ = screened_scoring_worst(seed)
+    results.append(
+        (
+            "screened_scoring",
+            ratio <= 1.0 and differ == 0,
+            f"worst float error / bound = {ratio:.3e}, {differ} draw counts differ",
+        )
+    )
     return results

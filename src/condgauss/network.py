@@ -38,6 +38,7 @@ __all__ = [
     "apply_dropout",
     "sample_full",
     "forward_scores",
+    "ScoreScreen",
     "save_model",
     "load_model",
 ]
@@ -56,11 +57,28 @@ _LAYER_ARRAYS = (
     "prior_b_sigma",
 )
 
-# Rows per forward in exact_misclassification: bounds a certification draw's
-# activations at [h, SCORE_BLOCK] floats. At 784-200-10 and m = 10000 on a
-# 2-core Xeon host, a draw took 2% longer than one forward over all rows
-# with 2048-row blocks and 5% longer with 1024.
+# Rows per block of exact_misclassification at most: bounds a certification
+# draw's activations at [h, SCORE_BLOCK] floats. At 784-200-10 and m = 10000
+# on a 2-core Xeon host, a float64 draw took 2% longer than one forward over
+# all rows with 2048-row blocks and 5% longer with 1024.
 SCORE_BLOCK = 2048
+
+# Bytes of the float32 copy of one row block at most: one core's L2 on that
+# host, 656 rows at p = 784.
+SCREEN_BYTES = 2**21
+
+# The float32 screen's error model. ``_UNIT`` is the unit roundoff of a
+# float32 forward plus that of the float64 forward it stands in for, so one
+# bound covers the distance of both from the exact scores (gamma_n is
+# superadditive in u). ``_TINY`` is the absolute error of one operation or
+# cast whose result underflows, or is flushed to zero. Every float32 value
+# of a screened row stays below ``_SAFE``, far from overflow.
+# ``_INFLATE`` covers the float64 rounding of the bound itself while the
+# fan-ins sum to less than 2**22.
+_UNIT = 2.0**-24 + 2.0**-53
+_TINY = 2.0**-125
+_SAFE = 2.0**120
+_INFLATE = 1.0 + 2.0**-20
 
 # Rows per block of a training step's estimate node: at 256 hidden units a
 # block's activations and cotangents are 0.5 MB each, so the block's
@@ -195,8 +213,9 @@ class StochasticModel:
 def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
     """Zero units independently with probability prob, rescale survivors.
 
-    Inverted scaling by 1/(1-prob) keeps E[mask * h] = h. Used on activated
-    hidden values during prior training only.
+    Inverted scaling by 1/(1-prob) keeps E[mask * h] = h. ``estimate_node``
+    draws the same masks under ``rng`` block by block, as boolean keeps and
+    the scale.
     """
     if not 0.0 <= prob < 1.0:
         raise ValueError("dropout prob must be in [0, 1)")
@@ -262,10 +281,11 @@ def accumulate(sums, parts):
     return sums
 
 
-def hidden_forward_on_tape(x, draws, masks=None) -> list[np.ndarray]:
+def hidden_forward_on_tape(x, draws, keeps=None, scale=1.0) -> list[np.ndarray]:
     """The hidden forward of one row block under the step's hidden-layer
-    draws, each (W, b, zeta_w, zeta_b): relu(a @ W.T + b), times the block's
-    dropout mask of the layer when ``masks`` holds them.
+    draws, each (W, b, zeta_w, zeta_b): relu(a @ W.T + b), with the units
+    the block's boolean dropout mask of the layer drops zeroed and the rest
+    times ``scale``, when ``keeps`` holds the masks.
 
     Returns [x, phi_1, ..., phi_h], the input of every hidden layer and the
     last hidden output, which the block's backward pass reads while they
@@ -276,8 +296,9 @@ def hidden_forward_on_tape(x, draws, masks=None) -> list[np.ndarray]:
         out = acts[-1] @ W.T
         out += b
         np.maximum(out, 0.0, out=out)
-        if masks is not None:
-            out *= masks[k]
+        if keeps is not None:
+            out *= keeps[k]
+            out *= scale
         acts.append(out)
     return acts
 
@@ -286,17 +307,18 @@ def estimate_node(tape, leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=
     """A batch estimate as one closed-form node over every parameter leaf,
     built TRAIN_BLOCK rows at a time.
 
-    Each hidden layer is drawn once under ``rng``'s ("theta", k) and each
-    dropout mask once for the whole batch under ("dropout", k). Each row
-    block then runs the hidden forward, ``head.block`` (its value sum and
-    the cotangent of its last hidden output under a unit cotangent of the
-    estimate, an array the loop overwrites) and at once the backward
-    through the hidden layers into per-layer weight and bias sums. The
-    estimate is the sum of the block sums over ``head.n``, and the node's
-    partials are the finished sums with the head's own ``head.partials()``
-    for the output layer, which the backward pass scales by the cotangent
-    in place. Without ``need_grad`` no backward runs and the node is a bare
-    leaf holding the value.
+    Each hidden layer is drawn once under ``rng``'s ("theta", k). Each row
+    block draws its rows' dropout uniforms of layer k from the one generator
+    of ("dropout", k), the values ``apply_dropout`` draws for the whole
+    batch, and keeps them as a boolean mask. The block then runs the hidden
+    forward, ``head.block`` (its value sum and the cotangent of its last
+    hidden output under a unit cotangent of the estimate, an array the loop
+    overwrites) and at once the backward through the hidden layers into
+    per-layer weight and bias sums. The estimate is the sum of the block
+    sums over ``head.n``, and the node's partials are the finished sums with
+    the head's own ``head.partials()`` for the output layer, which the
+    backward pass scales by the cotangent in place. Without ``need_grad`` no
+    backward runs and the node is a bare leaf holding the value.
     """
     n_hidden = spec.n_layers - 1
     draws = [
@@ -305,28 +327,29 @@ def estimate_node(tape, leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=
         )
         for k, lv in enumerate(leaves[:n_hidden])
     ]
-    masks = None
-    if dropout_prob > 0.0:
-        masks = [
-            apply_dropout(
-                np.ones((len(x), spec.layer_widths[k + 1])), dropout_prob, rng.child("dropout", k)
-            )
-            for k in range(n_hidden)
-        ]
+    if not 0.0 <= dropout_prob < 1.0:
+        raise ValueError("dropout prob must be in [0, 1)")
+    gens = [rng.child("dropout", k).generator() for k in range(n_hidden)] if dropout_prob else []
+    scale = 1.0 / (1.0 - dropout_prob)
     sums = [None] * n_hidden
     total = 0.0
     for lo in range(0, len(x), TRAIN_BLOCK):
         rows = slice(lo, lo + TRAIN_BLOCK)
-        block_masks = None if masks is None else [mask[rows] for mask in masks]
-        acts = hidden_forward_on_tape(x[rows], draws, block_masks)
+        xb = x[rows]
+        keeps = [
+            gen.random((len(xb), spec.layer_widths[k + 1])) >= dropout_prob
+            for k, gen in enumerate(gens)
+        ] or None
+        acts = hidden_forward_on_tape(xb, draws, keeps, scale)
         value, g = head.block(acts[-1], rows, need_grad)
         total += value
         if not need_grad:
             continue
         for k in reversed(range(n_hidden)):
+            # A dropped unit's output is 0, so this also zeroes its row.
             g *= acts[k + 1] > 0
-            if block_masks is not None:
-                g *= block_masks[k]
+            if keeps is not None:
+                g *= scale
             sums[k] = accumulate(sums[k], (g.T @ acts[k], g.sum(axis=0)))
             if k:
                 g = g @ draws[k][0]
@@ -454,14 +477,18 @@ def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tup
 
 
 def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.ndarray:
-    """Network outputs [n, q] under a full parameter draw of (W, b) pairs.
+    """Network outputs [n, q] under a full parameter draw of (W, b) pairs,
+    computed in the precision of the inputs and the draw: float32 only when
+    both are float32; non-float inputs count as float64.
 
     Runs features-major: each layer computes W @ a into a fresh [width, n]
     array and adds the bias (and, before the next layer, the relu) in place,
     so a layer allocates one array and BLAS packs the inputs as its cheaper
     B operand. The result is the [n, q] transposed view of the last array.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if not np.issubdtype(x.dtype, np.floating):
+        x = x.astype(np.float64)
     if x.shape[-1] != spec.p:
         raise ValueError(f"input width {x.shape[-1]} does not match spec p={spec.p}")
     if len(theta) != spec.n_layers:
@@ -475,25 +502,145 @@ def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.nda
     return h.T
 
 
+class ScoreScreen:
+    """One full draw cast to float32, with a proven bound on how far its
+    scores lie from the float64 forward's.
+
+    For a row x whose float32 copy has X = max_i |x_i| <= ``x_limit``, the
+    float32 score of class c and the float64 score (``forward_scores`` of
+    the float64 row and draw, in any summation order) differ by at most
+    E_c = alpha_c + beta_c X. The bound (Higham 2002, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.1) runs layer by layer. A layer of
+    fan-in n computes z = W a + b with error at most
+
+        gamma_{n+3} (|W| |a| + |b|) + (1 + gamma_{n+3}) |W| d,
+
+    where a is the exact input, d bounds the computed input's error, and
+    gamma_k = k u / (1 - k u). The n + 3 roundings count the dot product,
+    the bias add and the casts of W, b and (at the first layer) x. The relu
+    is 1-Lipschitz, so the error reaches the next layer as its d. With
+    |x_i| <= X, the bounds on |a| and on d are affine in X, propagated
+    through |W| per unit. Taking u as float32's unit roundoff plus
+    float64's bounds the distance of both forwards from the exact scores
+    at once. Underflow adds an absolute ``_TINY`` per operation and cast.
+    Below ``x_limit`` no float32 value of the forward can overflow; weights
+    beyond ``_SAFE`` screen no row. The bound takes BLAS to form each entry
+    as a sum of products, in any order, fused or not, as OpenBLAS and MKL
+    kernels do; a Strassen-type GEMM would void it.
+    """
+
+    def __init__(self, theta: list[tuple], spec: ModelSpec):
+        self.spec = spec
+        # Per unit of the layer input: columns P, Q of the magnitude bound
+        # P + Q X of its exact value, and F, G of the error bound F + G X
+        # of its computed value.
+        bound = np.zeros((spec.p, 4))
+        bound[:, 1] = 1.0
+        x_limit = _SAFE
+        for W, b in theta:
+            n = W.shape[1]
+            gamma = (n + 3) * _UNIT / (1.0 - (n + 3) * _UNIT)
+            abs_w = np.abs(W)
+            if not (abs_w.max() <= _SAFE and np.abs(b).max() <= _SAFE):
+                x_limit = -1.0
+            spread = abs_w @ bound
+            mag = spread[:, :2]
+            mag[:, 0] += np.abs(b)
+            err = gamma * mag + (1.0 + gamma) * spread[:, 2:]
+            # Underflow in the products, the bias and the casts of W and x.
+            inputs = bound.sum(axis=0)
+            err[:, 0] += _TINY * (n + 2 + abs_w.sum(axis=1) + inputs[0] + inputs[2])
+            err[:, 1] += _TINY * (inputs[1] + inputs[3])
+            bound = np.hstack([mag, err])
+            # Every float value of the layer, partial sums included, stays
+            # below (P + F) + (Q + G) X; Q + G > 0 through the underflow term.
+            reach = mag + err
+            x_limit = np.minimum(x_limit, np.min((_SAFE - reach[:, 0]) / reach[:, 1]))
+        # X is read off the float32 copy: |x_i| <= (X + _TINY) / (1 - 2**-24).
+        self.beta = bound[:, 3] * _INFLATE / (1.0 - 2.0**-24)
+        self.alpha = bound[:, 2] * _INFLATE + self.beta * _TINY
+        self.x_limit = float(x_limit)
+        with np.errstate(over="ignore"):
+            self.theta32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in theta]
+
+    def tolerance(self, x32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The bound E [n, q] on |float32 score - float64 score| of each row
+        of ``x32``, and whether the bound holds for the row. A row with a
+        NaN, an inf or a value beyond ``x_limit`` has no bound."""
+        size = np.maximum(x32.max(axis=1), -x32.min(axis=1))
+        bound = np.multiply.outer(size, self.beta)
+        bound += self.alpha
+        return bound, size <= self.x_limit
+
+    def decide(self, x32: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Screen the float32 rows ``x32`` with 0-based labels ``y0``.
+
+        A row is correct when s_y - s_c > E_y + E_c for every c != y, and an
+        error when s_c - s_y > E_y + E_c for some c: the float64 forward
+        would count it the same. Returns the error mask and the indices of
+        the rows the bound cannot decide (near-ties, ties, non-finite or
+        unbounded rows), which the float64 forward must score.
+        """
+        # A draw or row beyond float32's range leaves infs and NaNs here;
+        # such rows have no bound and fall back.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = forward_scores(x32, self.theta32, self.spec).astype(np.float64)
+            bound, held = self.tolerance(x32)
+            at_y = (np.arange(len(y0)), y0)
+            gap -= gap[at_y][:, None]
+            bound += bound[at_y][:, None]
+            wrong = (gap > bound).any(axis=1)
+            right = (gap < -bound).sum(axis=1) == self.spec.q - 1
+        wrong &= held
+        right &= held
+        return wrong, np.flatnonzero(~(wrong | right))
+
+
+def screen_rows(spec: ModelSpec) -> int:
+    """Rows per block of ``exact_misclassification``: at most SCORE_BLOCK,
+    and few enough that the block's float32 copy fills at most SCREEN_BYTES,
+    in multiples of 16 (BLAS's sgemm slows on odd widths)."""
+    fit = SCREEN_BYTES // (4 * spec.p) // 16 * 16
+    return max(16, min(SCORE_BLOCK, fit))
+
+
 def exact_misclassification(
     model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple]
 ) -> float:
     """0-1 error rate under a full parameter draw; output ties count as errors.
 
-    Scores the inputs SCORE_BLOCK rows at a time and sums the blocks' error
-    counts, so a call holds one [h, SCORE_BLOCK] activation whatever the
-    number of inputs. The count over m is the mean of the 0/1 errors bit for
-    bit. A ragged last block can change BLAS's summation order, moving its
-    scores by a few ulps.
+    The count is the float64 forward's. Each block of ``screen_rows`` rows
+    is cast into one float32 buffer and screened by a ``ScoreScreen`` of
+    the draw; the rows it cannot decide are gathered into the same buffer,
+    read as float64, and scored by the float64 forward. A call holds the
+    float32 draw, that buffer and one block's activation whatever the
+    number of inputs. The gathered rows can sum in another order inside
+    BLAS than one forward over all rows, moving their scores by a few ulps.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y0 = np.asarray(labels, dtype=np.int64) - 1
-    if np.any(y0 < 0) or np.any(y0 >= model.spec.q):
+    spec = model.spec
+    if np.any(y0 < 0) or np.any(y0 >= spec.q):
         raise ValueError("labels outside 1..q")
+    screen = ScoreScreen(theta, spec)
+    rows = screen_rows(spec)
+    buffer = np.empty(rows * spec.p, dtype=np.float32)
+    wide = buffer.view(np.float64).reshape(-1, spec.p)
     errors = 0
-    for lo in range(0, len(y0), SCORE_BLOCK):
-        scores = forward_scores(x[lo : lo + SCORE_BLOCK], theta, model.spec)
-        errors += np.count_nonzero(misclassified(scores, y0[lo : lo + SCORE_BLOCK]))
+    for lo in range(0, len(y0), rows):
+        xb, yb = x[lo : lo + rows], y0[lo : lo + rows]
+        block = buffer[: xb.size].reshape(xb.shape)
+        with np.errstate(over="ignore"):
+            np.copyto(block, xb)
+        wrong, undecided = screen.decide(block, yb)
+        errors += np.count_nonzero(wrong)
+        for start in range(0, len(undecided), len(wide)):
+            pick = undecided[start : start + len(wide)]
+            # mode="clip" gathers straight into the buffer; the default
+            # mode stages ``out`` in a temporary. ``pick`` is in range.
+            rescored = np.take(xb, pick, axis=0, out=wide[: len(pick)], mode="clip")
+            scores = forward_scores(rescored, theta, spec)
+            errors += np.count_nonzero(misclassified(scores, yb[pick]))
     return errors / len(y0)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import condgauss.cli as cli
 import condgauss.gaussian as gaussian
+import condgauss.network as network
 from condgauss.certify import Certificate
 from condgauss.cli import ConfigError, main, parse_config
 from condgauss.data import split_prior_bound
@@ -502,6 +503,20 @@ class TestCheckCommand:
         assert main(["check"]) == 1
         out = capsys.readouterr().out
         assert any("estimator_unbiasedness" in line and "FAIL" in line for line in out.splitlines())
+
+    def test_shrunk_screen_bound_fails_screened_scoring(self, capsys, monkeypatch):
+        # Negative control: a float32 screen whose bound is too small must
+        # fail the screened-scoring check.
+        true_tolerance = network.ScoreScreen.tolerance
+
+        def shrunk(self, x32):
+            bound, held = true_tolerance(self, x32)
+            return bound * 1e-3, held
+
+        monkeypatch.setattr(network.ScoreScreen, "tolerance", shrunk)
+        assert main(["check"]) == 1
+        out = capsys.readouterr().out
+        assert any("screened_scoring" in line and "FAIL" in line for line in out.splitlines())
 
 
 class TestParseConfig:

@@ -2,6 +2,7 @@
 dropout, the last-layer independence invariant, and snapshot round trips."""
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from condgauss.gaussian import (
 )
 from condgauss.network import (
     ModelSpec,
+    ScoreScreen,
     StochasticModel,
     apply_dropout,
     batch_error_estimate,
@@ -344,10 +346,12 @@ def mixed_labels(scores):
 
 
 class TestBlockedScoring:
-    """exact_misclassification scores SCORE_BLOCK rows per forward; it must
-    count the errors of one forward over every row."""
+    """exact_misclassification scores row blocks of at most SCORE_BLOCK
+    rows; it must count the errors of one forward over every row."""
 
-    @pytest.mark.parametrize("widths, m", [((784, 200, 10), 10000), ((20, 256, 4), 4000)])
+    @pytest.mark.parametrize(
+        "widths, m", [((784, 200, 10), 10000), ((20, 256, 4), 4000), ((784, 200, 10), 5)]
+    )
     def test_bit_identical_to_one_forward(self, widths, m):
         model, theta, x = drawn_network(widths, m, seed=m)
         scores = forward_scores(x, theta, model.spec)
@@ -388,6 +392,177 @@ class TestBlockedScoring:
         tracemalloc.start()
         try:
             exact_misclassification(model, x, labels, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * h * network.SCORE_BLOCK * 8
+
+
+def float64_error(model, x, labels, theta):
+    """The count the screen must reproduce: one float64 forward over all rows."""
+    return float(np.mean(misclassified(forward_scores(x, theta, model.spec), labels - 1)))
+
+
+def assert_float64_count(model, x, labels, theta):
+    expect = float64_error(model, x, labels, theta)
+    assert exact_misclassification(model, x, labels, theta) == expect
+
+
+def extended_scores(x, theta, spec):
+    """The forward in extended precision (np.longdouble), the reference the
+    float32 and float64 forwards are measured against."""
+    wide = [(W.astype(np.longdouble), b.astype(np.longdouble)) for W, b in theta]
+    return forward_scores(np.asarray(x, dtype=np.longdouble), wide, spec)
+
+
+def top_pair(theta, x, spec):
+    """Make output classes 1 and 2 share their weights and bias, shifted so
+    that the pair tops about half the rows; returns those rows' mask."""
+    W, b = theta[-1]
+    scores = forward_scores(x, theta, spec)
+    b[0] += np.median(scores[:, 2:].max(axis=1) - scores[:, 0])
+    W[1], b[1] = W[0], b[0]
+    return np.argmax(forward_scores(x, theta, spec), axis=1) <= 1
+
+
+def exact_scores(row, theta):
+    """The exact scores of one row in rational arithmetic."""
+    a = [Fraction(v) for v in row]
+    for k, (W, b) in enumerate(theta):
+        if k:
+            a = [max(v, Fraction(0)) for v in a]
+        a = [
+            sum((Fraction(w) * v for w, v in zip(row_w, a)), Fraction(b_i))
+            for row_w, b_i in zip(W, b)
+        ]
+    return a
+
+
+class TestScoreScreen:
+    """exact_misclassification counts in float32 every row whose outcome the
+    proven bound E decides and rescores the rest in float64; its count must
+    be the float64 forward's."""
+
+    @pytest.mark.parametrize(
+        "widths", [(784, 200, 10), (20, 256, 4), (20, 64, 32, 5), (12, 16, 16, 16, 3)]
+    )
+    def test_bound_covers_both_forwards(self, widths):
+        model, theta, x = drawn_network(widths, 300, seed=sum(widths))
+        screen = ScoreScreen(theta, model.spec)
+        x32 = x.astype(np.float32)
+        bound, held = screen.tolerance(x32)
+        assert held.all()
+        ref = extended_scores(x, theta, model.spec)
+        s32 = forward_scores(x32, screen.theta32, model.spec)
+        s64 = forward_scores(x, theta, model.spec)
+        assert s32.dtype == np.float32
+        assert np.all(np.abs(s32 - ref) + np.abs(s64 - ref) <= bound)
+
+    def test_bound_covers_both_forwards_exactly(self):
+        # Rational arithmetic on a tiny net: the bound is a theorem about
+        # the exact scores, not a tolerance.
+        model, theta, x = drawn_network((3, 4, 4, 2), 20, seed=9)
+        screen = ScoreScreen(theta, model.spec)
+        x32 = x.astype(np.float32)
+        bound, held = screen.tolerance(x32)
+        assert held.all()
+        s32 = forward_scores(x32, screen.theta32, model.spec)
+        s64 = forward_scores(x, theta, model.spec)
+        for j, row in enumerate(x):
+            for c, exact in enumerate(exact_scores(row, theta)):
+                gap = abs(Fraction(float(s32[j, c])) - exact) + abs(Fraction(s64[j, c]) - exact)
+                assert gap <= Fraction(bound[j, c])
+
+    @pytest.mark.parametrize(
+        "widths, m", [((784, 200, 10), 1000), ((20, 256, 4), 700), ((20, 64, 32, 5), 500)]
+    )
+    def test_counts_equal_float64_over_draws(self, widths, m):
+        model, _, x = drawn_network(widths, m, seed=m)
+        labels = RngStream(m).child("y").generator().integers(1, widths[-1] + 1, m)
+        sigmas = model.sigmas()
+        for n in range(200):
+            theta = sample_full(model, RngStream(m).child("draw", n), sigmas)
+            assert_float64_count(model, x, labels, theta)
+
+    def test_screen_decides_most_rows(self):
+        # Correct either way, but a bound too loose to decide rows would
+        # send every draw through the float64 forward. This net's top two
+        # scores are close: 89% of the rows were decided when written.
+        model, theta, x = drawn_network((784, 200, 10), 2000, seed=12)
+        labels = mixed_labels(forward_scores(x, theta, model.spec))
+        wrong, undecided = ScoreScreen(theta, model.spec).decide(x.astype(np.float32), labels - 1)
+        assert len(undecided) < 0.2 * len(x)
+        assert np.count_nonzero(wrong) > 0.2 * len(x)
+
+    def test_draw_errors_equal_float64_reference(self, monkeypatch):
+        model, _, x = drawn_network((20, 64, 32, 5), 500, seed=4)
+        labels = RngStream(4).child("y").generator().integers(1, 6, 500)
+        ds = LabelledDataset(inputs=x, labels=labels, q=5)
+        sigmas = model.sigmas()
+        thetas = [sample_full(model, RngStream(6).child("draw", n), sigmas) for n in range(200)]
+        expect = [float64_error(model, x, labels, theta) for theta in thetas]
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CONDGAUSS_THREADS", workers)
+            np.testing.assert_array_equal(draw_errors(model, ds, 200, RngStream(6)), expect)
+
+    def test_exact_ties_fall_back(self):
+        model, theta, x = drawn_network((20, 64, 5), 400, seed=13)
+        tied = top_pair(theta, x, model.spec)
+        assert 100 < np.count_nonzero(tied) < 300
+        labels = np.where(np.arange(400) % 2, 1, 2)
+        _, undecided = ScoreScreen(theta, model.spec).decide(x.astype(np.float32), labels - 1)
+        assert set(np.flatnonzero(tied)) <= set(undecided)
+        assert_float64_count(model, x, labels, theta)
+
+    def test_near_ties_inside_the_bound_fall_back(self):
+        # Classes 1 and 2 differ by about 1e-13, far inside E: float64 tells
+        # them apart, float32 cannot, so the screen must leave them undecided.
+        model, theta, x = drawn_network((20, 64, 5), 400, seed=14)
+        near = top_pair(theta, x, model.spec)
+        W = theta[-1][0]
+        W[1] *= 1.0 + 1e-13 * RngStream(14).child("v").normal(W.shape[1])
+        s64 = forward_scores(x, theta, model.spec)
+        assert np.all(s64[near, 0] != s64[near, 1])
+        labels = np.where(np.arange(400) % 2, 1, 2)
+        _, undecided = ScoreScreen(theta, model.spec).decide(x.astype(np.float32), labels - 1)
+        assert set(np.flatnonzero(near)) <= set(undecided)
+        assert_float64_count(model, x, labels, theta)
+
+    def test_non_finite_inputs_fall_back(self):
+        model, theta, x = drawn_network((20, 64, 5), 400, seed=15)
+        labels = mixed_labels(forward_scores(x, theta, model.spec))
+        x[::7] = np.nan
+        x[3, 5] = np.inf
+        x[4, 2] = -np.inf
+        x[::11, 1] = 1e39  # finite in float64, inf in float32
+        with np.errstate(over="ignore"):
+            x32 = x.astype(np.float32)
+        _, undecided = ScoreScreen(theta, model.spec).decide(x32, labels - 1)
+        assert {0, 3, 4, 7, 11} <= set(undecided)
+        with np.errstate(invalid="ignore"):  # the float64 forward meets inf - inf
+            assert_float64_count(model, x, labels, theta)
+
+    def test_weights_beyond_float32_fall_back(self):
+        model, theta, x = drawn_network((20, 64, 5), 400, seed=16)
+        labels = mixed_labels(forward_scores(x, theta, model.spec))
+        theta[0][0][3, 4] = 1e39
+        screen = ScoreScreen(theta, model.spec)
+        assert screen.x_limit < 0
+        _, undecided = screen.decide(x.astype(np.float32), labels - 1)
+        assert len(undecided) == len(x)
+        assert_float64_count(model, x, labels, theta)
+
+    def test_fallback_memory_bounded_by_one_block(self):
+        # With every row left to the float64 forward, a call still holds
+        # the one buffer and one block's activation, as the screen does.
+        m, h = 10000, 200
+        model, theta, x = drawn_network((784, h, 10), m, seed=17)
+        theta[0][0][0, 0] = 1e39
+        labels = np.tile(np.arange(1, 11), m // 10)
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore"):
+                exact_misclassification(model, x, labels, theta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -210,6 +210,35 @@ def test_step_peak_memory_below_batch_by_hidden_arrays():
     assert peak < 4.5e6
 
 
+def test_dropout_step_peak_memory_near_plain_step():
+    """A 20-256-4 prior step at batch 1000 with dropout 0.3 draws each
+    block's dropout uniforms and keeps a boolean mask, so it peaks within
+    10% of the same step without dropout (3.46 MB against 3.39 MB when
+    written). Whole-batch float64 masks peaked at 5.44 MB."""
+
+    def step_peak(dropout):
+        model = fresh_model(widths=(20, 256, 4))
+        data = blob_task(classes=4, per_class=250, dim=20)
+        config = quick_config(batch_size=1000, repeats=10, phase="prior", dropout_prob=dropout)
+        prior = prior_terms(model.groups)
+        velocity = [np.zeros_like(a) for a in model.get_state()]
+
+        def step(b):
+            rng = RngStream(5).child("batch", b)
+            args = (rng, 0.001, velocity, 0.0, 0.0, False, (0, b))
+            _train_step(model, config, len(data), prior, data.inputs, data.labels, *args)
+
+        step(0)
+        tracemalloc.start()
+        try:
+            step(1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert step_peak(0.3) < 1.1 * step_peak(0.0)
+
+
 class TestLambdaAlternating:
     @staticmethod
     def _lbd_objective(ell, e_val=0.1, pen_val=0.02):
