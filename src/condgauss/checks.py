@@ -216,9 +216,7 @@ def toy_objective_fd_error(
         model.set_state(point)
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
-        est = batch_error_estimate(
-            model, x, y, noise_rng, repeats=repeats, tape=tape, leaves=leaves
-        )
+        est = batch_error_estimate(model, x, y, noise_rng, repeats=repeats, leaves=leaves)
         logit_leaf = tape.leaf(0.0) if kind == BoundKind.LBD else None
         obj, _, _ = penalized_objective(est, leaves, prior, spec, pen_m, logit_leaf)
         tape.backward(obj)

@@ -203,6 +203,11 @@ def _read_section(cp: configparser.ConfigParser, section: str) -> dict:
             ignored = [k for k in keys if k in unread and cp.has_option(section, k)]
             if ignored:
                 raise ConfigError(f"[{section}] {', '.join(ignored)}: unused when {key} = {value}")
+    # lambda weighs the lbd objective only.
+    if values.get("objective", "lbd") != "lbd":
+        if cp.has_option(section, "lambda"):
+            raise ConfigError(f"[{section}] lambda: unused when objective = {values['objective']}")
+        del values["lambda"]
     return values
 
 

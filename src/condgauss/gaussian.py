@@ -45,8 +45,13 @@ __all__ = [
     "kl_diag_gauss",
     "sigma_of_rho",
     "sample_gaussian",
+    "TRAINABLE",
     "VARIANCE_FLOOR",
 ]
+
+# A layer's trainable arrays, each a GaussianParamGroup field, in the order
+# every state list, tape leaf list, momentum buffer and snapshot walks them.
+TRAINABLE = ("w_mean", "w_rho", "b_mean", "b_rho")
 
 # Conditional variances are clamped here before any division or square root;
 # training could drive the bias deviations toward zero otherwise.
@@ -124,10 +129,8 @@ class GaussianParamGroup:
     prior_b_sigma: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.w_mean = np.asarray(self.w_mean, dtype=np.float64)
-        self.w_rho = np.asarray(self.w_rho, dtype=np.float64)
-        self.b_mean = np.asarray(self.b_mean, dtype=np.float64)
-        self.b_rho = np.asarray(self.b_rho, dtype=np.float64)
+        for name in TRAINABLE:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.w_mean.shape != self.w_rho.shape:
             raise ValueError("w_mean and w_rho shapes differ")
         if self.b_mean.shape != self.b_rho.shape:

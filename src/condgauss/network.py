@@ -19,6 +19,7 @@ import numpy as np
 
 from . import grad
 from .gaussian import (
+    TRAINABLE,
     VARIANCE_FLOOR,
     GaussianParamGroup,
     dsigma_of_rho,
@@ -46,11 +47,7 @@ __all__ = [
 SNAPSHOT_HEADER = "CONDGAUSS-MODEL v1"
 # A snapshot's arrays of one layer, in file order. Each names a
 # GaussianParamGroup field; a w_ array is [out, in] and a b_ array [out].
-_LAYER_ARRAYS = (
-    "w_mean",
-    "w_rho",
-    "b_mean",
-    "b_rho",
+_LAYER_ARRAYS = TRAINABLE + (
     "prior_w_mean",
     "prior_w_sigma",
     "prior_b_mean",
@@ -196,18 +193,14 @@ class StochasticModel:
         self.prior_pair_token = pair_token
 
     def get_state(self) -> list[np.ndarray]:
-        state = []
-        for g in self.groups:
-            state.extend([g.w_mean.copy(), g.w_rho.copy(), g.b_mean.copy(), g.b_rho.copy()])
-        return state
+        """A copy of every layer's TRAINABLE arrays, layer by layer."""
+        return [getattr(g, name).copy() for g in self.groups for name in TRAINABLE]
 
     def set_state(self, state: list[np.ndarray]) -> None:
         it = iter(state)
         for g in self.groups:
-            g.w_mean = next(it).copy()
-            g.w_rho = next(it).copy()
-            g.b_mean = next(it).copy()
-            g.b_rho = next(it).copy()
+            for name in TRAINABLE:
+                setattr(g, name, next(it).copy())
 
 
 def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
@@ -227,9 +220,9 @@ def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
 
 @dataclass
 class ParamLeaves:
-    """Tape leaves for one layer's trainable hyper-parameters, plus sigma =
-    |rho|^(3/2) and d sigma / d rho of both raw-deviation leaves, computed
-    once per tape and shared by sampling, the conditional head and the KL."""
+    """Tape leaves for one layer's TRAINABLE arrays, plus sigma = |rho|^(3/2)
+    and d sigma / d rho of both raw-deviation leaves, computed once per tape
+    and shared by sampling, the conditional head and the KL."""
 
     w_mean: grad.Tensor
     w_rho: grad.Tensor
@@ -240,20 +233,18 @@ class ParamLeaves:
     b_sigma: np.ndarray
     b_dsigma: np.ndarray
 
+    def params(self) -> list[grad.Tensor]:
+        """The leaves in TRAINABLE order."""
+        return [getattr(self, name) for name in TRAINABLE]
+
     def grads(self) -> list[np.ndarray]:
-        out = []
-        for leaf in (self.w_mean, self.w_rho, self.b_mean, self.b_rho):
-            out.append(leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-        return out
+        return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in self.params()]
 
 
 def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
     return [
         ParamLeaves(
-            w_mean=tape.leaf(g.w_mean),
-            w_rho=tape.leaf(g.w_rho),
-            b_mean=tape.leaf(g.b_mean),
-            b_rho=tape.leaf(g.b_rho),
+            **{name: tape.leaf(getattr(g, name)) for name in TRAINABLE},
             w_sigma=sigma_of_rho(g.w_rho),
             w_dsigma=dsigma_of_rho(g.w_rho),
             b_sigma=sigma_of_rho(g.b_rho),
@@ -303,7 +294,7 @@ def hidden_forward_on_tape(x, draws, keeps=None, scale=1.0) -> list[np.ndarray]:
     return acts
 
 
-def estimate_node(tape, leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=True):
+def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=True):
     """A batch estimate as one closed-form node over every parameter leaf,
     built TRAIN_BLOCK rows at a time.
 
@@ -317,8 +308,9 @@ def estimate_node(tape, leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=
     per-layer weight and bias sums. The estimate is the sum of the block
     sums over ``head.n``, and the node's partials are the finished sums with
     the head's own ``head.partials()`` for the output layer, which the
-    backward pass scales by the cotangent in place. Without ``need_grad`` no
-    backward runs and the node is a bare leaf holding the value.
+    backward pass scales by the cotangent in place; the node lands on the
+    leaves' tape. Without ``need_grad`` no backward runs and the node is a
+    bare leaf holding the value, on a tape of its own.
     """
     n_hidden = spec.n_layers - 1
     draws = [
@@ -355,12 +347,12 @@ def estimate_node(tape, leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=
                 g = g @ draws[k][0]
     total /= head.n
     if not need_grad:
-        return tape.leaf(total)
+        return grad.Tape().leaf(total)
     partials = []
     for lv, draw, (gW, gb) in zip(leaves, draws, sums):
         partials += draw_partials(lv, draw, gW, gb)
     partials += head.partials()
-    parents = [leaf for lv in leaves for leaf in (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)]
+    parents = [p for lv in leaves for p in lv.params()]
     return grad.closed_form(total, parents, partials, in_place=True)
 
 
@@ -428,7 +420,6 @@ def batch_error_estimate(
     labels: np.ndarray,
     rng: RngStream,
     repeats: int = 100,
-    tape: grad.Tape | None = None,
     leaves: list[ParamLeaves] | None = None,
     dropout_prob: float = 0.0,
 ) -> grad.Tensor:
@@ -438,9 +429,9 @@ def batch_error_estimate(
     Samples one set of hidden parameters for the whole batch, computes the
     conditional output moments, then averages the L1 estimator over
     ``repeats`` independent output draws per input. The estimate is one
-    ``estimate_node`` over every mean and raw-deviation leaf, so backward()
-    yields pathwise gradients for all of them. Without a ``tape`` only the
-    value is computed.
+    ``estimate_node`` over every mean and raw-deviation leaf of ``leaves``,
+    on their tape, so backward() yields pathwise gradients for all of them.
+    Without ``leaves`` only the value is computed.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -452,16 +443,14 @@ def batch_error_estimate(
         raise ValueError("the batch is empty")
     if np.any(y0 < 0) or np.any(y0 >= q):
         raise ValueError("labels outside 1..q")
-    need_grad = tape is not None
-    if tape is None:
-        tape = grad.Tape()
+    need_grad = leaves is not None
     if leaves is None:
-        leaves = make_leaves(tape, model)
+        leaves = make_leaves(grad.Tape(), model)
     # One block of output draws per batch; entry [r, i, :] belongs to
     # repeat r of input i.
     zeta = rng.child("l1").normal((repeats, batch, q))
     head = _ConditionalL1Head(leaves[-1], y0, zeta)
-    return estimate_node(tape, leaves, x, rng, model.spec, head, dropout_prob, need_grad)
+    return estimate_node(leaves, x, rng, model.spec, head, dropout_prob, need_grad)
 
 
 def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tuple]:

@@ -24,7 +24,7 @@ import numpy as np
 from . import grad
 from .bounds import BoundKind, BoundSpec, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
-from .gaussian import kl_diag, kl_diag_gauss, misclassified, sample_gaussian
+from .gaussian import TRAINABLE, kl_diag, kl_diag_gauss, misclassified, sample_gaussian
 from .network import (
     StochasticModel,
     accumulate,
@@ -231,8 +231,10 @@ def _bounded_cross_entropy(F, y0, batch: int):
 class _SurrogateHead:
     """The baseline's head of ``estimate_node``, one row block at a time:
     the output layer drawn pathwise once from ``rng``, the bounded
-    cross-entropy of its scores, and the count of the sampled network's 0-1
-    errors (ties count as errors)."""
+    cross-entropy of ``_bounded_cross_entropy`` of its scores in place of the
+    error estimate (it stays in [0, 1], so the bound objectives remain
+    valid), and the count of the sampled network's 0-1 errors for bound
+    tracking (ties count as errors)."""
 
     def __init__(self, last, y0, rng):
         self.last, self.y0, self.n = last, y0, len(y0)
@@ -256,19 +258,6 @@ class _SurrogateHead:
         return draw_partials(self.last, self.draw, *self.sums)
 
 
-def _surrogate_batch(model, leaves, x, y0, rng, tape):
-    """Baseline estimate: every layer sampled pathwise once, and the bounded
-    cross-entropy of ``_bounded_cross_entropy`` in place of the error
-    estimate; it stays in [0, 1], so the bound objectives remain valid.
-
-    Returns the surrogate loss node plus the plain 0-1 error of the sampled
-    network on the batch (for bound tracking; ties count as errors).
-    """
-    head = _SurrogateHead(leaves[-1], y0, rng.child("theta", model.spec.n_layers - 1))
-    node = estimate_node(tape, leaves, x, rng, model.spec, head)
-    return node, head.errors / len(y0)
-
-
 def _train_step(
     model, config, m, prior, x, y, rng, lr, velocity, ell, lam_velocity, is_lambda_epoch, where
 ):
@@ -287,17 +276,14 @@ def _train_step(
     leaves = make_leaves(tape, model)
 
     if config.phase == "baseline":
-        est_node, emp_track = _surrogate_batch(model, leaves, x, y - 1, rng, tape)
+        # Every layer is sampled pathwise once: the hidden ones by
+        # estimate_node, the output layer by the head.
+        head = _SurrogateHead(leaves[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
+        est_node = estimate_node(leaves, x, rng, model.spec, head)
+        emp_track = head.errors / head.n
     else:
         est_node = batch_error_estimate(
-            model,
-            x,
-            y,
-            rng,
-            repeats=config.repeats,
-            tape=tape,
-            leaves=leaves,
-            dropout_prob=config.dropout_prob,
+            model, x, y, rng, config.repeats, leaves=leaves, dropout_prob=config.dropout_prob
         )
         emp_track = float(est_node.value)
 
@@ -320,13 +306,7 @@ def _train_step(
     else:
         i = 0
         for group, lv in zip(model.groups, leaves):
-            for name, leaf in (
-                ("w_mean", lv.w_mean),
-                ("w_rho", lv.w_rho),
-                ("b_mean", lv.b_mean),
-                ("b_rho", lv.b_rho),
-            ):
-                g_arr = leaf.grad if leaf.grad is not None else 0.0
+            for name, g_arr in zip(TRAINABLE, lv.grads()):
                 new_p, velocity[i] = momentum_step(
                     getattr(group, name), g_arr, velocity[i], lr, config.momentum
                 )
@@ -343,7 +323,7 @@ def train_condgauss(
 
     The posterior and prior phases descend the conditional error estimate
     (an ERM prior descends it bare); the baseline phase descends the bounded
-    cross-entropy surrogate of ``_surrogate_batch`` instead.
+    cross-entropy surrogate of ``_SurrogateHead`` instead.
 
     An lbd objective doubles the epochs: even epochs step the parameters,
     odd epochs step only lambda, at the same learning rate. lambda lives

@@ -115,7 +115,6 @@ method = none
 method = condgauss
 objective = invkl
 kappa = 1.0
-lambda = 0.5
 dropout = 0.0
 schedule = 6:0.002 2:0.0004
 momentum = 0.5
@@ -161,7 +160,6 @@ repeats = 4
 method = condgauss
 objective = invkl
 kappa = 1.0
-lambda = 0.5
 dropout = 0.0
 schedule = 4:0.002
 momentum = 0.5
@@ -300,6 +298,12 @@ class TestTrainCommand:
             ("prior", "method = erm", "method = invkl\nobjective = quad", "invkl"),
             ("posterior", "kappa = 1.0", "kappa = 1.0\ndropout = 0.3", "dropout"),
             ("prior", "method = erm", "method = erm\nobjective = invkl", "objective: unused"),
+            ("posterior", "kappa = 1.0", "kappa = 1.0\nlambda = 0.4",
+             "lambda: unused when objective = invkl"),
+            ("posterior", "objective = invkl", "objective = mcall\nlambda = 0.4",
+             "lambda: unused when objective = mcall"),
+            ("prior", "method = erm", "method = invkl\nlambda = 0.4",
+             "lambda: unused when objective = invkl"),
             ("prior", "method = erm\n", "",
              "schedule, momentum, batch_size, repeats: unused when method = none"),
             ("posterior", "schedule = 4:0.002", "schedule = 3:abc",

@@ -301,7 +301,7 @@ class _ReadoutHead:
 
     def partials(self):
         lv = self.last
-        return [np.zeros_like(t.value) for t in (lv.w_mean, lv.w_rho, lv.b_mean, lv.b_rho)]
+        return [np.zeros_like(t.value) for t in lv.params()]
 
 
 def _surrogate_node(F, y0):
@@ -314,11 +314,10 @@ def _surrogate_node(F, y0):
 def _estimate(head, model, x, y, rng, leaves, dropout_prob):
     """The estimate node under the conditional L1 head (repeats 5) or the
     baseline's surrogate head."""
-    tape = leaves[0].w_mean.tape
     if head == "l1":
-        return batch_error_estimate(model, x, y, rng, 5, tape, leaves, dropout_prob)
+        return batch_error_estimate(model, x, y, rng, 5, leaves, dropout_prob)
     last = _SurrogateHead(leaves[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
-    return estimate_node(tape, leaves, x, rng, model.spec, last, dropout_prob)
+    return estimate_node(leaves, x, rng, model.spec, last, dropout_prob)
 
 
 class TestTapeBasics:
@@ -416,7 +415,7 @@ class TestDeterminism:
         def run():
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
-            est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, tape, leaves)
+            est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, leaves)
             obj = _add(est, _mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
             tape.backward(obj)
             return float(obj.value), [g.copy() for lv in leaves for g in lv.grads()]
@@ -474,10 +473,7 @@ def _check_fused_estimate(widths, dropout, reference):
         model, lambda lv: reference(model, x, y, rng, 5, lv, dropout)
     )
     got, leaves = _backward_leaves(
-        model,
-        lambda lv: batch_error_estimate(
-            model, x, y, rng, repeats=5, tape=lv[0].w_mean.tape, leaves=lv, dropout_prob=dropout
-        ),
+        model, lambda lv: batch_error_estimate(model, x, y, rng, 5, lv, dropout)
     )
     assert got == ref
     _assert_leaf_grads_match(leaves, ref_leaves)
@@ -514,9 +510,8 @@ class TestClosedFormNodes:
             return grad.closed_form(np.sum(phi_h.value * readout), (phi_h,), (readout,))
 
         def fused(leaves):
-            tape = leaves[0].w_mean.tape
             head = _ReadoutHead(leaves[-1], readout)
-            return estimate_node(tape, leaves, x, rng, model.spec, head, dropout)
+            return estimate_node(leaves, x, rng, model.spec, head, dropout)
 
         ref, ref_leaves = _backward_leaves(model, chained)
         new, leaves = _backward_leaves(model, fused)
@@ -560,9 +555,8 @@ class TestClosedFormNodes:
             return _chained_surrogate(_linear(phi_h, *_sample_layer(leaves[-1], theta_rng)), y0)
 
         def fused(leaves):
-            tape = leaves[0].w_mean.tape
             head = _SurrogateHead(leaves[-1], y0, theta_rng)
-            return estimate_node(tape, leaves, x, rng, model.spec, head, dropout)
+            return estimate_node(leaves, x, rng, model.spec, head, dropout)
 
         ref, ref_leaves = _backward_leaves(model, chained)
         new, leaves = _backward_leaves(model, fused)
@@ -675,7 +669,7 @@ def test_step_tape_freed_without_cyclic_collector():
     try:
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
-        est = batch_error_estimate(model, x, y, RngStream(20), 3, tape, leaves, 0.3)
+        est = batch_error_estimate(model, x, y, RngStream(20), 3, leaves, 0.3)
         obj, _, _ = penalized_objective(est, leaves, prior_terms(model.groups), spec, 4000)
         tape.backward(obj)
         tape_ref, grad_ref = weakref.ref(tape), weakref.ref(leaves[0].w_rho.grad)
@@ -740,7 +734,7 @@ class TestAffineObjectiveAveraging:
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
             est = batch_error_estimate(
-                model, x, y, RngStream(123).child("noise", d), repeats, tape, leaves
+                model, x, y, RngStream(123).child("noise", d), repeats, leaves
             )
             obj, _, _ = penalized_objective(est, leaves, prior, spec, m_pen)
             tape.backward(obj)

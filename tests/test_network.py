@@ -25,6 +25,7 @@ from condgauss.network import (
     StochasticModel,
     apply_dropout,
     batch_error_estimate,
+    estimate_node,
     exact_misclassification,
     forward_scores,
     load_model,
@@ -167,7 +168,10 @@ class TestForwardScores:
 
         monkeypatch.setattr(trainer, "_bounded_cross_entropy", recording)
         tape = grad.Tape()
-        trainer._surrogate_batch(model, make_leaves(tape, model), x, np.zeros(300, int), rng, tape)
+        leaves = make_leaves(tape, model)
+        theta_rng = rng.child("theta", model.spec.n_layers - 1)
+        head = trainer._SurrogateHead(leaves[-1], np.zeros(300, int), theta_rng)
+        estimate_node(leaves, x, rng, model.spec, head)
         assert [len(F) for F in blocks] == [256, 44]
         batch_major = np.concatenate(blocks)
         theta = [
@@ -263,6 +267,21 @@ class TestBatchErrorEstimate:
         )
         assert abs(vals[1].mean() - vals[25].mean()) <= 4 * se
         assert vals[25].std() < vals[1].std()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["plain", "dropout"])
+    def test_value_only_equals_taped_value(self, dropout):
+        """Without leaves the estimate runs no backward; its value is the
+        taped estimate's bit for bit, over more rows than one TRAIN_BLOCK."""
+        model, _, x = drawn_network((20, 256, 4), network.TRAIN_BLOCK + 44, seed=50)
+        model.groups[-1].w_mean = RngStream(51).normal(model.groups[-1].w_mean.shape)
+        y = RngStream(52).generator().integers(1, 5, len(x))
+        plain = batch_error_estimate(model, x, y, RngStream(53), 5, dropout_prob=dropout)
+        tape = grad.Tape()
+        taped = batch_error_estimate(
+            model, x, y, RngStream(53), 5, make_leaves(tape, model), dropout
+        )
+        assert taped.tape is tape
+        assert plain.value == taped.value
 
     def test_label_range_checked(self):
         model = StochasticModel.initialize(ModelSpec((4, 3, 3)), 0.05, RngStream(48))
@@ -612,7 +631,7 @@ class TestLastLayerIndependence:
         leaves = make_leaves(tape, model)
         RngStream.child = spying_child
         try:
-            est = batch_error_estimate(model, x, y, RngStream(66), 3, tape, leaves)
+            est = batch_error_estimate(model, x, y, RngStream(66), 3, leaves)
         finally:
             RngStream.child = original_child
         last_idx = model.spec.n_layers - 1
@@ -636,7 +655,7 @@ class TestLastLayerIndependence:
         rng = RngStream(69)
         tape = grad.Tape()
         leaves = make_leaves(tape, model)
-        est = batch_error_estimate(model, x, y, rng, 1, tape, leaves)
+        est = batch_error_estimate(model, x, y, rng, 1, leaves)
         tape.backward(est)
 
         # Reproduce the same hidden sample and estimator draw by key; an

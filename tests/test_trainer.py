@@ -10,8 +10,8 @@ import pytest
 from condgauss import grad
 from condgauss.bounds import BoundKind, BoundSpec, kl_inv, penalty
 from condgauss.data import synth_blobs
-from condgauss.gaussian import kl_diag_gauss
-from condgauss.network import ModelSpec, StochasticModel, make_leaves
+from condgauss.gaussian import TRAINABLE, kl_diag_gauss
+from condgauss.network import ModelSpec, StochasticModel, make_leaves, save_model
 from condgauss.rng import RngStream
 from condgauss.trainer import (
     CSV_HEADER,
@@ -182,6 +182,40 @@ def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     train_condgauss(fresh_model(widths=(20, 256, 4)), data, cfg)
     assert len(sizes) == (4 if kind == BoundKind.LBD else 2)
     assert set(sizes) == {nodes}
+
+
+def test_trainable_layout_follows_one_declaration(tmp_path):
+    """The state list, the step's tape leaves and the snapshot walk each
+    layer's TRAINABLE arrays in that order, and one step moves them all."""
+    model = fresh_model(widths=(20, 64, 32, 5))
+    marks = {}
+    for k, g in enumerate(model.groups):
+        for i, name in enumerate(TRAINABLE):
+            marks[k, name] = 0.1 + 0.01 * (len(TRAINABLE) * k + i)
+            setattr(g, name, np.full_like(getattr(g, name), marks[k, name]))
+    order = [marks[k, name] for k in range(len(model.groups)) for name in TRAINABLE]
+    assert [a.flat[0] for a in model.get_state()] == order
+    leaves = make_leaves(grad.Tape(), model)
+    assert [p.value.flat[0] for lv in leaves for p in lv.params()] == order
+    save_model(model, tmp_path / "m.model")
+    lines = (tmp_path / "m.model").read_text().splitlines()
+    for k in range(len(model.groups)):
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(f"layer {k} "))
+        names = lines[at + 1 : at + 1 + 2 * len(TRAINABLE) : 2]
+        firsts = [float(ln.split()[0]) for ln in lines[at + 2 : at + 2 + 2 * len(TRAINABLE) : 2]]
+        assert tuple(names) == TRAINABLE
+        assert firsts == [marks[k, name] for name in TRAINABLE]
+
+    data = blob_task(classes=5, per_class=20, dim=20)
+    before = model.get_state()
+    velocity = [np.zeros_like(a) for a in before]
+    args = (RngStream(5), 0.001, velocity, 0.0, 0.0, False, (0, 0))
+    config = quick_config(batch_size=100)
+    _train_step(
+        model, config, len(data), prior_terms(model.groups), data.inputs, data.labels, *args
+    )
+    for old, new in zip(before, model.get_state()):
+        assert np.any(new != old)
 
 
 def test_step_peak_memory_below_batch_by_hidden_arrays():
@@ -355,25 +389,26 @@ class TestSurrogateBaseline:
 
     def test_surrogate_loss_values(self):
         # Direct check of the bounded cross-entropy construction.
-        from condgauss.network import make_leaves
-        from condgauss.trainer import _surrogate_batch
+        from condgauss.network import estimate_node, make_leaves
+        from condgauss.trainer import _SurrogateHead
+
+        def surrogate(x, y0, rng):
+            """The baseline step's estimate node and the 0-1 error of its draw."""
+            tape = grad.Tape()
+            leaves = make_leaves(tape, model)
+            head = _SurrogateHead(leaves[-1], y0, rng.child("theta", model.spec.n_layers - 1))
+            return estimate_node(leaves, x, rng, model.spec, head), head.errors / head.n
 
         model = fresh_model(widths=(10, 8, 3), sigma0=1e-5)
         gen = np.random.default_rng(7)
         x = gen.uniform(0, 1, (20, 10))
         y = gen.integers(1, 4, 20)
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        node, emp01 = _surrogate_batch(model, leaves, x, y - 1, RngStream(8), tape)
+        node, emp01 = surrogate(x, y - 1, RngStream(8))
         assert 0.0 <= float(node.value) <= 1.0
         assert 0.0 <= emp01 <= 1.0
         # Probability-1 correct prediction drives the loss to zero.
         model.groups[-1].b_mean = np.array([1e4, 0.0, 0.0])
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        node, _ = _surrogate_batch(
-            model, leaves, x[:4], np.zeros(4, dtype=int), RngStream(9), tape
-        )
+        node, _ = surrogate(x[:4], np.zeros(4, dtype=int), RngStream(9))
         assert float(node.value) < 1e-6
 
 
