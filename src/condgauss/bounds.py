@@ -4,8 +4,9 @@ The central primitive is the inverse of the Bernoulli KL divergence in its
 second argument, kl_inv(u, c) = sup{v in [0,1] : kl(u||v) <= c}, which turns
 an empirical error plus a divergence budget into a high-probability bound on
 the true error. For u < 1 the divergence blows up as v -> 1, so the sup is an
-interior root found by Newton's method with a bisection safeguard, then
-rounded up far enough that kl(u||v) >= c holds despite float64 rounding.
+interior root. One Newton loop with a bisection safeguard finds it, aiming
+just above c by the float64 rounding bound of kl, so that kl(u||v) >= c holds
+in exact arithmetic at the v it returns.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ __all__ = [
     "objective_value",
 ]
 
-# Newton/bisection controls for kl_inv. Tolerance is on |kl(u||v) - c|.
+# Newton/bisection controls for kl_inv. Tolerance is on kl(u||v) - c >= 0.
 _KL_TOL = 1e-12
 _KL_MAX_ITER = 100
 
@@ -89,73 +90,44 @@ def kl_bernoulli(u: float, v: float) -> float:
         return 0.0
     if v == 0.0 or v == 1.0:
         return math.inf
-    acc = 0.0
-    if u > 0.0:
-        acc += u * (math.log(u) - math.log(v))
-    if u < 1.0:
-        acc += (1.0 - u) * (math.log1p(-u) - math.log1p(-v))
     # Rounding can produce a tiny negative value when u ~ v.
-    return max(acc, 0.0)
+    return max(_kl_with_error(u, v)[0], 0.0)
 
 
-def _kl_dv(u: float, v: float) -> float:
-    """d/dv kl(u||v) = (1-u)/(1-v) - u/v, positive for v > u."""
-    return (1.0 - u) / (1.0 - v) - u / v
-
-
-def _kl_rounding(u: float, v: float) -> float:
-    """Bound on the float64 rounding error of kl_bernoulli(u, v), 0 <= u < v < 1.
+def _kl_with_error(u: float, v: float) -> tuple[float, float]:
+    """kl(u||v) in float64 and a bound on its rounding error, 0 < v < 1.
 
     Each logarithm is within one ulp and each of the few products and sums
     adds at most half an ulp of its result, so the error is a small multiple
     of machine epsilon times the magnitudes of the terms; the factor 8
-    leaves room to spare.
+    leaves room to spare. A term whose weight u or 1-u is 0 is left out.
     """
-    terms = (1.0 - u) * (abs(math.log1p(-u)) + abs(math.log1p(-v)))
+    kl = mag = 0.0
+    if u < 1.0:
+        a, b = math.log1p(-u), math.log1p(-v)
+        kl = (1.0 - u) * (a - b)
+        mag = (1.0 - u) * (abs(a) + abs(b))
     if u > 0.0:
-        terms += u * (abs(math.log(u)) + abs(math.log(v)))
-    return 8.0 * sys.float_info.epsilon * terms
-
-
-def _round_up(u: float, c: float, v: float) -> float:
-    """The solved v, moved up until kl(u||v) >= c holds in exact arithmetic.
-
-    A v qualifies when its float64 kl(u||v) clears c by the rounding bound.
-    Steps aim at twice that margin by Newton (which lands on the qualifying
-    side, kl being convex in v) inside the bracket of the largest v known
-    not to qualify and the smallest known to qualify, falling back to
-    bisection, and stop at the first qualifying v within _KL_TOL of c or
-    at the smallest qualifying float. 1.0 always qualifies.
-    """
-    lo, hi = u, 1.0
-    while v < hi:
-        err = _kl_rounding(u, v)
-        f = kl_bernoulli(u, v) - c
-        if f >= err:
-            if f <= _KL_TOL:
-                return v
-            hi = v
-        else:
-            lo = v
-        slope = _kl_dv(u, v)
-        nxt = v + (2.0 * err - f) / slope if slope > 0.0 else lo
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                break
-        v = nxt
-    return hi
+        a, b = math.log(u), math.log(v)
+        kl += u * (a - b)
+        mag += u * (abs(a) + abs(b))
+    return kl, 8.0 * sys.float_info.epsilon * mag
 
 
 def kl_inv(u: float, c: float) -> float:
-    """Largest v with kl(u||v) <= c, rounded up.
+    """Largest v with kl(u||v) <= c, rounded up so that kl(u||v) >= c holds
+    in exact arithmetic and a bound built on it never under-reports.
 
-    Newton iterations start from the Pinsker-motivated guess u + sqrt(c/2)
-    and fall back to bisection on [u, 1) whenever a step leaves the current
-    bracket. The result is then moved up until kl(u||v) >= c holds in exact
-    arithmetic, so a bound built on it never under-reports. It satisfies
-    |kl(u||v) - c| <= 1e-12 except where the root lies closer to 1 than
-    float64 can resolve, and is 1.0 where no float below 1 qualifies.
+    A v qualifies when its float64 kl(u||v) clears c by the rounding bound.
+    One safeguarded Newton loop starts from the closed-form guess
+    u + sqrt(c/2) (Pinsker), or 1 - exp(-c) at u = 0, and aims each step at
+    c plus twice that bound: kl is convex in v, so Newton lands on the
+    qualifying side. Steps that leave the bracket of the largest v known
+    not to qualify and the smallest known to qualify bisect it instead.
+    The loop stops at the first qualifying v with kl(u||v) - c <= 1e-12,
+    and otherwise returns the bracket's qualifying end: the smallest
+    qualifying float where float64 cannot resolve the root that closely,
+    and 1.0 where no float below 1 qualifies.
     """
     u = _check_prob("u", u)
     if c < 0 or math.isnan(c):
@@ -164,36 +136,24 @@ def kl_inv(u: float, c: float) -> float:
         return u
     if u == 1.0 or math.isinf(c):
         return 1.0
-    if u == 0.0:
-        # kl(0||v) = -log(1-v) <= c  <=>  v <= 1 - exp(-c)
-        return _round_up(u, c, min(1.0, -math.expm1(-c)))
-
-    lo = u
-    hi = 1.0 - 1e-16
-    if kl_bernoulli(u, hi) <= c:
-        # The root is not representable below 1 in float64.
-        return 1.0
-
-    v = min(max(u + math.sqrt(c / 2.0), u + 1e-12), 1.0 - 1e-12)
-    if v <= lo:
-        # u within 1e-12 of 1: the clamped guess is not above u.
-        v = 0.5 * (lo + hi)
+    lo, hi = u, 1.0  # hi always qualifies
+    v = -math.expm1(-c) if u == 0.0 else u + math.sqrt(c / 2.0)
     for _ in range(_KL_MAX_ITER):
-        f = kl_bernoulli(u, v) - c
-        if abs(f) <= _KL_TOL:
-            break
-        if f > 0.0:
+        if not lo < v < hi:
+            v = 0.5 * (lo + hi)
+            if not lo < v < hi:
+                break  # lo and hi are adjacent floats; v never reaches 1.0
+        kl, err = _kl_with_error(u, v)
+        f = kl - c
+        if f >= err:
+            if f <= _KL_TOL:
+                return v
             hi = v
         else:
             lo = v
-        step = f / _kl_dv(u, v)
-        nxt = v - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == v:
-            break
-        v = nxt
-    return _round_up(u, c, v)
+        slope = (1.0 - u) / (1.0 - v) - u / v  # d/dv kl(u||v), > 0 for v > u
+        v = v + (2.0 * err - f) / slope if slope > 0.0 else lo
+    return hi
 
 
 def kl_inv_grad(u: float, c: float) -> tuple[float, float]:

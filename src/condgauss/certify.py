@@ -186,10 +186,11 @@ def final_certificate(
         raise ValueError("prior must be frozen before certification")
     _check_disjoint(model, bound_dataset)
 
-    tilde_e = mc_empirical_error(model, bound_dataset, n_draws, rng)
-    inner = inner_bound(tilde_e, n_draws, delta_prime)
+    # The KL term checks every sigma, so a bad one fails before any draw.
     kl = kl_diag_gauss(model.groups)
     pen = penalty(kl, m, delta)
+    tilde_e = mc_empirical_error(model, bound_dataset, n_draws, rng)
+    inner = inner_bound(tilde_e, n_draws, delta_prime)
     final = kl_inv(inner, pen)
     return Certificate(
         tilde_e=tilde_e,

@@ -705,6 +705,8 @@ def load_model(path) -> StochasticModel:
             raise ValueError(f"{what} has {vals.size} values, expected {np.prod(shape)}")
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"{what} has non-finite values")
+        if expect_name in ("prior_w_sigma", "prior_b_sigma") and np.any(vals <= 0):
+            raise ValueError(f"{what} must be strictly positive")
         return vals.reshape(shape)
 
     groups = []

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import condgauss.bounds as bounds
 from condgauss.bounds import (
     BoundKind,
     BoundSpec,
@@ -27,6 +28,15 @@ KL_INV_01_005 = 0.22007860110692461786
 KL_INV_05_002 = 0.5990082835520301182
 ONE_MINUS_EXP_M03 = 0.25918177931828213393
 PEN_MNIST = 1.6471794258793334135e-4
+
+
+def rounding_grid():
+    """Desk-realistic (u, c) pairs plus the float64 edges of u and c."""
+    gen = np.random.default_rng(0)
+    points = list(zip(gen.uniform(0.001, 0.5, 2000), gen.uniform(1e-4, 0.5, 2000)))
+    edges = [0.0, 1e-300, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
+    points += [(u, c) for u in edges for c in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0)]
+    return [(float(u), float(c)) for u, c in points]
 
 
 class TestKlBernoulli:
@@ -106,11 +116,6 @@ class TestKlInv:
         """kl(u||v) >= c at 50 digits, so a bound built on v never
         under-reports; and v is tight: within 1e-12 of c, or one float lower
         would be (where float64 cannot resolve the root that closely)."""
-        gen = np.random.default_rng(0)
-        points = list(zip(gen.uniform(0.001, 0.5, 2000), gen.uniform(1e-4, 0.5, 2000)))
-        edges = [0.0, 1e-300, 1e-12, 1e-6, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]
-        points += [(u, c) for u in edges for c in (1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0)]
-
         def kl_mp(u, v):
             if v == 1.0:
                 return mpmath.inf
@@ -119,12 +124,28 @@ class TestKlInv:
             return out + u * mpmath.log(u / v) if u > 0 else out
 
         with mpmath.workdps(50):
-            for u, c in points:
-                u, c = float(u), float(c)
+            for u, c in rounding_grid():
                 v = kl_inv(u, c)
                 assert kl_mp(u, v) >= c, (u, c, v)
                 if kl_mp(u, v) - c > 1e-12:
                     assert kl_mp(u, math.nextafter(v, 0.0)) - c <= 1e-12, (u, c, v)
+
+    def test_one_solve_per_call(self, monkeypatch):
+        """The solve evaluates kl a few times per call, not twice over: a
+        second pass that re-rounds a converged root would show here."""
+        counts = []
+        helper = bounds._kl_with_error
+
+        def counted(u, v):
+            counts[-1] += 1
+            return helper(u, v)
+
+        monkeypatch.setattr(bounds, "_kl_with_error", counted)
+        for u, c in rounding_grid():
+            counts.append(0)
+            kl_inv(u, c)
+        assert np.mean(counts) <= 6.0
+        assert max(counts) <= bounds._KL_MAX_ITER
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

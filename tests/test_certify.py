@@ -137,6 +137,25 @@ class TestMcEmpiricalError:
             final_certificate(model, toy_data(classes=classes, dim=dim), 5, 0.025, 0.01, RngStream(3))
         assert drawn == []
 
+    @pytest.mark.parametrize(
+        "array, value, message",
+        [
+            ("prior_b_sigma", -0.01, "prior sigma must be strictly positive"),
+            ("w_rho", 0.0, "posterior sigma must be strictly positive"),
+        ],
+        ids=["negative_prior_sigma", "zero_rho"],
+    )
+    def test_bad_kl_rejected_before_draws(self, monkeypatch, array, value, message):
+        model = toy_model()
+        bad = getattr(model.groups[0], array).copy()
+        bad.flat[0] = value
+        setattr(model.groups[0], array, bad)
+        drawn = []
+        monkeypatch.setattr(certify, "sample_full", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=message):
+            final_certificate(model, toy_data(), 5, 0.025, 0.01, RngStream(3))
+        assert drawn == []
+
     def test_rejects_bad_thread_env(self, monkeypatch):
         monkeypatch.setenv("CONDGAUSS_THREADS", "zero")
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 and monotonicity in both arguments, over the whole unit interval and the
 float64 edges near u = 0 and u = 1.
 
-kl_inv stops at the first v whose kl(u||v) lies in [c, c + 1e-12], so it
+kl_inv runs one Newton loop that stops at the first v whose float64
+kl(u||v) clears c by its rounding bound and lies within 1e-12 of c, so it
 is monotone up to that tolerance: two results are compared through
 kl(u_lo||.), the kl of the smaller probability. Exact kl values come from
 mpmath at 50 digits.
@@ -75,8 +76,8 @@ def test_monotone_beyond_tolerance_is_strict(u, c):
 
 
 def test_edges_near_zero_and_one():
-    # Within 1e-12 of 1 the Newton guess is clamped onto u itself, where
-    # the slope of kl(u||.) is zero; the solve must bisect instead.
+    # Within 1e-12 of 1 the guess u + sqrt(c/2) lands beyond 1, outside the
+    # bracket (u, 1); the solve must bisect instead.
     u = 1.0 - 1e-12
     v = kl_inv(u, 2e-12)
     assert u < v < 1.0 and kl_exact(u, v) >= 2e-12

@@ -748,17 +748,19 @@ class TestSnapshot:
             (lambda ls: ls[:3] + ["dropout abc"] + ls[4:], r"line 4: non-numeric value in 'dropout'"),
             (lambda ls: ls[:3] + ["dropout 0 0.5"] + ls[4:], r"line 4: 'dropout' takes one value"),
             (lambda ls: ls[:3] + ["dropout 0.3"] + ls[4:], r"line 4: 'dropout' must be 0, got 0.3"),
+            (lambda ls: ls[:22] + ["-0.01 " + ls[22].split(" ", 1)[1]] + ls[23:],
+             r"array 'prior_b_sigma' of layer 0 must be strictly positive"),
         ],
         ids=["cut_after_3", "cut_after_10", "cut_before_end", "short_layer_header",
              "non_numeric_value", "non_numeric_width", "non_numeric_dropout", "two_dropouts",
-             "nonzero_dropout"],
+             "nonzero_dropout", "negative_prior_sigma"],
     )
     def test_rejects_truncated_or_malformed(self, tmp_path, edit, message):
         model = StochasticModel.initialize(ModelSpec((4, 3, 2)), 0.01, RngStream(75))
         path = tmp_path / "snap.model"
         save_model(model, path)
         lines = path.read_text().splitlines()
-        assert lines[6] == "layer 0 3 4" and lines[7] == "w_mean"
+        assert lines[6] == "layer 0 3 4" and lines[7] == "w_mean" and lines[21] == "prior_b_sigma"
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(ValueError, match=message):
             load_model(path)

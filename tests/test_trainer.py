@@ -142,6 +142,9 @@ class TestTrainCondgauss:
             logs.append(log)
         assert logs[0].numeric_rows() == logs[1].numeric_rows()
 
+    # The model is driven to overflow on purpose, so numpy's overflow warnings
+    # are expected here and only here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kind", [BoundKind.MCALL, BoundKind.INVKL])
     def test_divergence_guard(self, kind):
         ds = blob_task()
