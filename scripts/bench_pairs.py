@@ -11,8 +11,13 @@ For every end-to-end metric of the change's ``BENCHMARK.json`` the report
 gives each side's median and quartiles and the change's wins, ties counting
 for neither side. A gain holds when the change wins at least nine tenths of
 the pairs and its median beats the parent's by more than the distance
-between the parent's quartiles. Failed operations and the reference check
-of every run are listed too.
+between the parent's quartiles. Beside it stands a no-regression verdict
+against the metric's ``bound``: ``regressed`` when the change's median is
+worse than the parent's by more than bound times the parent median,
+``unresolved`` when the parent's quartile distance exceeds that amount
+(unless every change run beats every parent run), ``holds`` otherwise.
+Failed operations and the reference check of every run are listed too. The
+exit status is nonzero when a run failed or a metric regressed.
 
 With ``--trace``, one ``--trace 1`` run per side follows the pairs, on the
 first seed, and the report adds each per-layer metric of ``BENCHMARK.json``
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -61,11 +67,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def regression_verdict(parent: list[float], change: list[float], bound: float,
+                       higher: bool) -> str:
+    """``regressed``, ``unresolved`` or ``holds`` for one metric's runs: see
+    the module docstring. A metric some run did not report is unresolved."""
+    if any(math.isnan(v) for v in parent + change):
+        return "unresolved"
+    (pq1, pmed, pq3), (_, cmed, _) = quartiles(parent), quartiles(change)
+    allowed = bound * abs(pmed)
+    worse = (pmed - cmed) if higher else (cmed - pmed)
+    if worse > allowed:
+        return "regressed"
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    if pq3 - pq1 > allowed and not beats_all:
+        return "unresolved"
+    return "holds"
+
+
 def report(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
-    """Print per-metric medians, quartiles and wins; True if every run was
-    correct and failed nothing."""
+    """Print per-metric medians, quartiles, wins and both verdicts; True if
+    every run was correct and failed nothing and no metric regressed."""
     print(f"{'metric':<15}{'parent median [q1, q3]':>34}{'change median [q1, q3]':>34}"
-          f"{'wins':>8}  gain rule")
+          f"{'wins':>8}  gain rule; no-regression")
+    ok = True
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         par = [value(r, name) for r in runs["parent"]]
@@ -74,10 +98,12 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(par), quartiles(chg)
         gain = (cmed - pmed) if higher else (pmed - cmed)
         holds = wins >= 0.9 * len(par) and gain > pq3 - pq1
+        verdict = regression_verdict(par, chg, m["bound"], higher)
+        ok = ok and verdict != "regressed"
         print(f"{name:<15}{pmed:>14.5g} [{pq1:.5g}, {pq3:.5g}]{cmed:>14.5g} [{cq1:.5g}, {cq3:.5g}]"
               f"{wins:>5}/{len(par)}  {'holds' if holds else 'not met'}"
-              f" (median change {100.0 * (cmed - pmed) / pmed:+.1f}%)")
-    ok = True
+              f" (median change {100.0 * (cmed - pmed) / pmed:+.1f}%); {verdict}"
+              f" (bound {100.0 * m['bound']:.0f}%)")
     for side, results in runs.items():
         failed = [r["failed"] for r in results]
         refs = sorted({r["reference"] for r in results})

@@ -136,14 +136,12 @@ def estimator_bias_sigmas(seed: int = 0, q: int = 3, draws: int = 200_000) -> fl
     stay within a few sigma."""
     rng = RngStream(seed).child("bias")
     gen = rng.child("head").generator()
-    head = gaussian.ConditionalHead(
-        M=gen.uniform(-1.0, 1.0, q), V=gen.uniform(0.2, 2.0, q)
-    )
+    M, V = gen.uniform(-1.0, 1.0, q), gen.uniform(0.2, 2.0, q)
     y = int(gen.integers(1, q + 1))
-    freq, se_o = gaussian.argmax_error_frequency(head, y, rng.child("oracle"), draws)
+    freq, se_o = gaussian.argmax_error_frequency(M, V, y, rng.child("oracle"), draws)
     worst = 0.0
     for name, sampler in (("l1", gaussian.l1_samples), ("l2", gaussian.l2_samples)):
-        values, _, _ = sampler(head, y, rng.child(name), draws)
+        values, _, _ = sampler(M, V, y, rng.child(name), draws)
         se = math.sqrt(max(float(np.var(values)) / draws, 1e-300))
         joint = math.sqrt(se**2 + se_o**2)
         worst = max(worst, abs(float(np.mean(values)) - freq) / joint)

@@ -54,6 +54,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _parse_schedule(text: str) -> tuple[tuple[int, float], ...]:
     entries = []
     for part in text.split():
@@ -77,6 +84,7 @@ def _existing_file(text: str) -> str:
 # parse should have been.
 _KINDS = {
     int: (str, "an integer"),
+    _count: (str, "an integer >= 1"),
     _finite: (repr, "a finite number"),
     _parse_schedule: (lambda s: " ".join(f"{e}:{lr!r}" for e, lr in s), "epochs:rate entries"),
     _parse_widths: (lambda w: " ".join(str(v) for v in w), "integers"),
@@ -89,7 +97,7 @@ _REQUIRED = object()  # the default of a key every config sets
 # [data] keys only a synth source reads, and those only an mnist source reads.
 _SYNTH_DATA = {
     "classes": (int, _REQUIRED),
-    "per_class": (int, _REQUIRED),
+    "per_class": (_count, _REQUIRED),
     "dim": (int, _REQUIRED),
     "separation": (_finite, _REQUIRED),
     "holdout_per_class": (int, 0),
@@ -125,7 +133,7 @@ _SCHEMA = {
     "prior": {**_PHASE, "method": (str, "none")},
     "posterior": _PHASE,
     "certify": {
-        "n_draws": (int, 1000),
+        "n_draws": (_count, 1000),
         "delta": (_finite, 0.025),
         "delta_prime": (_finite, 0.01),
     },
@@ -265,25 +273,29 @@ def parse_config(path) -> RunConfig:
 
 
 def _validate(values: dict) -> None:
-    data, model, prior, posterior, certify, _ = values.values()
-    delta, delta_prime = certify["delta"], certify["delta_prime"]
-    if not (0.0 < delta < 1.0 and 0.0 < delta_prime < 1.0):
-        raise ConfigError("delta and delta_prime must lie in (0, 1)")
-    if delta + delta_prime >= 1.0:
-        raise ConfigError(f"delta + delta_prime must be < 1, got {delta + delta_prime}")
+    data, model, prior, _, certify, _ = values.values()
+    for key in ("delta", "delta_prime"):
+        if not 0.0 < certify[key] < 1.0:
+            raise ConfigError(f"[certify] {key} must lie in (0, 1), got {certify[key]!r}")
+    total = certify["delta"] + certify["delta_prime"]
+    if total >= 1.0:
+        raise ConfigError(f"[certify] delta + delta_prime must be < 1, got {total!r}")
+    if data.get("holdout_per_class", 0) < 0:
+        raise ConfigError(f"[data] holdout_per_class must be >= 0, got {data['holdout_per_class']}")
     fraction = data["prior_fraction"]
     if prior["method"] != "none" and fraction is None:
-        raise ConfigError("a trained prior needs data.prior_fraction")
+        raise ConfigError(
+            f"[data] prior_fraction is required when [prior] method = {prior['method']}"
+        )
     if prior["method"] == "none" and fraction is not None:
-        raise ConfigError("data.prior_fraction is set but prior.method is none")
+        raise ConfigError("[data] prior_fraction: unused when [prior] method = none")
     if fraction is not None and not 0.0 < fraction < 1.0:
         raise ConfigError(f"[data] prior_fraction must lie in (0, 1), got {fraction!r}")
     if not model["sigma0"] > 0.0:
         raise ConfigError(f"[model] sigma0 must be positive, got {model['sigma0']!r}")
-    if not posterior["schedule"]:
-        raise ConfigError("posterior schedule is empty")
-    if certify["n_draws"] < 1:
-        raise ConfigError("certify.n_draws must be >= 1")
+    for phase in ("prior", "posterior"):
+        if values[phase]["method"] != "none" and not values[phase]["schedule"]:
+            raise ConfigError(f"[{phase}] schedule is empty")
 
 
 def _build_dataset(cfg: RunConfig):

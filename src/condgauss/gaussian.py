@@ -28,7 +28,6 @@ import numpy as np
 from .rng import RngStream
 
 __all__ = [
-    "ConditionalHead",
     "GaussianParamGroup",
     "std_normal_cdf",
     "std_normal_pdf",
@@ -82,32 +81,6 @@ def dsigma_of_rho(rho):
     rho = np.asarray(rho, dtype=np.float64)
     dsigma = 1.5 * np.sqrt(np.abs(rho)) * np.sign(rho)
     return float(dsigma) if dsigma.ndim == 0 else dsigma
-
-
-@dataclass
-class ConditionalHead:
-    """Conditional mean M and diagonal variance V of the output layer.
-
-    M and V have shape [..., q] with q >= 2; V is strictly positive (entries
-    are floored at VARIANCE_FLOOR by the constructor path).
-    """
-
-    M: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=np.float64)
-        self.V = np.asarray(self.V, dtype=np.float64)
-        if self.M.shape != self.V.shape:
-            raise ValueError(f"M and V shapes differ: {self.M.shape} vs {self.V.shape}")
-        if self.M.shape[-1] < 2:
-            raise ValueError("a conditional head needs at least two classes")
-        if np.any(self.V <= 0):
-            raise ValueError("conditional variances must be strictly positive")
-
-    @property
-    def q(self) -> int:
-        return self.M.shape[-1]
 
 
 @dataclass
@@ -186,36 +159,39 @@ def sample_gaussian(w_mean, w_sigma, b_mean, b_sigma, rng: RngStream):
     return w_mean + w_sigma * zeta_w, b_mean + b_sigma * zeta_b, zeta_w, zeta_b
 
 
-def conditional_moments(phi_h, group: GaussianParamGroup) -> ConditionalHead:
-    """Output moments given the activated last-hidden values.
+def conditional_moments(phi, w_mean, b_mean, w_var, b_var):
+    """Output moments given the activated last-hidden values ``phi`` of any
+    leading shape, and the layer's weight and bias means and variances:
 
-    M_i = sum_j w_mean_ij phi_h_j + b_mean_i
-    V_i = sum_j (w_sigma_ij phi_h_j)^2 + b_sigma_i^2
+    M = phi W_mean^T + b_mean
+    V = phi^2 (sigma_W^2)^T + sigma_b^2, floored at VARIANCE_FLOOR
 
-    ``phi_h`` may be a single vector or a batch [B, n].
+    Returns (M, V, phi^2); the training head reuses phi^2 in its backward.
     """
-    phi_h = np.asarray(phi_h, dtype=np.float64)
-    if phi_h.shape[-1] != group.in_dim:
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape[-1] != w_mean.shape[1]:
         raise ValueError(
-            f"activation length {phi_h.shape[-1]} does not match layer fan-in {group.in_dim}"
+            f"activation length {phi.shape[-1]} does not match layer fan-in {w_mean.shape[1]}"
         )
-    M = phi_h @ group.w_mean.T + group.b_mean
-    V = np.square(phi_h) @ np.square(group.w_sigma).T + np.square(group.b_sigma)
-    return ConditionalHead(M=M, V=np.maximum(V, VARIANCE_FLOOR))
+    M = phi @ w_mean.T
+    M += b_mean
+    phi2 = np.square(phi)
+    V = phi2 @ w_var.T
+    V += b_var
+    np.maximum(V, VARIANCE_FLOOR, out=V)
+    return M, V, phi2
 
 
-def binary_error_prob(head: ConditionalHead, y: int) -> float:
+def binary_error_prob(M, V, y: int) -> float:
     """Exact conditional misclassification probability for q = 2.
 
     For y = 1 this is psi((M2 - M1) / sqrt(V1 + V2)); y = 2 is symmetric.
     """
-    if head.q != 2 or head.M.ndim != 1:
-        raise ValueError("binary_error_prob needs a single head with exactly 2 classes")
-    if y not in (1, 2):
-        raise ValueError(f"y must be 1 or 2, got {y}")
-    denom = math.sqrt(head.V[0] + head.V[1])
-    diff = head.M[1] - head.M[0] if y == 1 else head.M[0] - head.M[1]
-    return float(std_normal_cdf(diff / denom))
+    M, V, y0 = _check_head_label(M, V, y)
+    if M.size != 2:
+        raise ValueError("binary_error_prob needs exactly 2 classes")
+    diff = M[1 - y0] - M[y0]
+    return float(std_normal_cdf(diff / math.sqrt(V[0] + V[1])))
 
 
 def l1_draws(M, V, y0, zeta):
@@ -278,21 +254,21 @@ def l1_dense(idx, entries, size: int) -> np.ndarray:
     return out
 
 
-def l1_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
+def l1_samples(M, V, y: int, rng: RngStream, n: int = 1):
     """n independent draws of the L1 estimator with exact (M, V) gradients:
     (values [n], dM [n, q], dV [n, q]); see ``l1_draws``."""
-    M, V, y0 = _check_head_label(head, y)
+    M, V, y0 = _check_head_label(M, V, y)
     values, idx, dM, dV = l1_draws(M, V, y0, rng.normal((n, M.size)))
     return values, l1_dense(idx, dM, M.size), l1_dense(idx, dV, M.size)
 
 
-def l2_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
+def l2_samples(M, V, y: int, rng: RngStream, n: int = 1):
     """n independent draws of the L2 estimator with exact (M, V) gradients.
 
     L2 = 1 - prod_{i != y} psi((F_y - M_i) / sqrt(V_i)) with only F_y sampled.
     Returns (values [n], dM [n, q], dV [n, q]).
     """
-    M, V, y0 = _check_head_label(head, y)
+    M, V, y0 = _check_head_label(M, V, y)
     q = M.size
     zeta = rng.normal(n)
     sqv = np.sqrt(V)
@@ -320,7 +296,7 @@ def l2_samples(head: ConditionalHead, y: int, rng: RngStream, n: int = 1):
     return values, dM, dV
 
 
-def argmax_error_frequency(head: ConditionalHead, y: int, rng: RngStream, n: int):
+def argmax_error_frequency(M, V, y: int, rng: RngStream, n: int):
     """Brute-force misclassification frequency over n full output draws.
 
     Samples F ~ N(M, diag(V)) and counts draws where the true class fails to
@@ -330,7 +306,7 @@ def argmax_error_frequency(head: ConditionalHead, y: int, rng: RngStream, n: int
     posterior deviation, which agrees with sqrt(p(1-p)/n) away from the
     endpoints but stays honest (nonzero) when every draw lands on one side.
     """
-    M, V, y0 = _check_head_label(head, y)
+    M, V, y0 = _check_head_label(M, V, y)
     zeta = rng.normal((n, M.size))
     k = int(np.sum(misclassified(M + np.sqrt(V) * zeta, y0)))
     freq = k / n
@@ -392,9 +368,19 @@ def kl_diag_gauss(groups) -> float:
     return max(total, 0.0)
 
 
-def _check_head_label(head: ConditionalHead, y: int):
-    if head.M.ndim != 1:
-        raise ValueError("estimators take a single (unbatched) head")
-    if not 1 <= y <= head.q:
-        raise ValueError(f"label {y} outside 1..{head.q}")
-    return head.M.astype(np.float64), np.maximum(head.V, VARIANCE_FLOOR), y - 1
+def _check_head_label(M, V, y: int):
+    """A single head's (M, V) as float64 arrays, V floored at VARIANCE_FLOOR,
+    and the 0-based label; a batched or mismatched head, fewer than two
+    classes, a variance that is not positive, or a label outside 1..q is a
+    ValueError."""
+    M = np.asarray(M, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    if M.ndim != 1 or M.shape != V.shape:
+        raise ValueError(f"a head is one M and one V of equal 1-D shape, got {M.shape}, {V.shape}")
+    if M.size < 2:
+        raise ValueError("a conditional head needs at least two classes")
+    if not np.all(V > 0):
+        raise ValueError("conditional variances must be strictly positive")
+    if not 1 <= y <= M.size:
+        raise ValueError(f"label {y} outside 1..{M.size}")
+    return M, np.maximum(V, VARIANCE_FLOOR), y - 1

@@ -22,6 +22,7 @@ from .gaussian import (
     TRAINABLE,
     VARIANCE_FLOOR,
     GaussianParamGroup,
+    conditional_moments,
     dsigma_of_rho,
     l1_draws,
     misclassified,
@@ -361,12 +362,11 @@ class _ConditionalL1Head:
     given the last hidden output, one row block at a time, with the output
     layer unsampled.
 
-    A block builds the conditional moments M = phi W_mean^T + b_mean and
-    V = phi^2 (sigma_W^2)^T + sigma_b^2, floors V at VARIANCE_FLOOR, and
-    sums each input's L1 gradient entries over the repeats through the
-    sampled argmax class, so no [repeats, rows, q] gradient is formed. Its
-    phi cotangent takes the factor 2 of d(phi^2) on the small [q, h]
-    sigma_W^2.
+    A block builds the conditional moments (M, V) with
+    ``conditional_moments`` and sums each input's L1 gradient entries over
+    the repeats through the sampled argmax class, so no [repeats, rows, q]
+    gradient is formed. Its phi cotangent takes the factor 2 of d(phi^2) on
+    the small [q, h] sigma_W^2.
     """
 
     def __init__(self, last: ParamLeaves, y0, zeta):
@@ -377,12 +377,7 @@ class _ConditionalL1Head:
 
     def block(self, phi, rows, need_grad):
         w_mean = self.last.w_mean.value
-        M = phi @ w_mean.T
-        M += self.last.b_mean.value
-        phi2 = np.square(phi)
-        V = phi2 @ self.sw2.T
-        V += self.sb2
-        np.maximum(V, VARIANCE_FLOOR, out=V)
+        M, V, phi2 = conditional_moments(phi, w_mean, self.last.b_mean.value, self.sw2, self.sb2)
         values, idx, dM, dV = l1_draws(M, V, self.y0[rows], self.zeta[:, rows])
         if not need_grad:
             return values.sum(), None

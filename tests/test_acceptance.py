@@ -20,7 +20,7 @@ from condgauss.checks import (
     toy_objective_fd_error,
 )
 from condgauss.cli import main, parse_config
-from condgauss.gaussian import ConditionalHead, argmax_error_frequency, binary_error_prob, l1_samples, l2_samples
+from condgauss.gaussian import argmax_error_frequency, binary_error_prob, l1_samples, l2_samples
 from condgauss.rng import RngStream
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,17 +82,17 @@ def test_criterion_04_estimator_unbiasedness():
     head_idx = 0
     for q in (2, 3, 5, 10):
         for _ in range(5):
-            head = ConditionalHead(M=gen.uniform(-1.5, 1.5, q), V=gen.uniform(0.1, 2.0, q))
+            head = gen.uniform(-1.5, 1.5, q), gen.uniform(0.1, 2.0, q)
             y = int(gen.integers(1, q + 1))
             rng = RngStream(5000 + head_idx)
-            freq, se_o = argmax_error_frequency(head, y, rng.child("oracle"), draws)
+            freq, se_o = argmax_error_frequency(*head, y, rng.child("oracle"), draws)
             for name, sampler in (("l1", l1_samples), ("l2", l2_samples)):
-                vals, _, _ = sampler(head, y, rng.child(name), draws)
+                vals, _, _ = sampler(*head, y, rng.child(name), draws)
                 se = max(float(vals.std()) / math.sqrt(draws), 1e-12)
                 joint = math.hypot(se, se_o)
                 worst_sig = max(worst_sig, abs(float(vals.mean()) - freq) / joint)
                 if q == 2:
-                    exact = binary_error_prob(head, y)
+                    exact = binary_error_prob(*head, y)
                     worst_binary = max(worst_binary, abs(float(vals.mean()) - exact) / max(se, 1e-12))
             head_idx += 1
     elapsed = time.perf_counter() - t0

@@ -325,6 +325,10 @@ class TestTrainCommand:
             ("data", "prior_fraction = 0.5", "prior_fraction = 1.5",
              r"prior_fraction must lie in \(0, 1\), got 1.5"),
             ("data", "classes = 3\n", "", "classes is required"),
+            ("data", "per_class = 80", "per_class = 0", "per_class must be an integer >= 1, got '0'"),
+            ("data", "per_class = 80", "per_class = 80\nholdout_per_class = -5",
+             "holdout_per_class must be >= 0, got -5"),
+            ("prior", "schedule = 3:0.002\n", "", "schedule is empty"),
             ("data", "source = synth\nclasses = 3\nper_class = 80\ndim = 10\nseparation = 0.8",
              "source = mnist\nimages = missing.idx\nlabels = missing.idx",
              "images must be an existing file, got 'missing.idx'"),

@@ -13,7 +13,6 @@ import pytest
 
 from condgauss.checks import TEST_FUNCTIONS, price_swap_gaps, stein_identity_gap
 from condgauss.gaussian import (
-    ConditionalHead,
     GaussianParamGroup,
     argmax_error_frequency,
     binary_error_prob,
@@ -68,7 +67,25 @@ SCIPY_LOAD_SCRIPT = textwrap.dedent(
 
 
 def random_head(gen, q):
-    return ConditionalHead(M=gen.uniform(-1.5, 1.5, q), V=gen.uniform(0.1, 2.0, q))
+    """A head's (M, V)."""
+    return gen.uniform(-1.5, 1.5, q), gen.uniform(0.1, 2.0, q)
+
+
+# Heads no reader of (M, V, y) may accept.
+MALFORMED_HEADS = {
+    "shape_mismatch": (np.zeros(3), np.ones(2), 1),
+    "one_class": (np.zeros(1), np.ones(1), 1),
+    "zero_variance": (np.zeros(3), np.array([1.0, 0.0, 1.0]), 1),
+    "batched": (np.zeros((2, 3)), np.ones((2, 3)), 1),
+    "label_0": (np.zeros(3), np.ones(3), 0),
+    "label_q_plus_1": (np.zeros(3), np.ones(3), 4),
+}
+HEAD_READERS = {
+    "l1": lambda M, V, y: l1_samples(M, V, y, RngStream(0), 1),
+    "l2": lambda M, V, y: l2_samples(M, V, y, RngStream(0), 1),
+    "argmax": lambda M, V, y: argmax_error_frequency(M, V, y, RngStream(0), 1),
+    "binary": binary_error_prob,
+}
 
 
 def quadrature_error_prob(head, y, nodes=200):
@@ -78,12 +95,13 @@ def quadrature_error_prob(head, y, nodes=200):
     x, w = hermgauss(nodes)
     z = math.sqrt(2.0) * x
     w = w / math.sqrt(math.pi)
+    M, V = head
     y0 = y - 1
-    t = head.M[y0] + math.sqrt(head.V[y0]) * z
+    t = M[y0] + math.sqrt(V[y0]) * z
     prod = np.ones_like(t)
-    for i in range(head.q):
+    for i in range(M.size):
         if i != y0:
-            prod = prod * std_normal_cdf((t - head.M[i]) / math.sqrt(head.V[i]))
+            prod = prod * std_normal_cdf((t - M[i]) / math.sqrt(V[i]))
     return 1.0 - float(np.sum(w * prod))
 
 
@@ -146,24 +164,20 @@ class TestSigmaOfRho:
 
 class TestBinaryErrorProb:
     def test_symmetric_head(self):
-        head = ConditionalHead(M=np.zeros(2), V=np.ones(2))
-        assert binary_error_prob(head, 1) == 0.5
-        assert binary_error_prob(head, 2) == 0.5
+        head = np.zeros(2), np.ones(2)
+        assert binary_error_prob(*head, 1) == 0.5
+        assert binary_error_prob(*head, 2) == 0.5
 
     def test_closed_form_value(self):
-        head = ConditionalHead(M=np.array([1.0, 0.0]), V=np.array([0.5, 0.5]))
-        assert binary_error_prob(head, 1) == pytest.approx(1.0 - NCDF_ONE, abs=1e-12)
+        head = np.array([1.0, 0.0]), np.array([0.5, 0.5])
+        assert binary_error_prob(*head, 1) == pytest.approx(1.0 - NCDF_ONE, abs=1e-12)
 
     def test_against_sampling_oracle(self):
         gen = np.random.default_rng(5)
         head = random_head(gen, 2)
         for y in (1, 2):
-            freq, se = argmax_error_frequency(head, y, RngStream(50).child("mc", y), 400_000)
-            assert abs(binary_error_prob(head, y) - freq) <= 4.0 * se
-
-    def test_rejects_wrong_shapes(self):
-        with pytest.raises(ValueError):
-            binary_error_prob(ConditionalHead(M=np.zeros(3), V=np.ones(3)), 1)
+            freq, se = argmax_error_frequency(*head, y, RngStream(50).child("mc", y), 400_000)
+            assert abs(binary_error_prob(*head, y) - freq) <= 4.0 * se
 
     def test_gradient_never_vanishes_at_moderate_scores(self):
         # Unlike the raw 0-1 loss, the closed form has nonzero derivatives in
@@ -177,17 +191,11 @@ class TestBinaryErrorProb:
                 up, dn = M.copy(), M.copy()
                 up[i] += step
                 dn[i] -= step
-                fd = (
-                    binary_error_prob(ConditionalHead(up, V), 1)
-                    - binary_error_prob(ConditionalHead(dn, V), 1)
-                ) / (2 * step)
+                fd = (binary_error_prob(up, V, 1) - binary_error_prob(dn, V, 1)) / (2 * step)
                 assert fd != 0.0
             upv = V.copy()
             upv[0] += step
-            fd_v = (
-                binary_error_prob(ConditionalHead(M, upv), 1)
-                - binary_error_prob(ConditionalHead(M, V), 1)
-            ) / step
+            fd_v = (binary_error_prob(M, upv, 1) - binary_error_prob(M, V, 1)) / step
             if abs(M[0] - M[1]) > 1e-3:
                 assert fd_v != 0.0
 
@@ -199,7 +207,7 @@ class TestSamplingOracle:
         gen = np.random.default_rng(21)
         head = random_head(gen, 4)
         truth = quadrature_error_prob(head, 2)
-        freq, se = argmax_error_frequency(head, 2, RngStream(51), 500_000)
+        freq, se = argmax_error_frequency(*head, 2, RngStream(51), 500_000)
         assert abs(freq - truth) <= 4.0 * se
 
 
@@ -207,8 +215,8 @@ class TestEstimators:
     @pytest.mark.parametrize("sampler", [l1_samples, l2_samples])
     def test_exchangeable_head_gives_chance_error(self, sampler):
         for q in (2, 5):
-            head = ConditionalHead(M=np.zeros(q), V=np.full(q, 1.3))
-            values, _, _ = sampler(head, 1, RngStream(60).child(q), 200_000)
+            head = np.zeros(q), np.full(q, 1.3)
+            values, _, _ = sampler(*head, 1, RngStream(60).child(q), 200_000)
             se = values.std() / math.sqrt(len(values))
             assert abs(values.mean() - (1.0 - 1.0 / q)) <= 4.0 * se
 
@@ -216,21 +224,21 @@ class TestEstimators:
     def test_binary_matches_closed_form(self, sampler):
         gen = np.random.default_rng(8)
         head = random_head(gen, 2)
-        exact = binary_error_prob(head, 2)
-        values, _, _ = sampler(head, 2, RngStream(61), 400_000)
+        exact = binary_error_prob(*head, 2)
+        values, _, _ = sampler(*head, 2, RngStream(61), 400_000)
         se = max(values.std() / math.sqrt(len(values)), 1e-6)
         assert abs(values.mean() - exact) <= 4.0 * se
 
     def test_dominated_class_never_errs(self):
-        head = ConditionalHead(M=np.array([1e6, 0.0, 0.0]), V=np.ones(3))
-        values, _, _ = l1_samples(head, 1, RngStream(62), 1000)
+        head = np.array([1e6, 0.0, 0.0]), np.ones(3)
+        values, _, _ = l1_samples(*head, 1, RngStream(62), 1000)
         assert np.all(values < 1e-12)
 
     def test_l1_l2_agree_on_multiclass(self):
         gen = np.random.default_rng(9)
         head = random_head(gen, 3)
-        v1, _, _ = l1_samples(head, 3, RngStream(63).child("a"), 400_000)
-        v2, _, _ = l2_samples(head, 3, RngStream(63).child("b"), 400_000)
+        v1, _, _ = l1_samples(*head, 3, RngStream(63).child("a"), 400_000)
+        v2, _, _ = l2_samples(*head, 3, RngStream(63).child("b"), 400_000)
         joint = math.hypot(v1.std() / math.sqrt(len(v1)), v2.std() / math.sqrt(len(v2)))
         assert abs(v1.mean() - v2.mean()) <= 4.0 * joint
 
@@ -238,14 +246,14 @@ class TestEstimators:
         gen = np.random.default_rng(10)
         head = random_head(gen, 4)
         rng = RngStream(64).child("det")
-        v1, dm1, dv1 = l1_samples(head, 2, rng, n=1)
-        v2, dm2, dv2 = l1_samples(head, 2, rng, n=1)
+        v1, dm1, dv1 = l1_samples(*head, 2, rng, n=1)
+        v2, dm2, dv2 = l1_samples(*head, 2, rng, n=1)
         assert v1.shape == (1,) and dm1.shape == dv1.shape == (1, 4)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(dm1, dm2)
         np.testing.assert_array_equal(dv1, dv2)
-        w1, _, _ = l2_samples(head, 2, rng, n=1)
-        w2, _, _ = l2_samples(head, 2, rng, n=1)
+        w1, _, _ = l2_samples(*head, 2, rng, n=1)
+        w2, _, _ = l2_samples(*head, 2, rng, n=1)
         np.testing.assert_array_equal(w1, w2)
 
     @pytest.mark.parametrize("sampler", [l1_samples, l2_samples])
@@ -256,16 +264,16 @@ class TestEstimators:
         head = random_head(gen, 4)
         y = 3
         rng = RngStream(65).child("frozen")
-        _, dM, dV = sampler(head, y, rng, 1)
+        _, dM, dV = sampler(*head, y, rng, 1)
         step = 1e-6
         for i in range(4):
-            for arr, grads in (("M", dM), ("V", dV)):
-                up = ConditionalHead(M=head.M.copy(), V=head.V.copy())
-                dn = ConditionalHead(M=head.M.copy(), V=head.V.copy())
-                getattr(up, arr)[i] += step
-                getattr(dn, arr)[i] -= step
-                vu, _, _ = sampler(up, y, rng, 1)
-                vd, _, _ = sampler(dn, y, rng, 1)
+            for arr, grads in enumerate((dM, dV)):
+                up = [a.copy() for a in head]
+                dn = [a.copy() for a in head]
+                up[arr][i] += step
+                dn[arr][i] -= step
+                vu, _, _ = sampler(*up, y, rng, 1)
+                vd, _, _ = sampler(*dn, y, rng, 1)
                 fd = (vu[0] - vd[0]) / (2 * step)
                 assert grads[0, i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
@@ -276,25 +284,33 @@ class TestEstimators:
         head = random_head(gen, 3)
         y = 1
         n = 300_000
-        _, dM, dV = l1_samples(head, y, RngStream(66), n)
+        _, dM, dV = l1_samples(*head, y, RngStream(66), n)
         step = 1e-3
         for i in range(3):
-            for arr, grads in (("M", dM), ("V", dV)):
-                up = ConditionalHead(M=head.M.copy(), V=head.V.copy())
-                dn = ConditionalHead(M=head.M.copy(), V=head.V.copy())
-                getattr(up, arr)[i] += step
-                getattr(dn, arr)[i] -= step
+            for arr, grads in enumerate((dM, dV)):
+                up = [a.copy() for a in head]
+                dn = [a.copy() for a in head]
+                up[arr][i] += step
+                dn[arr][i] -= step
                 fd = (quadrature_error_prob(up, y) - quadrature_error_prob(dn, y)) / (2 * step)
                 se = max(grads[:, i].std() / math.sqrt(n), 1e-7)
                 gap = abs(grads[:, i].mean() - fd)
                 assert gap <= 4.0 * se or gap <= 0.02 * abs(fd)
 
-    def test_label_validation(self):
-        head = ConditionalHead(M=np.zeros(3), V=np.ones(3))
+    @pytest.mark.parametrize(
+        "reader, case",
+        [(r, c) for r in HEAD_READERS for c in MALFORMED_HEADS] + [("binary", "three_classes")],
+    )
+    def test_rejects_malformed_head(self, reader, case):
+        # Three classes are well-formed for every reader but the binary form.
+        M, V, y = MALFORMED_HEADS.get(case, (np.zeros(3), np.ones(3), 1))
         with pytest.raises(ValueError):
-            l1_samples(head, 0, RngStream(0), 1)
-        with pytest.raises(ValueError):
-            l1_samples(head, 4, RngStream(0), 1)
+            HEAD_READERS[reader](M, V, y)
+
+
+def moments(phi, group):
+    """``conditional_moments`` of a parameter group's layer."""
+    return conditional_moments(phi, group.w_mean, group.b_mean, group.w_sigma**2, group.b_sigma**2)
 
 
 class TestConditionalMoments:
@@ -315,22 +331,22 @@ class TestConditionalMoments:
             b_mean=np.array([0.1, -0.2]),
             b_rho=np.full(2, c ** (2.0 / 3.0)),
         )
-        head = conditional_moments(np.array([1.0, 1.0]), group)
-        np.testing.assert_allclose(head.M, [3.1, -0.7], atol=1e-12)
-        np.testing.assert_allclose(head.V, c * c, rtol=1e-12)
+        M, V, _ = moments(np.array([1.0, 1.0]), group)
+        np.testing.assert_allclose(M, [3.1, -0.7], atol=1e-12)
+        np.testing.assert_allclose(V, c * c, rtol=1e-12)
 
     def test_zero_activations(self):
         gen = np.random.default_rng(15)
         group = self.make_group(gen)
-        head = conditional_moments(np.zeros(4), group)
-        np.testing.assert_allclose(head.M, group.b_mean, atol=1e-15)
-        np.testing.assert_allclose(head.V, group.b_sigma**2, rtol=1e-12)
+        M, V, _ = moments(np.zeros(4), group)
+        np.testing.assert_allclose(M, group.b_mean, atol=1e-15)
+        np.testing.assert_allclose(V, group.b_sigma**2, rtol=1e-12)
 
     def test_against_monte_carlo_moments(self):
         gen = np.random.default_rng(16)
         group = self.make_group(gen)
         phi = gen.uniform(0.0, 1.5, 4)
-        head = conditional_moments(phi, group)
+        M, V, _ = moments(phi, group)
         n = 400_000
         rng = RngStream(67)
         zw = rng.child("w").normal((n, 3, 4))
@@ -338,24 +354,24 @@ class TestConditionalMoments:
         F = (group.w_mean + group.w_sigma * zw) @ phi + group.b_mean + group.b_sigma * zb
         for i in range(3):
             se_mean = F[:, i].std() / math.sqrt(n)
-            assert abs(F[:, i].mean() - head.M[i]) <= 4 * se_mean
+            assert abs(F[:, i].mean() - M[i]) <= 4 * se_mean
             var = F[:, i].var()
             se_var = var * math.sqrt(2.0 / (n - 1))
-            assert abs(var - head.V[i]) <= 4 * se_var
+            assert abs(var - V[i]) <= 4 * se_var
 
     def test_batched_input(self):
         gen = np.random.default_rng(17)
         group = self.make_group(gen)
         batch = gen.uniform(0, 1, (5, 4))
-        head = conditional_moments(batch, group)
-        assert head.M.shape == (5, 3)
-        single = conditional_moments(batch[2], group)
-        np.testing.assert_allclose(head.M[2], single.M, atol=1e-14)
+        M, _, _ = moments(batch, group)
+        assert M.shape == (5, 3)
+        single, _, _ = moments(batch[2], group)
+        np.testing.assert_allclose(M[2], single, atol=1e-14)
 
     def test_shape_mismatch(self):
         gen = np.random.default_rng(18)
         with pytest.raises(ValueError):
-            conditional_moments(np.zeros(5), self.make_group(gen))
+            moments(np.zeros(5), self.make_group(gen))
 
 
 class TestKlDiagGauss:
