@@ -26,11 +26,10 @@ from .network import (
     batch_error_estimate,
     exact_misclassification,
     forward_scores,
-    make_leaves,
     sample_full,
 )
 from .rng import RngStream
-from .trainer import penalized_objective, prior_terms
+from .trainer import TrainConfig, batch_gradients, prior_terms
 
 __all__ = [
     "gauss_hermite_normal",
@@ -197,9 +196,10 @@ def toy_objective_fd_error(
 ) -> float:
     """Finite-difference check of the full batch objective on a toy net.
 
-    Freezes the noise keys, evaluates the tape gradient of the chosen bound
-    objective, and compares a sampled subset of coordinates against central
-    differences of the same frozen-noise forward pass. ``pen_m`` plays the
+    Freezes the noise keys, evaluates the gradient of the chosen bound
+    objective that a posterior training step descends (``batch_gradients``,
+    lbd at lambda = 0.5), and compares a sampled subset of coordinates
+    against central differences of the same frozen-noise forward pass. ``pen_m`` plays the
     bound-dataset size in the penalty; a desk-realistic value keeps kl_inv
     away from its saturated v=1 regime where every gradient vanishes.
     """
@@ -209,19 +209,12 @@ def toy_objective_fd_error(
 
     state0 = model.get_state()
     prior = prior_terms(model.groups)
+    config = TrainConfig(objective=spec, lr_schedule=(), repeats=repeats)
 
     def fn(point):
         model.set_state(point)
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        est = batch_error_estimate(model, x, y, noise_rng, repeats=repeats, leaves=leaves)
-        logit_leaf = tape.leaf(0.0) if kind == BoundKind.LBD else None
-        obj, _, _ = penalized_objective(est, leaves, prior, spec, pen_m, logit_leaf)
-        tape.backward(obj)
-        grads = []
-        for lv in leaves:
-            grads.extend(lv.grads())
-        return float(obj.value), grads
+        obj, _, _, _, grads, _ = batch_gradients(model, config, pen_m, prior, x, y, noise_rng)
+        return obj, grads
 
     gen = RngStream(seed).child("coords").generator()
     flat_sizes = [a.size for a in state0]
@@ -332,7 +325,7 @@ def linearization_report(
     for k in range(redraws):
         values[k] = batch_error_estimate(
             model, dataset.inputs, dataset.labels, rng.child("redraw", k), repeats=repeats
-        ).value
+        )
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1))
     counts, edges = np.histogram(values, bins=bins)

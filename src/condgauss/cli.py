@@ -280,8 +280,16 @@ def _validate(values: dict) -> None:
     total = certify["delta"] + certify["delta_prime"]
     if total >= 1.0:
         raise ConfigError(f"[certify] delta + delta_prime must be < 1, got {total!r}")
-    if data.get("holdout_per_class", 0) < 0:
-        raise ConfigError(f"[data] holdout_per_class must be >= 0, got {data['holdout_per_class']}")
+    if data["source"] == "synth":
+        holdout, classes, dim = data["holdout_per_class"], data["classes"], data["dim"]
+        if holdout < 0:
+            raise ConfigError(f"[data] holdout_per_class must be >= 0, got {holdout}")
+        if classes < 2:
+            raise ConfigError(f"[data] classes must be >= 2, got {classes}")
+        if dim < classes:
+            raise ConfigError(f"[data] dim must be >= classes = {classes}, got {dim}")
+        if not 0.0 <= data["separation"] <= 1.0:
+            raise ConfigError(f"[data] separation must lie in [0, 1], got {data['separation']!r}")
     fraction = data["prior_fraction"]
     if prior["method"] != "none" and fraction is None:
         raise ConfigError(

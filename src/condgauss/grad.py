@@ -3,9 +3,8 @@
 A Tape records Tensors in construction order, which is automatically a
 topological order; the backward pass walks that list once in reverse,
 accumulating cotangents. Trainable leaves are the mean and raw-deviation
-arrays of the model's parameter groups (and lbd's lambda logit); everything
-else (inputs, noise draws, masks) enters as plain numpy constants with no
-gradient.
+arrays of the model's parameter groups; everything else (inputs, noise
+draws, masks) enters as plain numpy constants with no gradient.
 
 There is no general op set: every node of a training step is a
 ``closed_form`` node, whose partial derivatives are computed together with

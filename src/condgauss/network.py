@@ -255,6 +255,15 @@ def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
     ]
 
 
+def layer_values(layer):
+    """A layer's (w_mean, w_sigma, b_mean, b_sigma) arrays: read off its
+    ``ParamLeaves`` on a step's tape, or off its ``GaussianParamGroup`` when
+    only a value is wanted."""
+    if isinstance(layer, ParamLeaves):
+        return layer.w_mean.value, layer.w_sigma, layer.b_mean.value, layer.b_sigma
+    return layer.w_mean, layer.w_sigma, layer.b_mean, layer.b_sigma
+
+
 def draw_partials(lv: ParamLeaves, draw, gW, gb) -> list[np.ndarray]:
     """The partials in (w_mean, w_rho, b_mean, b_rho) of a layer drawn by
     ``sample_gaussian`` as ``draw`` = (W, b, zeta_w, zeta_b), from the
@@ -295,7 +304,7 @@ def hidden_forward_on_tape(x, draws, keeps=None, scale=1.0) -> list[np.ndarray]:
     return acts
 
 
-def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=True):
+def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0):
     """A batch estimate as one closed-form node over every parameter leaf,
     built TRAIN_BLOCK rows at a time.
 
@@ -310,14 +319,13 @@ def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=True):
     sums over ``head.n``, and the node's partials are the finished sums with
     the head's own ``head.partials()`` for the output layer, which the
     backward pass scales by the cotangent in place; the node lands on the
-    leaves' tape. Without ``need_grad`` no backward runs and the node is a
-    bare leaf holding the value, on a tape of its own.
+    leaves' tape. Given the model's groups in place of ``leaves``, no
+    backward runs and the estimate is returned as a float.
     """
     n_hidden = spec.n_layers - 1
+    need_grad = isinstance(leaves[-1], ParamLeaves)
     draws = [
-        sample_gaussian(
-            lv.w_mean.value, lv.w_sigma, lv.b_mean.value, lv.b_sigma, rng.child("theta", k)
-        )
+        sample_gaussian(*layer_values(lv), rng.child("theta", k))
         for k, lv in enumerate(leaves[:n_hidden])
     ]
     if not 0.0 <= dropout_prob < 1.0:
@@ -348,7 +356,7 @@ def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0, need_grad=True):
                 g = g @ draws[k][0]
     total /= head.n
     if not need_grad:
-        return grad.Tape().leaf(total)
+        return float(total)
     partials = []
     for lv, draw, (gW, gb) in zip(leaves, draws, sums):
         partials += draw_partials(lv, draw, gW, gb)
@@ -369,15 +377,15 @@ class _ConditionalL1Head:
     the small [q, h] sigma_W^2.
     """
 
-    def __init__(self, last: ParamLeaves, y0, zeta):
+    def __init__(self, last, y0, zeta):
         self.last, self.y0, self.zeta = last, y0, zeta
         self.n = zeta.shape[0] * zeta.shape[1]
-        self.sw2, self.sb2 = np.square(last.w_sigma), np.square(last.b_sigma)
+        self.w_mean, w_sigma, self.b_mean, b_sigma = layer_values(last)
+        self.sw2, self.sb2 = np.square(w_sigma), np.square(b_sigma)
         self.sums = None  # d/dw_mean, d/dsigma_W^2, d/db_mean, d/dsigma_b^2
 
     def block(self, phi, rows, need_grad):
-        w_mean = self.last.w_mean.value
-        M, V, phi2 = conditional_moments(phi, w_mean, self.last.b_mean.value, self.sw2, self.sb2)
+        M, V, phi2 = conditional_moments(phi, self.w_mean, self.b_mean, self.sw2, self.sb2)
         values, idx, dM, dV = l1_draws(M, V, self.y0[rows], self.zeta[:, rows])
         if not need_grad:
             return values.sum(), None
@@ -395,7 +403,7 @@ class _ConditionalL1Head:
         )
         g_phi = gV @ (2.0 * self.sw2)
         g_phi *= phi
-        g_phi += gM @ w_mean
+        g_phi += gM @ self.w_mean
         return values.sum(), g_phi
 
     def partials(self):
@@ -417,7 +425,7 @@ def batch_error_estimate(
     repeats: int = 100,
     leaves: list[ParamLeaves] | None = None,
     dropout_prob: float = 0.0,
-) -> grad.Tensor:
+) -> grad.Tensor | float:
     """Conditional Monte-Carlo estimate of the batch misclassification rate,
     as the tape node of its value.
 
@@ -426,7 +434,8 @@ def batch_error_estimate(
     ``repeats`` independent output draws per input. The estimate is one
     ``estimate_node`` over every mean and raw-deviation leaf of ``leaves``,
     on their tape, so backward() yields pathwise gradients for all of them.
-    Without ``leaves`` only the value is computed.
+    Without ``leaves`` the value alone is computed, from the model's groups
+    with no tape, and returned as a float.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -438,14 +447,12 @@ def batch_error_estimate(
         raise ValueError("the batch is empty")
     if np.any(y0 < 0) or np.any(y0 >= q):
         raise ValueError("labels outside 1..q")
-    need_grad = leaves is not None
-    if leaves is None:
-        leaves = make_leaves(grad.Tape(), model)
+    layers = model.groups if leaves is None else leaves
     # One block of output draws per batch; entry [r, i, :] belongs to
     # repeat r of input i.
     zeta = rng.child("l1").normal((repeats, batch, q))
-    head = _ConditionalL1Head(leaves[-1], y0, zeta)
-    return estimate_node(leaves, x, rng, model.spec, head, dropout_prob, need_grad)
+    head = _ConditionalL1Head(layers[-1], y0, zeta)
+    return estimate_node(layers, x, rng, model.spec, head, dropout_prob)
 
 
 def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tuple]:

@@ -2,10 +2,11 @@
 variant, prior training, and the surrogate cross-entropy baseline, all run by
 ``train_condgauss``; the phase and the objective kind pick the path.
 
-All phases share one engine: per batch, sample the stochastic parameters
-(hidden layers only for the conditional method, every layer for the
-baseline), build the error estimate and the penalized objective on a fresh
-tape, run backward, and take an SGD-with-momentum step
+All phases share one engine: per batch, ``batch_gradients`` samples the
+stochastic parameters (hidden layers only for the conditional method, every
+layer for the baseline), builds the error estimate and the penalized
+objective on a fresh tape and runs backward, and ``train_condgauss`` takes
+an SGD-with-momentum step
     v <- mu v + g,   p <- p - eta v.
 The penalty always uses the size m of the dataset being trained on (the
 bound dataset), never the batch size, and is recomputed each batch from the
@@ -24,13 +25,14 @@ import numpy as np
 from . import grad
 from .bounds import BoundKind, BoundSpec, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
-from .gaussian import TRAINABLE, kl_diag, kl_diag_gauss, misclassified, sample_gaussian
+from .gaussian import TRAINABLE, kl_diag, kl_diag_gauss, sample_gaussian
 from .network import (
     StochasticModel,
     accumulate,
     batch_error_estimate,
     draw_partials,
     estimate_node,
+    layer_values,
     make_leaves,
 )
 from .rng import RngStream
@@ -40,6 +42,7 @@ __all__ = [
     "TrainLog",
     "LogRow",
     "TrainingDiverged",
+    "batch_gradients",
     "kl_node",
     "momentum_step",
     "penalized_objective",
@@ -185,26 +188,21 @@ def kl_node(leaves, prior):
     return grad.closed_form(total, parents, partials, in_place=True)
 
 
-def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, logit_leaf=None):
+def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, lam=None):
     """The bound objective of a batch estimate on the tape.
 
     The penalty is (kappa/m)(KL(Q||P) + log(2 sqrt(m)/delta)) with m the size
     of the dataset being trained on and ``prior`` the model's
-    ``prior_terms``. The objective is one closed-form node over the estimate,
-    the KL node and, for lbd, ``logit_leaf``, the logit of lambda; the
-    penalty's scale and the logistic map are folded into its partials.
-    Returns (objective, penalty, lambda), lambda None unless lbd.
+    ``prior_terms``. The objective is one closed-form node over the estimate
+    and the KL node, the penalty's scale folded into its partials; lbd's
+    ``lam`` stays off the tape. Returns (objective, penalty, d objective /
+    d lambda), the last 0 unless lbd.
     """
     kl = kl_node(leaves, prior)
     # Rounding can leave the summed KL a hair below 0; kl_diag_gauss clamps too.
     pen = penalty(max(float(kl.value), 0.0), m, spec.delta, spec.kappa)
-    lam = None if logit_leaf is None else float(1.0 / (1.0 + np.exp(-logit_leaf.value)))
     value, (d_est, d_pen, d_lam) = objective_partials(spec.kind, float(est_node.value), pen, lam)
-    parents, partials = [est_node, kl], [d_est, d_pen * (spec.kappa / m)]
-    if logit_leaf is not None:
-        parents.append(logit_leaf)
-        partials.append(d_lam * lam * (1.0 - lam))
-    return grad.closed_form(value, parents, partials), pen, lam
+    return grad.closed_form(value, [est_node, kl], [d_est, d_pen * (spec.kappa / m)]), pen, d_lam
 
 
 def _bounded_cross_entropy(F, y0, batch: int):
@@ -230,27 +228,21 @@ def _bounded_cross_entropy(F, y0, batch: int):
 
 class _SurrogateHead:
     """The baseline's head of ``estimate_node``, one row block at a time:
-    the output layer drawn pathwise once from ``rng``, the bounded
+    the output layer drawn pathwise once from ``rng``, and the bounded
     cross-entropy of ``_bounded_cross_entropy`` of its scores in place of the
     error estimate (it stays in [0, 1], so the bound objectives remain
-    valid), and the count of the sampled network's 0-1 errors for bound
-    tracking (ties count as errors)."""
+    valid)."""
 
     def __init__(self, last, y0, rng):
         self.last, self.y0, self.n = last, y0, len(y0)
-        self.draw = sample_gaussian(
-            last.w_mean.value, last.w_sigma, last.b_mean.value, last.b_sigma, rng
-        )
-        self.errors = 0
+        self.draw = sample_gaussian(*layer_values(last), rng)
         self.sums = None  # cotangent sums of the drawn W and b
 
     def block(self, phi, rows, need_grad):
         W, b = self.draw[:2]
         F = phi @ W.T
         F += b
-        y0 = self.y0[rows]
-        self.errors += int(np.count_nonzero(misclassified(F, y0)))
-        loss, gF = _bounded_cross_entropy(F, y0, self.n)
+        loss, gF = _bounded_cross_entropy(F, self.y0[rows], self.n)
         self.sums = accumulate(self.sums, (gF.T @ phi, gF.sum(axis=0)))
         return loss, gF @ W
 
@@ -258,61 +250,46 @@ class _SurrogateHead:
         return draw_partials(self.last, self.draw, *self.sums)
 
 
-def _train_step(
-    model, config, m, prior, x, y, rng, lr, velocity, ell, lam_velocity, is_lambda_epoch, where
-):
-    """One batch of ``train_condgauss``: the estimate and objective on a fresh
-    tape, backward, and the momentum update of the parameters (in place, with
-    ``velocity``) or of lambda's logit ``ell``. ``prior`` is the model's
-    ``prior_terms``.
+def batch_gradients(model, config: TrainConfig, m: int, prior, x, y, rng, ell: float = 0.0):
+    """One batch's objective and its gradients, on a fresh tape: the estimate
+    (``batch_error_estimate``, or for the baseline ``estimate_node`` under a
+    ``_SurrogateHead``), the penalized objective (the bare estimate under
+    ERM), the divergence guard, and backward. ``m`` is the size of the
+    dataset trained on, ``prior`` the model's ``prior_terms`` and ``ell``
+    the logit of lbd's lambda.
 
-    Returns (objective, emp_track, penalty, lambda, ell, lam_velocity) as
-    plain numbers, so the step's graph is freed on return and never overlaps
-    the next step's forward pass. ``where`` is the (epoch, batch) pair a
-    divergence is reported at; a diverged step updates nothing.
+    Returns (objective, estimate, penalty, lambda, gradients, d objective /
+    d ell) as plain numbers and arrays, the gradients in ``get_state()``
+    order, so the step's graph is freed on return. lambda is None unless
+    lbd; a diverged objective raises TrainingDiverged before backward.
     """
     spec = config.objective
     tape = grad.Tape()
     leaves = make_leaves(tape, model)
-
     if config.phase == "baseline":
         # Every layer is sampled pathwise once: the hidden ones by
         # estimate_node, the output layer by the head.
         head = _SurrogateHead(leaves[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
-        est_node = estimate_node(leaves, x, rng, model.spec, head)
-        emp_track = head.errors / head.n
+        est = estimate_node(leaves, x, rng, model.spec, head)
     else:
-        est_node = batch_error_estimate(
+        est = batch_error_estimate(
             model, x, y, rng, config.repeats, leaves=leaves, dropout_prob=config.dropout_prob
         )
-        emp_track = float(est_node.value)
 
-    logit_leaf = tape.leaf(ell) if spec and spec.kind == BoundKind.LBD else None
+    lam = float(1.0 / (1.0 + np.exp(-ell))) if spec and spec.kind == BoundKind.LBD else None
     if spec is None:
-        obj, pen_value, lam_value = est_node, 0.0, None
+        obj, pen, d_lam = est, 0.0, 0.0
     else:
-        obj, pen_value, lam_value = penalized_objective(est_node, leaves, prior, spec, m, logit_leaf)
+        obj, pen, d_lam = penalized_objective(est, leaves, prior, spec, m, lam)
+    # d lambda / d ell = lambda (1 - lambda) through the logistic map.
+    g_ell = 0.0 if lam is None else d_lam * lam * (1.0 - lam)
 
     obj_value = float(obj.value)
     if not math.isfinite(obj_value) or obj_value > DIVERGENCE_LIMIT:
-        raise TrainingDiverged(
-            f"objective {obj_value} at epoch {where[0] + 1}, batch {where[1] + 1}"
-        )
+        raise TrainingDiverged(f"objective {obj_value}")
     tape.backward(obj)
-
-    if is_lambda_epoch:
-        g_ell = float(logit_leaf.grad) if logit_leaf.grad is not None else 0.0
-        ell, lam_velocity = momentum_step(ell, g_ell, lam_velocity, lr, config.momentum)
-    else:
-        i = 0
-        for group, lv in zip(model.groups, leaves):
-            for name, g_arr in zip(TRAINABLE, lv.grads()):
-                new_p, velocity[i] = momentum_step(
-                    getattr(group, name), g_arr, velocity[i], lr, config.momentum
-                )
-                setattr(group, name, new_p)
-                i += 1
-    return obj_value, emp_track, pen_value, lam_value, ell, lam_velocity
+    grads = [g for lv in leaves for g in lv.grads()]
+    return obj_value, float(est.value), pen, lam, grads, g_ell
 
 
 def train_condgauss(
@@ -367,33 +344,33 @@ def train_condgauss(
         last_pen = 0.0
         for b_idx, start in enumerate(range(0, m, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            obj_value, emp_track, last_pen, lam_value, ell, lam_velocity = _train_step(
-                model,
-                config,
-                m,
-                prior,
-                x_all[idx],
-                y_all[idx],
-                rng_root.child("epoch", epoch, "batch", b_idx),
-                lr,
-                velocity,
-                ell,
-                lam_velocity,
-                is_lambda_epoch,
-                (epoch, b_idx),
-            )
+            rng = rng_root.child("epoch", epoch, "batch", b_idx)
+            try:
+                obj_value, est_value, last_pen, lam_value, grads, g_ell = batch_gradients(
+                    model, config, m, prior, x_all[idx], y_all[idx], rng, ell
+                )
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(f"{exc} at epoch {epoch + 1}, batch {b_idx + 1}") from None
+            if is_lambda_epoch:
+                ell, lam_velocity = momentum_step(ell, g_ell, lam_velocity, lr, config.momentum)
+            else:
+                slots = ((group, name) for group in model.groups for name in TRAINABLE)
+                for i, ((group, name), g_arr) in enumerate(zip(slots, grads)):
+                    new_p, velocity[i] = momentum_step(
+                        getattr(group, name), g_arr, velocity[i], lr, config.momentum
+                    )
+                    setattr(group, name, new_p)
+            del grads  # freed before the next batch's forward pass
             obj_sum += obj_value * idx.size
-            emp_sum += emp_track * idx.size
+            emp_sum += est_value * idx.size
 
         kl_now = kl_diag_gauss(model.groups)
         if config.phase == "baseline":
-            # The per-batch 0-1 tracking samples one network per batch and is
-            # too noisy to pick a best epoch from; take a proper conditional
+            # The surrogate loss is no error estimate; take a conditional
             # estimate of the epoch-end state instead.
-            est = batch_error_estimate(
+            emp_mean = batch_error_estimate(
                 model, x_all, y_all, rng_root.child("track", epoch), repeats=min(config.repeats, 5)
             )
-            emp_mean = float(est.value)
         else:
             emp_mean = emp_sum / m
         pen_track = penalty(kl_now, m, delta_track)

@@ -32,3 +32,20 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(condgauss, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_only_the_batch_function_builds_a_tape():
+    """A training step's tape is built in one place, ``trainer.batch_gradients``:
+    no other function of the package constructs a ``grad.Tape``."""
+    builders = []
+    for path in sorted(Path(condgauss.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                callee = node.func if isinstance(node, ast.Call) else None
+                name = getattr(callee, "attr", getattr(callee, "id", None))
+                if name == "Tape":
+                    builders.append(f"{path.stem}.{func.name}")
+    assert builders == ["trainer.batch_gradients"]

@@ -328,6 +328,10 @@ class TestTrainCommand:
             ("data", "per_class = 80", "per_class = 0", "per_class must be an integer >= 1, got '0'"),
             ("data", "per_class = 80", "per_class = 80\nholdout_per_class = -5",
              "holdout_per_class must be >= 0, got -5"),
+            ("data", "classes = 3", "classes = 1", "classes must be >= 2, got 1"),
+            ("data", "dim = 10", "dim = 2", "dim must be >= classes = 3, got 2"),
+            ("data", "separation = 0.8", "separation = 1.5",
+             r"separation must lie in \[0, 1\], got 1.5"),
             ("prior", "schedule = 3:0.002\n", "", "schedule is empty"),
             ("data", "source = synth\nclasses = 3\nper_class = 80\ndim = 10\nseparation = 0.8",
              "source = mnist\nimages = missing.idx\nlabels = missing.idx",

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from condgauss import grad, network
+from condgauss import checks, grad, network
 from condgauss.bounds import BoundKind, BoundSpec
 from condgauss.checks import _toy_model, linearization_report, toy_objective_fd_error
 from condgauss.data import synth_blobs
@@ -40,8 +40,8 @@ from condgauss.trainer import (
     TrainConfig,
     _bounded_cross_entropy,
     _SurrogateHead,
+    batch_gradients,
     kl_node,
-    penalized_objective,
     prior_terms,
     train_condgauss,
 )
@@ -401,8 +401,19 @@ class TestFdCheck:
         assert grad.fd_check(fn, [np.array([1.0, 2.0])], step=1e-5) > 0.2
 
     @pytest.mark.parametrize("kind", list(BoundKind))
-    def test_toy_objective_gradients(self, kind):
-        assert toy_objective_fd_error(kind, seed=0) < 1e-4
+    def test_toy_objective_gradients(self, monkeypatch, kind):
+        """Each gradient_fd_* validator differentiates the trainer's own
+        batch function: once for the gradient, twice per checked
+        coordinate."""
+        kinds = []
+
+        def counting(model, config, *args):
+            kinds.append(config.objective.kind)
+            return batch_gradients(model, config, *args)
+
+        monkeypatch.setattr(checks, "batch_gradients", counting)
+        assert toy_objective_fd_error(kind, seed=0, max_coords=60) < 1e-4
+        assert kinds == [kind] * (1 + 2 * 60)
 
 
 class TestDeterminism:
@@ -656,26 +667,31 @@ class TestBlockBuiltEstimate:
             model.set_state(state0)
 
 
-def test_step_tape_freed_without_cyclic_collector():
-    """A finished step's tape, and every array on it, is freed by reference
-    counting alone: nothing on the tape refers back to it strongly."""
+def test_step_tape_freed_without_cyclic_collector(monkeypatch):
+    """A finished step's tape, and the arrays on it, are freed by reference
+    counting alone once ``batch_gradients`` returns: nothing on the tape
+    refers back to it strongly."""
     model = _perturbed_model((20, 64, 32, 5), 18)
     gen = np.random.default_rng(19)
     x = gen.uniform(0, 1, (16, 20))
     y = gen.integers(1, 6, 16)
     spec = BoundSpec(BoundKind.INVKL, kappa=1.0, delta=0.025)
+    config = TrainConfig(spec, lr_schedule=(), repeats=3, phase="prior", dropout_prob=0.3)
+    prior = prior_terms(model.groups)
+    refs = []
+    backward = grad.Tape.backward
+
+    def recording(tape, root, seed=1.0):
+        refs.extend((weakref.ref(tape), weakref.ref(root.value)))
+        return backward(tape, root, seed)
+
+    monkeypatch.setattr(grad.Tape, "backward", recording)
     gc.collect()
     gc.disable()
     try:
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        est = batch_error_estimate(model, x, y, RngStream(20), 3, leaves, 0.3)
-        obj, _, _ = penalized_objective(est, leaves, prior_terms(model.groups), spec, 4000)
-        tape.backward(obj)
-        tape_ref, grad_ref = weakref.ref(tape), weakref.ref(leaves[0].w_rho.grad)
-        del tape, leaves, est, obj
-        assert tape_ref() is None
-        assert grad_ref() is None
+        grads = batch_gradients(model, config, 4000, prior, x, y, RngStream(20))[4]
+        assert len(grads) == 12 and len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -730,15 +746,12 @@ class TestAffineObjectiveAveraging:
         m_pen = 4000
         prior = prior_terms(model.groups)
 
+        config = TrainConfig(objective=spec, lr_schedule=(), repeats=repeats)
+
         def tape_grad(d):
-            tape = grad.Tape()
-            leaves = make_leaves(tape, model)
-            est = batch_error_estimate(
-                model, x, y, RngStream(123).child("noise", d), repeats, leaves
-            )
-            obj, _, _ = penalized_objective(est, leaves, prior, spec, m_pen)
-            tape.backward(obj)
-            return np.concatenate([g.reshape(-1) for lv in leaves for g in lv.grads()])
+            rng = RngStream(123).child("noise", d)
+            grads = batch_gradients(model, config, m_pen, prior, x, y, rng)[4]
+            return np.concatenate([g.reshape(-1) for g in grads])
 
         grads = np.stack([tape_grad(d) for d in range(n_draws)])
         mean_grad = grads.mean(axis=0)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from condgauss import grad
+from condgauss import grad, network, trainer
 from condgauss.bounds import BoundKind, BoundSpec, kl_inv, penalty
 from condgauss.data import synth_blobs
 from condgauss.gaussian import TRAINABLE, kl_diag_gauss
@@ -18,7 +18,7 @@ from condgauss.trainer import (
     LogRow,
     TrainConfig,
     TrainingDiverged,
-    _train_step,
+    batch_gradients,
     kl_node,
     momentum_step,
     penalized_objective,
@@ -160,7 +160,7 @@ class TestTrainCondgauss:
     "phase, kind, nodes",
     [
         ("posterior", BoundKind.INVKL, 11),
-        ("posterior", BoundKind.LBD, 12),
+        ("posterior", BoundKind.LBD, 11),
         ("baseline", BoundKind.INVKL, 11),
     ],
     ids=["invkl", "lbd", "surrogate"],
@@ -168,7 +168,7 @@ class TestTrainCondgauss:
 def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     """A 20-256-4 step's tape at backward: eight parameter leaves, one
     estimate node (the L1 estimate, or the baseline's surrogate loss), the
-    KL node and the objective node, plus lbd's lambda logit leaf."""
+    KL node and the objective node; lbd's lambda stays off the tape."""
     sizes = []
     backward = grad.Tape.backward
 
@@ -189,7 +189,8 @@ def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
 
 def test_trainable_layout_follows_one_declaration(tmp_path):
     """The state list, the step's tape leaves and the snapshot walk each
-    layer's TRAINABLE arrays in that order, and one step moves them all."""
+    layer's TRAINABLE arrays in that order, and one step's gradients come
+    back in that order with every array reached."""
     model = fresh_model(widths=(20, 64, 32, 5))
     marks = {}
     for k, g in enumerate(model.groups):
@@ -210,15 +211,12 @@ def test_trainable_layout_follows_one_declaration(tmp_path):
         assert firsts == [marks[k, name] for name in TRAINABLE]
 
     data = blob_task(classes=5, per_class=20, dim=20)
-    before = model.get_state()
-    velocity = [np.zeros_like(a) for a in before]
-    args = (RngStream(5), 0.001, velocity, 0.0, 0.0, False, (0, 0))
     config = quick_config(batch_size=100)
-    _train_step(
-        model, config, len(data), prior_terms(model.groups), data.inputs, data.labels, *args
-    )
-    for old, new in zip(before, model.get_state()):
-        assert np.any(new != old)
+    prior = prior_terms(model.groups)
+    rng = RngStream(5)
+    grads = batch_gradients(model, config, len(data), prior, data.inputs, data.labels, rng)[4]
+    assert [g.shape for g in grads] == [a.shape for a in model.get_state()]
+    assert all(np.any(g != 0.0) for g in grads)
 
 
 def test_step_peak_memory_below_batch_by_hidden_arrays():
@@ -230,12 +228,10 @@ def test_step_peak_memory_below_batch_by_hidden_arrays():
     data = blob_task(classes=4, per_class=250, dim=20)
     config = quick_config(batch_size=1000, repeats=10)
     prior = prior_terms(model.groups)
-    velocity = [np.zeros_like(a) for a in model.get_state()]
 
     def step(b):
         rng = RngStream(5).child("batch", b)
-        args = (rng, 0.001, velocity, 0.0, 0.0, False, (0, b))
-        _train_step(model, config, len(data), prior, data.inputs, data.labels, *args)
+        batch_gradients(model, config, len(data), prior, data.inputs, data.labels, rng)
 
     step(0)
     tracemalloc.start()
@@ -258,12 +254,10 @@ def test_dropout_step_peak_memory_near_plain_step():
         data = blob_task(classes=4, per_class=250, dim=20)
         config = quick_config(batch_size=1000, repeats=10, phase="prior", dropout_prob=dropout)
         prior = prior_terms(model.groups)
-        velocity = [np.zeros_like(a) for a in model.get_state()]
 
         def step(b):
             rng = RngStream(5).child("batch", b)
-            args = (rng, 0.001, velocity, 0.0, 0.0, False, (0, b))
-            _train_step(model, config, len(data), prior, data.inputs, data.labels, *args)
+            batch_gradients(model, config, len(data), prior, data.inputs, data.labels, rng)
 
         step(0)
         tracemalloc.start()
@@ -278,41 +272,40 @@ def test_dropout_step_peak_memory_near_plain_step():
 
 class TestLambdaAlternating:
     @staticmethod
-    def _lbd_objective(ell, e_val=0.1, pen_val=0.02):
-        """The trainer's lbd objective node at estimate ``e_val`` and lambda
-        logit ``ell``, on a model at its prior (KL 0) with kappa picked so
-        the penalty is ``pen_val``. Returns (value, d/d ell, penalty)."""
+    def _lbd_objective(ell, pen_val=0.02):
+        """One lbd batch of the trainer at lambda logit ``ell`` and fixed
+        noise, on a model at its prior (KL 0) with kappa picked so the
+        penalty is ``pen_val``. Returns (objective, d objective / d ell,
+        penalty, estimate)."""
         model = fresh_model(widths=(3, 4, 2))
         m = 1000
         log_term = math.log(2.0 * math.sqrt(m) / 0.025)
         spec = BoundSpec(BoundKind.LBD, kappa=pen_val * m / log_term, delta=0.025, lam=0.5)
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        logit = tape.leaf(ell)
-        obj, pen, _ = penalized_objective(
-            tape.leaf(e_val), leaves, prior_terms(model.groups), spec, m, logit
+        gen = np.random.default_rng(11)
+        x, y = gen.uniform(0.0, 1.0, (8, 3)), gen.integers(1, 3, 8)
+        prior, rng = prior_terms(model.groups), RngStream(12)
+        obj, est, pen, _, _, g_ell = batch_gradients(
+            model, quick_config(objective=spec), m, prior, x, y, rng, ell
         )
-        tape.backward(obj)
-        return float(obj.value), float(logit.grad), pen
+        return obj, g_ell, pen, est
 
     def test_lbd_gradient_matches_finite_differences(self):
         # d/d ell of (E + Pen/lam) / (1 - lam/2) at lam = sigmoid(ell) = 0.5,
         # through the logistic reparametrization used in training.
-        _, analytic, _ = self._lbd_objective(0.0)
+        _, analytic, _, _ = self._lbd_objective(0.0)
         step = 1e-6
-        up, _, _ = self._lbd_objective(step)
-        dn, _, _ = self._lbd_objective(-step)
+        up = self._lbd_objective(step)[0]
+        dn = self._lbd_objective(-step)[0]
         assert analytic == pytest.approx((up - dn) / (2 * step), rel=1e-6)
 
     def test_lambda_only_updates_converge_to_grid_optimum(self):
-        e_val = 0.1
-        pen_val = self._lbd_objective(0.0, e_val)[2]
+        _, _, pen_val, e_val = self._lbd_objective(0.0)
         lams = np.linspace(0.001, 0.999, 999)
         grid_best = lams[np.argmin((e_val + pen_val / lams) / (1 - lams / 2))]
 
         ell, vel = 0.0, 0.0
         for _ in range(600):
-            _, g_ell, _ = self._lbd_objective(ell, e_val)
+            g_ell = self._lbd_objective(ell)[1]
             ell, vel = momentum_step(ell, g_ell, vel, 0.5, 0.5)
         lam_final = 1.0 / (1.0 + math.exp(-ell))
         assert abs(lam_final - grid_best) <= 1e-3
@@ -392,27 +385,43 @@ class TestSurrogateBaseline:
 
     def test_surrogate_loss_values(self):
         # Direct check of the bounded cross-entropy construction.
-        from condgauss.network import estimate_node, make_leaves
+        from condgauss.network import estimate_node
         from condgauss.trainer import _SurrogateHead
 
         def surrogate(x, y0, rng):
-            """The baseline step's estimate node and the 0-1 error of its draw."""
+            """The baseline step's estimate node."""
             tape = grad.Tape()
             leaves = make_leaves(tape, model)
             head = _SurrogateHead(leaves[-1], y0, rng.child("theta", model.spec.n_layers - 1))
-            return estimate_node(leaves, x, rng, model.spec, head), head.errors / head.n
+            return estimate_node(leaves, x, rng, model.spec, head)
 
         model = fresh_model(widths=(10, 8, 3), sigma0=1e-5)
         gen = np.random.default_rng(7)
         x = gen.uniform(0, 1, (20, 10))
         y = gen.integers(1, 4, 20)
-        node, emp01 = surrogate(x, y - 1, RngStream(8))
+        node = surrogate(x, y - 1, RngStream(8))
         assert 0.0 <= float(node.value) <= 1.0
-        assert 0.0 <= emp01 <= 1.0
         # Probability-1 correct prediction drives the loss to zero.
         model.groups[-1].b_mean = np.array([1e4, 0.0, 0.0])
-        node, _ = surrogate(x[:4], np.zeros(4, dtype=int), RngStream(9))
+        node = surrogate(x[:4], np.zeros(4, dtype=int), RngStream(9))
         assert float(node.value) < 1e-6
+
+    def test_epoch_end_estimate_builds_no_step(self, monkeypatch):
+        """A 3-epoch baseline run of 2 batches an epoch builds 6 step tapes:
+        the epoch-end conditional estimate computes its value with no
+        leaves, so a step counter keyed on ``make_leaves`` sees only steps."""
+        calls = []
+        make = network.make_leaves
+
+        def counting(tape, model):
+            calls.append(1)
+            return make(tape, model)
+
+        for module in (network, trainer):
+            monkeypatch.setattr(module, "make_leaves", counting)
+        cfg = quick_config(phase="baseline", lr_schedule=((3, 0.01),), batch_size=225)
+        train_condgauss(fresh_model(), blob_task(), cfg)
+        assert len(calls) == 6
 
 
 class TestTrainLogCsv:
