@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import kl_inv, penalty
 from .data import LabelledDataset
 from .gaussian import kl_diag_gauss
-from .network import StochasticModel, exact_misclassification, sample_full
+from .network import StochasticModel, check_fits, exact_misclassification, sample_full
 from .rng import RngStream
 
 __all__ = [
@@ -105,16 +105,7 @@ def draw_errors(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    spec = model.spec
-    if len(dataset) == 0:
-        raise ValueError("data has no rows")
-    if dataset.p != spec.p:
-        raise ValueError(f"data rows have width {dataset.p}, but the model takes p={spec.p}")
-    if dataset.labels.min() < 1 or dataset.labels.max() > spec.q:
-        raise ValueError(
-            f"data labels span {dataset.labels.min()}..{dataset.labels.max()}, "
-            f"but the model's classes are 1..{spec.q}"
-        )
+    check_fits(model, dataset)
     errors = np.empty(n_draws)
     sigmas = model.sigmas()
 

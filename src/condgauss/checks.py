@@ -29,7 +29,7 @@ from .network import (
     sample_full,
 )
 from .rng import RngStream
-from .trainer import TrainConfig, batch_gradients, prior_terms
+from .trainer import TrainConfig, batch_gradients
 
 __all__ = [
     "gauss_hermite_normal",
@@ -208,7 +208,7 @@ def toy_objective_fd_error(
     noise_rng = RngStream(seed).child("noise")
 
     state0 = model.get_state()
-    prior = prior_terms(model.groups)
+    prior = gaussian.prior_terms(model.groups)
     config = TrainConfig(objective=spec, lr_schedule=(), repeats=repeats)
 
     def fn(point):

@@ -61,6 +61,13 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _parse_schedule(text: str) -> tuple[tuple[int, float], ...]:
     entries = []
     for part in text.split():
@@ -85,6 +92,7 @@ def _existing_file(text: str) -> str:
 _KINDS = {
     int: (str, "an integer"),
     _count: (str, "an integer >= 1"),
+    _seed: (str, "an integer >= 0"),
     _finite: (repr, "a finite number"),
     _parse_schedule: (lambda s: " ".join(f"{e}:{lr!r}" for e, lr in s), "epochs:rate entries"),
     _parse_widths: (lambda w: " ".join(str(v) for v in w), "integers"),
@@ -120,7 +128,7 @@ _PHASE = {
 _SCHEMA = {
     "data": {
         "source": (str, _REQUIRED),
-        "seed": (int, None),  # None: the [run] seed
+        "seed": (_seed, None),  # None: the [run] seed
         **_SYNTH_DATA,
         **_MNIST_DATA,
         "prior_fraction": (_finite, None),
@@ -137,7 +145,7 @@ _SCHEMA = {
         "delta": (_finite, 0.025),
         "delta_prime": (_finite, 0.01),
     },
-    "run": {"seed": (int, _REQUIRED), "output_dir": (Path, _REQUIRED)},
+    "run": {"seed": (_seed, _REQUIRED), "output_dir": (Path, _REQUIRED)},
 }
 # The key that decides which keys of its section a run reads, each value it
 # may take, and the keys that value leaves unread: a synth source reads no

@@ -128,6 +128,8 @@ def load_mnist_idx(images_path, labels_path) -> LabelledDataset:
         raw_labels = _read_exact(fh, n_labels, 8, "label data")
     if n != n_labels:
         raise IdxParseError(f"image count {n} does not match label count {n_labels}")
+    if n == 0:
+        raise IdxParseError("image count 0 at offset 4: the IDX pair holds no images")
     inputs = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64).reshape(n, rows * cols)
     inputs /= 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64) + 1

@@ -40,8 +40,9 @@ __all__ = [
     "misclassified",
     "conditional_moments",
     "dsigma_of_rho",
-    "kl_diag",
     "kl_diag_gauss",
+    "kl_sum",
+    "prior_terms",
     "sigma_of_rho",
     "sample_gaussian",
     "TRAINABLE",
@@ -328,44 +329,64 @@ def misclassified(scores, y0) -> np.ndarray:
     return ~(fy > others.max(axis=-1))
 
 
-def kl_diag(mean, sigma, pmean, psigma, log_psigma, total: float = 0.0):
-    """KL of one diagonal-Gaussian parameter array from its prior, added to
-    ``total``, with the partials of the KL in mean and sigma.
+def prior_terms(groups):
+    """Each group's frozen prior as a (mean, sigma, log sigma) triple for its
+    weights and one for its bias: a training call takes it once, since its
+    prior stays fixed."""
+    return [
+        (
+            (g.prior_w_mean, g.prior_w_sigma, np.log(g.prior_w_sigma)),
+            (g.prior_b_mean, g.prior_b_sigma, np.log(g.prior_b_sigma)),
+        )
+        for g in groups
+    ]
 
-    0.5 sum (s^2 - st^2)/st^2 + 0.5 sum ((m - mt)/st)^2 + sum log(st/s),
-    where tilde quantities are the prior's and ``log_psigma`` is
-    log(psigma), which a caller holding a fixed prior takes once. Returns
-    (total, dmean, dsigma). The three sums are added to ``total`` one at a
-    time, so a model's KL comes out the same whichever caller accumulates it.
+
+def kl_sum(layers, prior):
+    """KL(Q||P) of diagonal Gaussians, from each layer's (w_mean, w_sigma,
+    b_mean, b_sigma) and its ``prior_terms``, with the partials of the KL in
+    every mean and sigma array.
+
+    Per array, 0.5 sum (s^2 - st^2)/st^2 + 0.5 sum ((m - mt)/st)^2 +
+    sum log(st/s), tilde quantities the prior's, each sum added to the total
+    in turn. Returns (total, partials), the partials one (d/dmean, d/dsigma)
+    pair per array: weights, then bias, layer by layer.
     """
-    r2m1 = sigma / psigma
-    np.square(r2m1, out=r2m1)
-    r2m1 -= 1.0
-    shift = (mean - pmean) / psigma
-    total += 0.5 * float(np.sum(r2m1))
-    total += 0.5 * float(np.sum(np.square(shift)))
-    total += float(np.sum(log_psigma - np.log(sigma)))
-    shift /= psigma
-    r2m1 /= sigma
-    return total, shift, r2m1
+    total = 0.0
+    partials = []
+    for (w_mean, w_sigma, b_mean, b_sigma), (w_prior, b_prior) in zip(layers, prior):
+        for mean, sigma, (pmean, psigma, log_psigma) in (
+            (w_mean, w_sigma, w_prior),
+            (b_mean, b_sigma, b_prior),
+        ):
+            r2m1 = sigma / psigma
+            np.square(r2m1, out=r2m1)
+            r2m1 -= 1.0
+            shift = (mean - pmean) / psigma
+            total += 0.5 * float(np.sum(r2m1))
+            total += 0.5 * float(np.sum(np.square(shift)))
+            total += float(np.sum(log_psigma - np.log(sigma)))
+            shift /= psigma
+            r2m1 /= sigma
+            partials.append((shift, r2m1))
+    return total, partials
 
 
 def kl_diag_gauss(groups) -> float:
-    """KL(Q||P) for diagonal Gaussians, summed over every parameter."""
-    total = 0.0
+    """KL(Q||P) for diagonal Gaussians, summed over every parameter by
+    ``kl_sum`` and clamped at 0 against rounding."""
+    layers = []
     for g in groups:
         if not g.prior_frozen:
             raise ValueError("prior must be frozen before computing KL(Q||P)")
-        for mean, sigma, pmean, psigma in (
-            (g.w_mean, g.w_sigma, g.prior_w_mean, g.prior_w_sigma),
-            (g.b_mean, g.b_sigma, g.prior_b_mean, g.prior_b_sigma),
-        ):
+        w_sigma, b_sigma = g.w_sigma, g.b_sigma
+        for sigma, psigma in ((w_sigma, g.prior_w_sigma), (b_sigma, g.prior_b_sigma)):
             if np.any(sigma <= 0):
                 raise ValueError("posterior sigma must be strictly positive")
             if np.any(psigma <= 0):
                 raise ValueError("prior sigma must be strictly positive")
-            total = kl_diag(mean, sigma, pmean, psigma, np.log(psigma), total)[0]
-    return max(total, 0.0)
+        layers.append((g.w_mean, w_sigma, g.b_mean, b_sigma))
+    return max(kl_sum(layers, prior_terms(groups))[0], 0.0)
 
 
 def _check_head_label(M, V, y: int):

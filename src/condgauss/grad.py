@@ -66,7 +66,7 @@ class Tape:
     def leaf(self, value) -> Tensor:
         return Tensor(self, value)
 
-    def backward(self, root: Tensor, seed: float = 1.0) -> None:
+    def backward(self, root: Tensor) -> None:
         """Accumulate d(root)/d(node) into .grad for every reachable node."""
         if root.tape is not self:
             raise ValueError("root tensor does not belong to this tape")
@@ -74,7 +74,7 @@ class Tape:
             raise ValueError(f"backward needs a scalar output, got shape {root.shape}")
         for node in self._nodes:
             node.grad = None
-        root.grad = np.full_like(root.value, float(seed))
+        root.grad = np.ones_like(root.value)
         for node in reversed(self._nodes):
             if node.grad is None or node.vjp is None:
                 continue

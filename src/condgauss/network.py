@@ -27,7 +27,6 @@ from .gaussian import (
     l1_draws,
     misclassified,
     sample_gaussian,
-    sigma_of_rho,
 )
 from .rng import RngStream
 
@@ -35,6 +34,7 @@ __all__ = [
     "ModelSpec",
     "StochasticModel",
     "ParamLeaves",
+    "check_fits",
     "batch_error_estimate",
     "exact_misclassification",
     "apply_dropout",
@@ -204,6 +204,21 @@ class StochasticModel:
                 setattr(g, name, next(it).copy())
 
 
+def check_fits(model: StochasticModel, dataset) -> None:
+    """Refuse a dataset the model cannot be trained or scored on: one with
+    no rows, rows of another width than p, or labels outside 1..q."""
+    spec = model.spec
+    if len(dataset) == 0:
+        raise ValueError("data has no rows")
+    if dataset.p != spec.p:
+        raise ValueError(f"data rows have width {dataset.p}, but the model takes p={spec.p}")
+    if dataset.labels.min() < 1 or dataset.labels.max() > spec.q:
+        raise ValueError(
+            f"data labels span {dataset.labels.min()}..{dataset.labels.max()}, "
+            f"but the model's classes are 1..{spec.q}"
+        )
+
+
 def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
     """Zero units independently with probability prob, rescale survivors.
 
@@ -219,49 +234,25 @@ def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
     return h * keep / (1.0 - prob)
 
 
-@dataclass
 class ParamLeaves:
-    """Tape leaves for one layer's TRAINABLE arrays, plus sigma = |rho|^(3/2)
-    and d sigma / d rho of both raw-deviation leaves, computed once per tape
-    and shared by sampling, the conditional head and the KL."""
+    """One layer on a step's tape: its TRAINABLE arrays as the tape
+    ``leaves``, and the arrays a GaussianParamGroup reads under the same
+    names, so the estimate and the KL read a layer one way on and off the
+    tape. A leaf's value is the group's own array; sigma = |rho|^(3/2) and
+    d sigma / d rho of both raw deviations are computed once per tape."""
 
-    w_mean: grad.Tensor
-    w_rho: grad.Tensor
-    b_mean: grad.Tensor
-    b_rho: grad.Tensor
-    w_sigma: np.ndarray
-    w_dsigma: np.ndarray
-    b_sigma: np.ndarray
-    b_dsigma: np.ndarray
-
-    def params(self) -> list[grad.Tensor]:
-        """The leaves in TRAINABLE order."""
-        return [getattr(self, name) for name in TRAINABLE]
+    def __init__(self, tape: grad.Tape, group: GaussianParamGroup):
+        self.leaves = [tape.leaf(getattr(group, name)) for name in TRAINABLE]
+        self.w_mean, self.b_mean = group.w_mean, group.b_mean
+        self.w_sigma, self.b_sigma = group.w_sigma, group.b_sigma
+        self.w_dsigma, self.b_dsigma = dsigma_of_rho(group.w_rho), dsigma_of_rho(group.b_rho)
 
     def grads(self) -> list[np.ndarray]:
-        return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in self.params()]
+        return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in self.leaves]
 
 
 def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
-    return [
-        ParamLeaves(
-            **{name: tape.leaf(getattr(g, name)) for name in TRAINABLE},
-            w_sigma=sigma_of_rho(g.w_rho),
-            w_dsigma=dsigma_of_rho(g.w_rho),
-            b_sigma=sigma_of_rho(g.b_rho),
-            b_dsigma=dsigma_of_rho(g.b_rho),
-        )
-        for g in model.groups
-    ]
-
-
-def layer_values(layer):
-    """A layer's (w_mean, w_sigma, b_mean, b_sigma) arrays: read off its
-    ``ParamLeaves`` on a step's tape, or off its ``GaussianParamGroup`` when
-    only a value is wanted."""
-    if isinstance(layer, ParamLeaves):
-        return layer.w_mean.value, layer.w_sigma, layer.b_mean.value, layer.b_sigma
-    return layer.w_mean, layer.w_sigma, layer.b_mean, layer.b_sigma
+    return [ParamLeaves(tape, g) for g in model.groups]
 
 
 def draw_partials(lv: ParamLeaves, draw, gW, gb) -> list[np.ndarray]:
@@ -325,7 +316,7 @@ def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0):
     n_hidden = spec.n_layers - 1
     need_grad = isinstance(leaves[-1], ParamLeaves)
     draws = [
-        sample_gaussian(*layer_values(lv), rng.child("theta", k))
+        sample_gaussian(lv.w_mean, lv.w_sigma, lv.b_mean, lv.b_sigma, rng.child("theta", k))
         for k, lv in enumerate(leaves[:n_hidden])
     ]
     if not 0.0 <= dropout_prob < 1.0:
@@ -361,7 +352,7 @@ def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0):
     for lv, draw, (gW, gb) in zip(leaves, draws, sums):
         partials += draw_partials(lv, draw, gW, gb)
     partials += head.partials()
-    parents = [p for lv in leaves for p in lv.params()]
+    parents = [p for lv in leaves for p in lv.leaves]
     return grad.closed_form(total, parents, partials, in_place=True)
 
 
@@ -380,8 +371,8 @@ class _ConditionalL1Head:
     def __init__(self, last, y0, zeta):
         self.last, self.y0, self.zeta = last, y0, zeta
         self.n = zeta.shape[0] * zeta.shape[1]
-        self.w_mean, w_sigma, self.b_mean, b_sigma = layer_values(last)
-        self.sw2, self.sb2 = np.square(w_sigma), np.square(b_sigma)
+        self.w_mean, self.b_mean = last.w_mean, last.b_mean
+        self.sw2, self.sb2 = np.square(last.w_sigma), np.square(last.b_sigma)
         self.sums = None  # d/dw_mean, d/dsigma_W^2, d/db_mean, d/dsigma_b^2
 
     def block(self, phi, rows, need_grad):
@@ -469,8 +460,8 @@ def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tup
 
 def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.ndarray:
     """Network outputs [n, q] under a full parameter draw of (W, b) pairs,
-    computed in the precision of the inputs and the draw: float32 only when
-    both are float32; non-float inputs count as float64.
+    computed in the precision numpy promotes the inputs and the draw to:
+    float32 when both are float32, float64 when either is float64.
 
     Runs features-major: each layer computes W @ a into a fresh [width, n]
     array and adds the bias (and, before the next layer, the relu) in place,
@@ -478,8 +469,6 @@ def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.nda
     B operand. The result is the [n, q] transposed view of the last array.
     """
     x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        x = x.astype(np.float64)
     if x.shape[-1] != spec.p:
         raise ValueError(f"input width {x.shape[-1]} does not match spec p={spec.p}")
     if len(theta) != spec.n_layers:

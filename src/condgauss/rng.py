@@ -38,6 +38,8 @@ class RngStream:
     __slots__ = ("seed", "key")
 
     def __init__(self, seed: int, key: tuple = ()):
+        if seed < 0:
+            raise ValueError(f"negative seed: {seed}")
         self.seed = int(seed)
         self.key = tuple(key)
 
@@ -61,16 +63,3 @@ class RngStream:
     def bernoulli_mask(self, shape, prob: float) -> np.ndarray:
         """Boolean mask, True with probability ``prob`` per entry."""
         return self.generator().random(shape) < prob
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, key={self.key})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RngStream)
-            and self.seed == other.seed
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.seed, self.key))

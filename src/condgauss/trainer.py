@@ -25,14 +25,14 @@ import numpy as np
 from . import grad
 from .bounds import BoundKind, BoundSpec, kl_inv, objective_partials, penalty
 from .data import LabelledDataset
-from .gaussian import TRAINABLE, kl_diag, kl_diag_gauss, sample_gaussian
+from .gaussian import TRAINABLE, kl_diag_gauss, kl_sum, prior_terms, sample_gaussian
 from .network import (
     StochasticModel,
     accumulate,
     batch_error_estimate,
+    check_fits,
     draw_partials,
     estimate_node,
-    layer_values,
     make_leaves,
 )
 from .rng import RngStream
@@ -46,7 +46,6 @@ __all__ = [
     "kl_node",
     "momentum_step",
     "penalized_objective",
-    "prior_terms",
     "train_condgauss",
 ]
 
@@ -158,34 +157,18 @@ def momentum_step(param, grad_value, velocity, lr: float, mu: float):
     return param - lr * velocity, velocity
 
 
-def prior_terms(groups):
-    """Each group's frozen prior as a (mean, sigma, log sigma) triple for its
-    weights and one for its bias: a training call takes it once, since its
-    prior stays fixed."""
-    return [
-        (
-            (g.prior_w_mean, g.prior_w_sigma, np.log(g.prior_w_sigma)),
-            (g.prior_b_mean, g.prior_b_sigma, np.log(g.prior_b_sigma)),
-        )
-        for g in groups
-    ]
-
-
 def kl_node(leaves, prior):
-    """KL(Q||P) of the whole model as one closed-form node over every mean
-    and raw-deviation leaf, from the sigmas the leaves carry and the
-    ``prior_terms`` of the model's groups."""
-    total = 0.0
-    parents, partials = [], []
-    for lv, (w_prior, b_prior) in zip(leaves, prior):
-        for mean_leaf, rho_leaf, sigma, dsigma, (pmean, psigma, log_psigma) in (
-            (lv.w_mean, lv.w_rho, lv.w_sigma, lv.w_dsigma, w_prior),
-            (lv.b_mean, lv.b_rho, lv.b_sigma, lv.b_dsigma, b_prior),
-        ):
-            total, dmean, dsig = kl_diag(mean_leaf.value, sigma, pmean, psigma, log_psigma, total)
-            parents += [mean_leaf, rho_leaf]
-            partials += [dmean, dsig * dsigma]
-    return grad.closed_form(total, parents, partials, in_place=True)
+    """KL(Q||P) of the whole model (``kl_sum``) as one closed-form node over
+    every mean and raw-deviation leaf, from the layers' ``ParamLeaves`` and
+    the ``prior_terms`` of the model's groups: each sigma partial is scaled
+    by d sigma / d rho in place."""
+    total, pairs = kl_sum([(lv.w_mean, lv.w_sigma, lv.b_mean, lv.b_sigma) for lv in leaves], prior)
+    dsigmas = [d for lv in leaves for d in (lv.w_dsigma, lv.b_dsigma)]
+    partials = []
+    for (dmean, dsig), dsigma in zip(pairs, dsigmas):
+        dsig *= dsigma
+        partials += [dmean, dsig]
+    return grad.closed_form(total, [p for lv in leaves for p in lv.leaves], partials, in_place=True)
 
 
 def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, lam=None):
@@ -235,7 +218,7 @@ class _SurrogateHead:
 
     def __init__(self, last, y0, rng):
         self.last, self.y0, self.n = last, y0, len(y0)
-        self.draw = sample_gaussian(*layer_values(last), rng)
+        self.draw = sample_gaussian(last.w_mean, last.w_sigma, last.b_mean, last.b_sigma, rng)
         self.sums = None  # cotangent sums of the drawn W and b
 
     def block(self, phi, rows, need_grad):
@@ -310,11 +293,13 @@ def train_condgauss(
     A prior phase penalizes with m = len(data) and the initialization as the
     KL reference, and ends by freezing the trained means and sigmas into the
     model as its prior (so the KL reference restarts at zero), stamped with
-    the data's fingerprint and pair token.
+    the data's fingerprint and pair token. Data the model cannot take
+    (``check_fits``) is refused before the first step.
     """
     spec = config.objective
     if not model.prior_frozen:
         raise ValueError("freeze the prior (or the initialization) before training")
+    check_fits(model, data)
     m = len(data)
     x_all = data.inputs
     y_all = data.labels

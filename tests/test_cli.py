@@ -15,7 +15,7 @@ import condgauss.gaussian as gaussian
 import condgauss.network as network
 from condgauss.certify import Certificate
 from condgauss.cli import ConfigError, main, parse_config
-from condgauss.data import split_prior_bound
+from condgauss.data import save_idx, split_prior_bound, synth_blobs
 from condgauss.network import ModelSpec, StochasticModel, load_model, save_model
 from condgauss.rng import RngStream
 from condgauss.trainer import CSV_HEADER, train_condgauss
@@ -88,6 +88,36 @@ delta_prime = 0.01
 
 [run]
 seed = 11
+output_dir = {out}
+"""
+
+# An mnist-source run over IDX files of synthetic blobs, no prior.
+MNIST_CONFIG = """\
+[data]
+source = mnist
+images = {images}
+labels = {labels}
+
+[model]
+widths = 10 32 3
+sigma0 = 0.01
+
+[posterior]
+method = condgauss
+objective = invkl
+kappa = 1.0
+schedule = 3:0.002
+momentum = 0.5
+batch_size = 90
+repeats = 5
+
+[certify]
+n_draws = 20
+delta = 0.025
+delta_prime = 0.01
+
+[run]
+seed = 7
 output_dir = {out}
 """
 
@@ -194,6 +224,13 @@ def write_config(tmp_path, template, name="run.cfg", **fmt):
     cfg = tmp_path / name
     cfg.write_text(template.format(out=out, **fmt))
     return cfg, out
+
+
+def write_idx_pair(tmp_path):
+    """IDX files of 3-class, 10-wide synthetic blobs, as an mnist source reads."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    save_idx(synth_blobs(3, 60, 10, 0.8, 7), images, labels)
+    return images, labels
 
 
 def numeric_csv_columns(path):
@@ -333,6 +370,9 @@ class TestTrainCommand:
             ("data", "separation = 0.8", "separation = 1.5",
              r"separation must lie in \[0, 1\], got 1.5"),
             ("prior", "schedule = 3:0.002\n", "", "schedule is empty"),
+            ("run", "seed = 11", "seed = -1", "seed must be an integer >= 0, got '-1'"),
+            ("data", "separation = 0.8\n", "separation = 0.8\nseed = -4\n",
+             "seed must be an integer >= 0, got '-4'"),
             ("data", "source = synth\nclasses = 3\nper_class = 80\ndim = 10\nseparation = 0.8",
              "source = mnist\nimages = missing.idx\nlabels = missing.idx",
              "images must be an existing file, got 'missing.idx'"),
@@ -378,6 +418,38 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "bound split would have 6 < 8 points" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_with_mnist_source_writes_no_output(self, tmp_path, capsys):
+        images, labels = write_idx_pair(tmp_path)
+        text = MNIST_CONFIG.replace("seed = 7", "seed = -1")
+        cfg, out = write_config(tmp_path, text, images=images, labels=labels)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "[run] seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "widths, message",
+        [
+            ("12 32 3", "model input width 12 != data dim 10"),
+            ("10 32 4", "model output width 4 != class count 3"),
+        ],
+        ids=["width", "classes"],
+    )
+    def test_model_not_matching_data_writes_no_output(self, tmp_path, capsys, widths, message):
+        text = QUICK_CONFIG.replace("widths = 10 32 3", f"widths = {widths}")
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mnist_source_certificate_matches_certify_command(self, tmp_path):
+        images, labels = write_idx_pair(tmp_path)
+        cfg, out = write_config(tmp_path, MNIST_CONFIG, images=images, labels=labels)
+        assert main(["train", "--config", str(cfg)]) == 0
+        args = ["certify", "--model", str(out / "posterior.model"), "--images", str(images),
+                "--labels", str(labels), "--n-draws", "20", "--seed", "7"]
+        assert main(args + ["--out", str(tmp_path / "cert.txt")]) == 0
+        assert (tmp_path / "cert.txt").read_bytes() == (out / "certificate.txt").read_bytes()
 
     @pytest.mark.parametrize("method", ["", "method = none\n"], ids=["absent", "none"])
     def test_prior_keys_without_prior_method_rejected(self, tmp_path, method):
@@ -437,6 +509,31 @@ class TestCertifyCommand:
         )
         assert code == 1
         assert "disjoint" in capsys.readouterr().err
+
+    def test_prior_split_certificate_reproduced(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, SPLIT_CONFIG)
+        assert main(["train", "--config", str(cfg)]) == 0
+        args = ["certify", "--model", str(out / "posterior.model"), "--synth", "3,80,10,0.8,11",
+                "--prior-fraction", "0.5", "--n-draws", "25", "--seed", "11"]
+        assert main(args + ["--split-seed", "11", "--out", str(tmp_path / "cert.txt")]) == 0
+        assert (tmp_path / "cert.txt").read_bytes() == (out / "certificate.txt").read_bytes()
+        capsys.readouterr()
+        # Another split seed draws another split, which the prior may overlap.
+        assert main(args + ["--split-seed", "12"]) == 1
+        assert "not provably disjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "eval"])
+    def test_negative_seed_rejected_before_draws(self, tmp_path, capsys, monkeypatch, command):
+        def no_draw(*args):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr("condgauss.certify.sample_full", no_draw)
+        model = StochasticModel.initialize(ModelSpec((6, 8, 3)), 0.01, RngStream(1))
+        save_model(model, tmp_path / "m.model")
+        args = [command, "--model", str(tmp_path / "m.model"), "--synth", "3,20,6,0.8,1",
+                "--n-draws", "3", "--seed", "-3"]
+        assert main(args) == 1
+        assert "error: negative seed: -3" in capsys.readouterr().err
 
 
 class TestEvalCommand:

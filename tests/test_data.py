@@ -69,6 +69,11 @@ class TestLoadIdx:
         with pytest.raises(IdxParseError, match="does not match"):
             load_mnist_idx(img, lab)
 
+    def test_zero_images_rejected(self, tmp_path):
+        img, lab = write_fixture(tmp_path, pixels=(), labels=(), n=0)
+        with pytest.raises(IdxParseError, match="holds no images"):
+            load_mnist_idx(img, lab)
+
     def test_save_load_round_trip(self, tmp_path):
         ds = synth_blobs(3, 20, 6, 0.7, seed=3)
         img, lab = tmp_path / "s.idx", tmp_path / "sl.idx"

@@ -20,6 +20,7 @@ from condgauss.gaussian import (
     dsigma_of_rho,
     l1_dense,
     l1_draws,
+    prior_terms,
     sample_gaussian,
     sigma_of_rho,
     std_normal_cdf,
@@ -42,7 +43,6 @@ from condgauss.trainer import (
     _SurrogateHead,
     batch_gradients,
     kl_node,
-    prior_terms,
     train_condgauss,
 )
 
@@ -203,10 +203,11 @@ def _linear(x, W, b):
 
 def _sample_layer(lv, rng):
     """Pathwise draw (W, b) = mean + sigma(rho) * zeta as a chain of nodes."""
-    zw = rng.child("w").normal(lv.w_mean.shape)
-    zb = rng.child("b").normal(lv.b_mean.shape)
-    W = _add(lv.w_mean, _mul(_sigma_rho(lv.w_rho), zw))
-    b = _add(lv.b_mean, _mul(_sigma_rho(lv.b_rho), zb))
+    w_mean, w_rho, b_mean, b_rho = lv.leaves
+    zw = rng.child("w").normal(w_mean.shape)
+    zb = rng.child("b").normal(b_mean.shape)
+    W = _add(w_mean, _mul(_sigma_rho(w_rho), zw))
+    b = _add(b_mean, _mul(_sigma_rho(b_rho), zb))
     return W, b
 
 
@@ -223,8 +224,9 @@ def _chained_hidden(leaves, x, rng, spec, dropout_prob):
 
 def _chained_moments(phi_h, last):
     """Conditional moments (M, floored V) as a chain of nodes."""
-    M = _linear(phi_h, last.w_mean, last.b_mean)
-    V = _linear(_square(phi_h), _square(_sigma_rho(last.w_rho)), _square(_sigma_rho(last.b_rho)))
+    w_mean, w_rho, b_mean, b_rho = last.leaves
+    M = _linear(phi_h, w_mean, b_mean)
+    V = _linear(_square(phi_h), _square(_sigma_rho(w_rho)), _square(_sigma_rho(b_rho)))
     return M, _maximum_const(V, VARIANCE_FLOOR)
 
 
@@ -232,9 +234,10 @@ def _chained_kl(leaves, groups):
     """KL(Q||P) of the whole model as a chain of elementwise and sum nodes."""
     total = None
     for lv, g in zip(leaves, groups):
+        w_mean, w_rho, b_mean, b_rho = lv.leaves
         for mean_leaf, rho_leaf, pmean, psigma in (
-            (lv.w_mean, lv.w_rho, g.prior_w_mean, g.prior_w_sigma),
-            (lv.b_mean, lv.b_rho, g.prior_b_mean, g.prior_b_sigma),
+            (w_mean, w_rho, g.prior_w_mean, g.prior_w_sigma),
+            (b_mean, b_rho, g.prior_b_mean, g.prior_b_sigma),
         ):
             half_inv_ps2 = 0.5 / np.square(psigma)
             sig = _sigma_rho(rho_leaf)
@@ -300,8 +303,7 @@ class _ReadoutHead:
         return np.sum(phi * self.readout[rows]), self.readout[rows].copy()
 
     def partials(self):
-        lv = self.last
-        return [np.zeros_like(t.value) for t in lv.params()]
+        return [np.zeros_like(t.value) for t in self.last.leaves]
 
 
 def _surrogate_node(F, y0):
@@ -681,9 +683,9 @@ def test_step_tape_freed_without_cyclic_collector(monkeypatch):
     refs = []
     backward = grad.Tape.backward
 
-    def recording(tape, root, seed=1.0):
+    def recording(tape, root):
         refs.extend((weakref.ref(tape), weakref.ref(root.value)))
-        return backward(tape, root, seed)
+        return backward(tape, root)
 
     monkeypatch.setattr(grad.Tape, "backward", recording)
     gc.collect()

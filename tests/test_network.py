@@ -645,9 +645,9 @@ class TestLastLayerIndependence:
         assert ("theta", 0) in requested
         assert ("theta", last_idx) not in requested
         tape.backward(est)
-        last = leaves[-1]
-        assert np.any(last.w_mean.grad != 0.0)
-        assert np.any(last.w_rho.grad != 0.0)
+        w_mean, w_rho, _, _ = leaves[-1].leaves
+        assert np.any(w_mean.grad != 0.0)
+        assert np.any(w_rho.grad != 0.0)
 
     def test_last_layer_gradient_matches_closed_form_chain(self):
         """With one input and one repeat, the tape gradient w.r.t. the output
@@ -693,11 +693,11 @@ class TestLastLayerIndependence:
         dw_rho = dw_sigma * dsig_w
         db_rho = db_sigma * 1.5 * np.sqrt(np.abs(g_last.b_rho)) * np.sign(g_last.b_rho)
 
-        last = leaves[-1]
-        np.testing.assert_allclose(last.w_mean.grad, dw_mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(last.b_mean.grad, db_mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(last.w_rho.grad, dw_rho, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(last.b_rho.grad, db_rho, rtol=1e-10, atol=1e-12)
+        w_mean, w_rho, b_mean, b_rho = leaves[-1].leaves
+        np.testing.assert_allclose(w_mean.grad, dw_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(b_mean.grad, db_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(w_rho.grad, dw_rho, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(b_rho.grad, db_rho, rtol=1e-10, atol=1e-12)
 
 
 class TestKlAdditivity:

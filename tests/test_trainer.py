@@ -2,6 +2,7 @@
 lambda alternation, the surrogate baseline, logging, reproducibility, and
 a step's tape and peak memory."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 from condgauss import grad, network, trainer
 from condgauss.bounds import BoundKind, BoundSpec, kl_inv, penalty
-from condgauss.data import synth_blobs
-from condgauss.gaussian import TRAINABLE, kl_diag_gauss
+from condgauss.data import LabelledDataset, synth_blobs
+from condgauss.gaussian import TRAINABLE, kl_diag_gauss, prior_terms
 from condgauss.network import ModelSpec, StochasticModel, make_leaves, save_model
 from condgauss.rng import RngStream
 from condgauss.trainer import (
@@ -22,7 +23,6 @@ from condgauss.trainer import (
     kl_node,
     momentum_step,
     penalized_objective,
-    prior_terms,
     train_condgauss,
 )
 
@@ -172,9 +172,9 @@ def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     sizes = []
     backward = grad.Tape.backward
 
-    def counting(tape, root, seed=1.0):
+    def counting(tape, root):
         sizes.append(len(tape._nodes))
-        return backward(tape, root, seed)
+        return backward(tape, root)
 
     monkeypatch.setattr(grad.Tape, "backward", counting)
     spec = BoundSpec(kind, kappa=1.0, delta=0.025, lam=0.5 if kind == BoundKind.LBD else None)
@@ -200,7 +200,7 @@ def test_trainable_layout_follows_one_declaration(tmp_path):
     order = [marks[k, name] for k in range(len(model.groups)) for name in TRAINABLE]
     assert [a.flat[0] for a in model.get_state()] == order
     leaves = make_leaves(grad.Tape(), model)
-    assert [p.value.flat[0] for lv in leaves for p in lv.params()] == order
+    assert [p.value.flat[0] for lv in leaves for p in lv.leaves] == order
     save_model(model, tmp_path / "m.model")
     lines = (tmp_path / "m.model").read_text().splitlines()
     for k in range(len(model.groups)):
@@ -372,6 +372,25 @@ class TestTrainPrior:
             with pytest.raises(ValueError, match="prior training"):
                 quick_config(objective=spec, phase="prior")
 
+
+@pytest.mark.parametrize("phase", ["posterior", "baseline"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (synth_blobs(3, 20, 4, 0.8, 1), "data rows have width 4, but the model takes p=6"),
+        (synth_blobs(5, 20, 6, 0.8, 1), "data labels span 1..5, but the model's classes are 1..3"),
+        (LabelledDataset(np.zeros((0, 6)), np.zeros(0, dtype=int), q=3), "data has no rows"),
+    ],
+    ids=["width", "labels", "empty"],
+)
+def test_data_not_matching_model_rejected_before_first_step(monkeypatch, phase, data, message):
+    def no_step(tape, model):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "make_leaves", no_step)
+    cfg = quick_config(phase=phase, lr_schedule=((1, 0.002),))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train_condgauss(fresh_model(widths=(6, 8, 3)), data, cfg)
 
 class TestSurrogateBaseline:
     def test_surrogate_objective_stays_bounded(self):
