@@ -213,7 +213,7 @@ def toy_objective_fd_error(
 
     def fn(point):
         model.set_state(point)
-        obj, _, _, _, grads, _ = batch_gradients(model, config, pen_m, prior, x, y, noise_rng)
+        obj, _, _, grads = batch_gradients(model, config, pen_m, prior, x, y, noise_rng, spec.lam)
         return obj, grads
 
     gen = RngStream(seed).child("coords").generator()

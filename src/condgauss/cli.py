@@ -37,11 +37,6 @@ from .trainer import TrainConfig, TrainLog, train_condgauss
 
 __all__ = ["main", "cmd_train", "cmd_certify", "cmd_check", "cmd_eval", "RunConfig"]
 
-_OBJECTIVES = {k.value: k for k in BoundKind}
-
-# The comma-separated fields of --synth.
-_SYNTH_FIELDS = ("q", "per_class", "dim", "separation", "seed")
-
 
 class ConfigError(ValueError):
     """Invalid run configuration; reported before any compute starts."""
@@ -111,12 +106,11 @@ _SYNTH_DATA = {
     "holdout_per_class": (int, 0),
 }
 _MNIST_DATA = {"images": (_existing_file, _REQUIRED), "labels": (_existing_file, _REQUIRED)}
-# The bound objective's keys of a phase, which erm does not read.
-_OBJECTIVE = {"objective": (str, "invkl"), "kappa": (_finite, 1.0), "lambda": (_finite, 0.5)}
+# The comma-separated fields of --synth, in synth_blobs' order, each parsed
+# as its [data] key is.
+_SYNTH_FIELDS = {"q": int, "per_class": _count, "dim": int, "separation": _finite, "seed": _seed}
+# The keys of a phase that trains, whatever its method.
 _PHASE = {
-    "method": (str, "condgauss"),
-    **_OBJECTIVE,
-    "dropout": (_finite, 0.0),
     "schedule": (_parse_schedule, ()),
     "momentum": (_finite, 0.9),
     "batch_size": (int, 250),
@@ -133,13 +127,11 @@ _SCHEMA = {
         **_MNIST_DATA,
         "prior_fraction": (_finite, None),
     },
-    "model": {
-        "widths": (_parse_widths, _REQUIRED),
-        "activation": (str, "relu"),
-        "sigma0": (_finite, 0.01),
-    },
-    "prior": {**_PHASE, "method": (str, "none")},
-    "posterior": _PHASE,
+    "model": {"widths": (_parse_widths, _REQUIRED), "sigma0": (_finite, 0.01)},
+    "prior": {"method": (str, "none"), "kappa": (_finite, 1.0), "dropout": (_finite, 0.0),
+              **_PHASE},
+    "posterior": {"method": (str, "condgauss"), "objective": (str, "invkl"),
+                  "kappa": (_finite, 1.0), "lambda": (_finite, 0.5), **_PHASE},
     "certify": {
         "n_draws": (_count, 1000),
         "delta": (_finite, 0.025),
@@ -147,19 +139,20 @@ _SCHEMA = {
     },
     "run": {"seed": (_seed, _REQUIRED), "output_dir": (Path, _REQUIRED)},
 }
-# The key that decides which keys of its section a run reads, each value it
-# may take, and the keys that value leaves unread: a synth source reads no
-# files, an mnist source has no blob shape, prior method none trains no prior,
-# and erm has no bound objective. Setting an unread key is an error rather
-# than silently dropped.
+# Per section, each key that decides which later keys a run reads, every
+# value it may take, and the keys that value leaves unread: a synth source
+# reads no files, an mnist source has no blob shape, prior method none trains
+# no prior, an erm prior has no bound objective, and only lbd reads lambda.
+# Setting an unread key is an error rather than silently dropped.
 _UNREAD = {
-    "data": ("source", {"synth": set(_MNIST_DATA), "mnist": set(_SYNTH_DATA)}),
-    "prior": ("method", {
-        "none": set(_PHASE) - {"method"},
-        "erm": set(_OBJECTIVE),
-        "invkl": set(),
-    }),
-    "posterior": ("method", {"condgauss": set(), "surrogate": set()}),
+    "data": [("source", {"synth": set(_MNIST_DATA), "mnist": set(_SYNTH_DATA)})],
+    "prior": [
+        ("method", {"none": set(_SCHEMA["prior"]) - {"method"}, "erm": {"kappa"}, "invkl": set()}),
+    ],
+    "posterior": [
+        ("method", {"condgauss": set(), "surrogate": set()}),
+        ("objective", {k.value: set() if k == BoundKind.LBD else {"lambda"} for k in BoundKind}),
+    ],
 }
 
 
@@ -195,7 +188,7 @@ def _read_section(cp: configparser.ConfigParser, section: str) -> dict:
     """The typed value of each key of ``section`` the run reads, defaults
     filled in; a required key left out, or a set key the run does not read, is
     a ConfigError."""
-    decider, unread_by_value = _UNREAD.get(section, (None, {}))
+    deciders = dict(_UNREAD.get(section, []))
     keys = _SCHEMA[section]
     unread: set = set()
     values = {}
@@ -209,21 +202,16 @@ def _read_section(cp: configparser.ConfigParser, section: str) -> dict:
             raise ConfigError(f"[{section}] {key} is required")
         else:
             values[key] = default
-        if key == decider:
-            value = values[key]
+        if key in deciders:
+            value, unread_by_value = values[key], deciders[key]
             if value not in unread_by_value:
                 raise ConfigError(
                     f"[{section}] {key} must be one of {', '.join(unread_by_value)}, got {value!r}"
                 )
-            unread = unread_by_value[value]
-            ignored = [k for k in keys if k in unread and cp.has_option(section, k)]
+            ignored = [k for k in keys if k in unread_by_value[value] and cp.has_option(section, k)]
             if ignored:
                 raise ConfigError(f"[{section}] {', '.join(ignored)}: unused when {key} = {value}")
-    # lambda weighs the lbd objective only.
-    if values.get("objective", "lbd") != "lbd":
-        if cp.has_option(section, "lambda"):
-            raise ConfigError(f"[{section}] lambda: unused when objective = {values['objective']}")
-        del values["lambda"]
+            unread |= unread_by_value[value]
     return values
 
 
@@ -248,7 +236,7 @@ def parse_config(path) -> RunConfig:
     if data["seed"] is None:
         data["seed"] = run["seed"]
     try:
-        spec = ModelSpec(model["widths"], model["activation"])
+        spec = ModelSpec(model["widths"])
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from None
     _validate(values)
@@ -330,19 +318,12 @@ def _train_config(values: dict, section: str, phase: str) -> TrainConfig:
     """The TrainConfig of one [section] of the parsed ``values``; its phase
     rules fail as a ConfigError naming the section."""
     ph = values[section]
+    # A prior's method names its objective.
+    name = ph.get("objective", ph["method"])
     try:
-        if ph["method"] == "erm":
-            objective = None
-        elif ph["objective"] not in _OBJECTIVES:
-            raise ValueError(f"unknown objective: {ph['objective']}")
-        else:
-            kind = _OBJECTIVES[ph["objective"]]
-            objective = BoundSpec(
-                kind=kind,
-                kappa=ph["kappa"],
-                delta=values["certify"]["delta"],
-                lam=ph["lambda"] if kind == BoundKind.LBD else None,
-            )
+        objective = None if name == "erm" else BoundSpec(
+            BoundKind(name), ph["kappa"], values["certify"]["delta"], lam=ph.get("lambda")
+        )
         return TrainConfig(
             objective=objective,
             lr_schedule=ph["schedule"],
@@ -351,7 +332,7 @@ def _train_config(values: dict, section: str, phase: str) -> TrainConfig:
             repeats=ph["repeats"],
             seed=values["run"]["seed"],
             phase=phase,
-            dropout_prob=ph["dropout"],
+            dropout_prob=ph.get("dropout", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
@@ -412,12 +393,12 @@ def cmd_train(config_path) -> int:
 def _dataset_from_args(args) -> LabelledDataset:
     if args.synth:
         fields = args.synth.split(",")
-        if len(fields) != 5:
+        if len(fields) != len(_SYNTH_FIELDS):
             raise ConfigError(f"--synth takes {','.join(_SYNTH_FIELDS)}; got {args.synth!r}")
-        kinds = (int, int, int, _finite, int)
-        ds = synth_blobs(
-            *(_parse(k, t, f"--synth field {n}") for n, k, t in zip(_SYNTH_FIELDS, kinds, fields))
-        )
+        ds = synth_blobs(*(
+            _parse(kind, text, f"--synth field {name}")
+            for (name, kind), text in zip(_SYNTH_FIELDS.items(), fields)
+        ))
     else:
         if not (args.images and args.labels):
             raise ConfigError("provide --synth or both --images and --labels")

@@ -86,10 +86,9 @@ TRAIN_BLOCK = 256
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Layer widths (input p, hidden widths, output q) and activation."""
+    """Layer widths: input p, hidden widths (all relu), output q."""
 
     layer_widths: tuple[int, ...]
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -99,8 +98,6 @@ class ModelSpec:
             raise ValueError("widths must be positive")
         if self.layer_widths[-1] < 2:
             raise ValueError("widths must end in an output width q >= 2")
-        if self.activation != "relu":
-            raise ValueError(f"activation must be relu, got {self.activation!r}")
 
     @property
     def p(self) -> int:
@@ -634,7 +631,7 @@ def save_model(model: StochasticModel, path) -> None:
     digits (lossless for float64)."""
     lines = [SNAPSHOT_HEADER]
     lines.append("widths " + " ".join(str(w) for w in model.spec.layer_widths))
-    lines.append(f"activation {model.spec.activation}")
+    lines.append("activation relu")
     lines.append("dropout 0")
     lines.append(f"prior_fingerprint {model.prior_fingerprint or 'none'}")
     lines.append(f"prior_pair_token {model.prior_pair_token or 'none'}")
@@ -679,12 +676,15 @@ def load_model(path) -> StochasticModel:
             raise ValueError(f"snapshot line {pos + 1}: expected '{key}', got '{name}'")
         fields[key] = rest
     widths = tuple(numbers(fields["widths"], int, "'widths'", 2))
+    activation = fields["activation"]
+    if activation != "relu":
+        raise ValueError(f"snapshot line 3: 'activation' must be relu, got {activation!r}")
     dropout = numbers(fields["dropout"], float, "'dropout'", 4)
     if len(dropout) != 1:
         raise ValueError(f"snapshot line 4: 'dropout' takes one value, got {len(dropout)}")
     if dropout[0] != 0.0:
         raise ValueError(f"snapshot line 4: 'dropout' must be 0, got {dropout[0]!r}")
-    spec = ModelSpec(widths, fields["activation"])
+    spec = ModelSpec(widths)
 
     def parse_block(expect_name: str, shape) -> np.ndarray:
         what = f"array '{expect_name}' of layer {k}"

@@ -44,6 +44,7 @@ __all__ = [
     "TrainingDiverged",
     "batch_gradients",
     "kl_node",
+    "lambda_batch",
     "momentum_step",
     "penalized_objective",
     "train_condgauss",
@@ -105,12 +106,6 @@ class TrainConfig:
             raise ValueError("dropout_prob must be in [0, 1)")
         if self.dropout_prob > 0.0 and self.phase != "prior":
             raise ValueError("dropout applies only in the prior phase")
-
-    def epoch_lrs(self) -> list[float]:
-        out: list[float] = []
-        for epochs, lr in self.lr_schedule:
-            out.extend([lr] * epochs)
-        return out
 
 
 @dataclass
@@ -178,14 +173,13 @@ def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, lam=No
     of the dataset being trained on and ``prior`` the model's
     ``prior_terms``. The objective is one closed-form node over the estimate
     and the KL node, the penalty's scale folded into its partials; lbd's
-    ``lam`` stays off the tape. Returns (objective, penalty, d objective /
-    d lambda), the last 0 unless lbd.
+    ``lam`` stays off the tape. Returns (objective, penalty).
     """
     kl = kl_node(leaves, prior)
     # Rounding can leave the summed KL a hair below 0; kl_diag_gauss clamps too.
     pen = penalty(max(float(kl.value), 0.0), m, spec.delta, spec.kappa)
-    value, (d_est, d_pen, d_lam) = objective_partials(spec.kind, float(est_node.value), pen, lam)
-    return grad.closed_form(value, [est_node, kl], [d_est, d_pen * (spec.kappa / m)]), pen, d_lam
+    value, (d_est, d_pen, _) = objective_partials(spec.kind, float(est_node.value), pen, lam)
+    return grad.closed_form(value, [est_node, kl], [d_est, d_pen * (spec.kappa / m)]), pen
 
 
 def _bounded_cross_entropy(F, y0, batch: int):
@@ -226,6 +220,8 @@ class _SurrogateHead:
         F = phi @ W.T
         F += b
         loss, gF = _bounded_cross_entropy(F, self.y0[rows], self.n)
+        if not need_grad:
+            return loss, None
         self.sums = accumulate(self.sums, (gF.T @ phi, gF.sum(axis=0)))
         return loss, gF @ W
 
@@ -233,46 +229,62 @@ class _SurrogateHead:
         return draw_partials(self.last, self.draw, *self.sums)
 
 
-def batch_gradients(model, config: TrainConfig, m: int, prior, x, y, rng, ell: float = 0.0):
-    """One batch's objective and its gradients, on a fresh tape: the estimate
-    (``batch_error_estimate``, or for the baseline ``estimate_node`` under a
-    ``_SurrogateHead``), the penalized objective (the bare estimate under
-    ERM), the divergence guard, and backward. ``m`` is the size of the
-    dataset trained on, ``prior`` the model's ``prior_terms`` and ``ell``
-    the logit of lbd's lambda.
+def _batch_estimate(model, config: TrainConfig, x, y, rng, leaves=None):
+    """``batch_error_estimate``, or for the baseline ``estimate_node`` under a
+    ``_SurrogateHead``: a tape node over ``leaves``, or without them a float."""
+    if config.phase != "baseline":
+        return batch_error_estimate(model, x, y, rng, config.repeats, leaves, config.dropout_prob)
+    # Every layer is sampled pathwise once: the hidden ones by estimate_node,
+    # the output layer by the head.
+    layers = model.groups if leaves is None else leaves
+    head = _SurrogateHead(layers[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
+    return estimate_node(layers, x, rng, model.spec, head)
 
-    Returns (objective, estimate, penalty, lambda, gradients, d objective /
-    d ell) as plain numbers and arrays, the gradients in ``get_state()``
-    order, so the step's graph is freed on return. lambda is None unless
-    lbd; a diverged objective raises TrainingDiverged before backward.
+
+def _guarded(objective) -> float:
+    """The objective as a float; past DIVERGENCE_LIMIT or not finite, TrainingDiverged."""
+    value = float(objective)
+    if not math.isfinite(value) or value > DIVERGENCE_LIMIT:
+        raise TrainingDiverged(f"objective {value}")
+    return value
+
+
+def batch_gradients(model, config: TrainConfig, m: int, prior, x, y, rng, lam=None):
+    """One batch's objective and its gradients, on a fresh tape: the estimate
+    (``_batch_estimate``), the penalized objective (the bare estimate under
+    ERM), the divergence guard, and backward. ``m`` is the size of the
+    dataset trained on, ``prior`` the model's ``prior_terms`` and ``lam``
+    lbd's lambda (None for the other objectives).
+
+    Returns (objective, estimate, penalty, gradients) as plain numbers and
+    arrays, the gradients in ``get_state()`` order, so the step's graph is
+    freed on return. A diverged objective raises before backward.
     """
     spec = config.objective
     tape = grad.Tape()
     leaves = make_leaves(tape, model)
-    if config.phase == "baseline":
-        # Every layer is sampled pathwise once: the hidden ones by
-        # estimate_node, the output layer by the head.
-        head = _SurrogateHead(leaves[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
-        est = estimate_node(leaves, x, rng, model.spec, head)
-    else:
-        est = batch_error_estimate(
-            model, x, y, rng, config.repeats, leaves=leaves, dropout_prob=config.dropout_prob
-        )
-
-    lam = float(1.0 / (1.0 + np.exp(-ell))) if spec and spec.kind == BoundKind.LBD else None
+    est = _batch_estimate(model, config, x, y, rng, leaves)
     if spec is None:
-        obj, pen, d_lam = est, 0.0, 0.0
+        obj, pen = est, 0.0
     else:
-        obj, pen, d_lam = penalized_objective(est, leaves, prior, spec, m, lam)
-    # d lambda / d ell = lambda (1 - lambda) through the logistic map.
-    g_ell = 0.0 if lam is None else d_lam * lam * (1.0 - lam)
-
-    obj_value = float(obj.value)
-    if not math.isfinite(obj_value) or obj_value > DIVERGENCE_LIMIT:
-        raise TrainingDiverged(f"objective {obj_value}")
+        obj, pen = penalized_objective(est, leaves, prior, spec, m, lam)
+    obj_value = _guarded(obj.value)
     tape.backward(obj)
     grads = [g for lv in leaves for g in lv.grads()]
-    return obj_value, float(est.value), pen, lam, grads, g_ell
+    return obj_value, float(est.value), pen, grads
+
+
+def lambda_batch(model, config: TrainConfig, pen: float, x, y, rng, lam: float):
+    """One batch of an lbd lambda epoch, with no tape: the parameters hold
+    still, so it takes the estimate's value and the epoch's penalty ``pen``,
+    adds the floats ``batch_gradients`` adds for the objective and applies
+    the same divergence guard. Returns (objective, estimate, d objective /
+    d ell), ell the logit of ``lam``.
+    """
+    est = _batch_estimate(model, config, x, y, rng)
+    value, (_, _, d_lam) = objective_partials(config.objective.kind, est, pen, lam)
+    # d lambda / d ell = lambda (1 - lambda) through the logistic map.
+    return _guarded(value), est, d_lam * lam * (1.0 - lam)
 
 
 def train_condgauss(
@@ -307,9 +319,7 @@ def train_condgauss(
     rng_root = RngStream(config.seed).child("train", config.phase)
 
     alternating = spec is not None and spec.kind == BoundKind.LBD
-    lrs = config.epoch_lrs()
-    if alternating:
-        lrs = [lr for lr in lrs for _ in range(2)]
+    lrs = [lr for epochs, lr in config.lr_schedule for _ in range(epochs * (1 + alternating))]
     velocity = [np.zeros_like(a) for a in model.get_state()]
     prior = prior_terms(model.groups)
     ell = math.log(spec.lam / (1.0 - spec.lam)) if alternating else 0.0
@@ -321,19 +331,24 @@ def train_condgauss(
         t0 = time.perf_counter()
         is_lambda_epoch = alternating and epoch % 2 == 1
         lam_velocity = 0.0
+        if is_lambda_epoch:
+            pen = penalty(kl_diag_gauss(model.groups), m, spec.delta, spec.kappa)
 
         perm = rng_root.child("shuffle", epoch).permutation(m)
         obj_sum = 0.0
         emp_sum = 0.0
-        lam_value = None
-        last_pen = 0.0
         for b_idx, start in enumerate(range(0, m, config.batch_size)):
             idx = perm[start : start + config.batch_size]
+            x, y = x_all[idx], y_all[idx]
             rng = rng_root.child("epoch", epoch, "batch", b_idx)
+            lam = float(1.0 / (1.0 + np.exp(-ell))) if alternating else None
             try:
-                obj_value, est_value, last_pen, lam_value, grads, g_ell = batch_gradients(
-                    model, config, m, prior, x_all[idx], y_all[idx], rng, ell
-                )
+                if is_lambda_epoch:
+                    obj_value, est_value, g_ell = lambda_batch(model, config, pen, x, y, rng, lam)
+                else:
+                    obj_value, est_value, pen, grads = batch_gradients(
+                        model, config, m, prior, x, y, rng, lam
+                    )
             except TrainingDiverged as exc:
                 raise TrainingDiverged(f"{exc} at epoch {epoch + 1}, batch {b_idx + 1}") from None
             if is_lambda_epoch:
@@ -345,7 +360,7 @@ def train_condgauss(
                         getattr(group, name), g_arr, velocity[i], lr, config.momentum
                     )
                     setattr(group, name, new_p)
-            del grads  # freed before the next batch's forward pass
+                del grads  # freed before the next batch's forward pass
             obj_sum += obj_value * idx.size
             emp_sum += est_value * idx.size
 
@@ -366,9 +381,9 @@ def train_condgauss(
                 objective=obj_sum / m,
                 emp_est=emp_mean,
                 kl=kl_now,
-                pen=last_pen if spec is not None else pen_track,
+                pen=pen if spec is not None else pen_track,
                 bound_est=bound_est,
-                lam=lam_value,
+                lam=lam,
                 seconds=time.perf_counter() - t0,
             )
         )

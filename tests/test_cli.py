@@ -1,6 +1,7 @@
 """Command-line surface: full pipeline runs, validation failures, rerun
 determinism, certification and evaluation of snapshots, and the check
 battery with its negative control."""
+import itertools
 import os
 import re
 import weakref
@@ -135,7 +136,6 @@ holdout_per_class = 10
 
 [model]
 widths = 10 32 3
-activation = relu
 sigma0 = 0.01
 
 [prior]
@@ -145,7 +145,6 @@ method = none
 method = condgauss
 objective = invkl
 kappa = 1.0
-dropout = 0.0
 schedule = 6:0.002 2:0.0004
 momentum = 0.5
 batch_size = 90
@@ -175,7 +174,6 @@ prior_fraction = 0.5
 
 [model]
 widths = 10 32 3
-activation = relu
 sigma0 = 0.01
 
 [prior]
@@ -190,7 +188,6 @@ repeats = 4
 method = condgauss
 objective = invkl
 kappa = 1.0
-dropout = 0.0
 schedule = 4:0.002
 momentum = 0.5
 batch_size = 120
@@ -210,7 +207,7 @@ output_dir = {out}
 
 # Trainer paths beyond QUICK_CONFIG and SPLIT_CONFIG, as (template, edit).
 PHASE_VARIANTS = {
-    "invkl_prior": (SPLIT_CONFIG, ("method = erm", "method = invkl\nobjective = invkl\nkappa = 0.1")),
+    "invkl_prior": (SPLIT_CONFIG, ("method = erm", "method = invkl\nkappa = 0.1")),
     "lbd_posterior": (QUICK_CONFIG, ("objective = invkl", "objective = lbd\nlambda = 0.4")),
     "surrogate_quad": (QUICK_CONFIG, ("method = condgauss\nobjective = invkl",
                                       "method = surrogate\nobjective = quad")),
@@ -331,16 +328,13 @@ class TestTrainCommand:
         "section, old, new, message",
         [
             ("prior", "batch_size = 120", "batch_size = 0", "batch_size"),
-            ("prior", "method = erm", "method = invkl\nobjective = bogus", "unknown objective"),
-            ("prior", "method = erm", "method = invkl\nobjective = quad", "invkl"),
-            ("posterior", "kappa = 1.0", "kappa = 1.0\ndropout = 0.3", "dropout"),
-            ("prior", "method = erm", "method = erm\nobjective = invkl", "objective: unused"),
+            ("prior", "method = erm", "method = bogus", "method must be one of none, erm, invkl"),
+            ("prior", "method = erm", "method = erm\nkappa = 0.1",
+             "kappa: unused when method = erm"),
             ("posterior", "kappa = 1.0", "kappa = 1.0\nlambda = 0.4",
              "lambda: unused when objective = invkl"),
             ("posterior", "objective = invkl", "objective = mcall\nlambda = 0.4",
              "lambda: unused when objective = mcall"),
-            ("prior", "method = erm", "method = invkl\nlambda = 0.4",
-             "lambda: unused when objective = invkl"),
             ("prior", "method = erm\n", "",
              "schedule, momentum, batch_size, repeats: unused when method = none"),
             ("posterior", "schedule = 4:0.002", "schedule = 3:abc",
@@ -356,8 +350,6 @@ class TestTrainCommand:
              "batch_size must be an integer, got '2.5'"),
             ("model", "widths = 10 32 3", "widths = 10 x 3", "widths must be integers, got '10 x 3'"),
             ("model", "widths = 10 32 3", "widths = 10 0 3", "widths must be positive"),
-            ("model", "sigma0 = 0.01", "sigma0 = 0.01\nactivation = tanh",
-             "activation must be relu, got 'tanh'"),
             ("model", "sigma0 = 0.01", "sigma0 = -1", "sigma0 must be positive, got -1.0"),
             ("data", "prior_fraction = 0.5", "prior_fraction = 1.5",
              r"prior_fraction must lie in \(0, 1\), got 1.5"),
@@ -386,6 +378,28 @@ class TestTrainCommand:
             parse_config(cfg)
         assert main(["train", "--config", str(cfg)]) == 1
         assert f"[{section}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, old, new, key",
+        [
+            ("model", "sigma0 = 0.01", "sigma0 = 0.01\nactivation = relu", "activation"),
+            ("prior", "method = erm", "method = invkl\nobjective = invkl", "objective"),
+            ("prior", "method = erm", "method = invkl\nlambda = 0.4", "lambda"),
+            ("posterior", "kappa = 1.0", "kappa = 1.0\ndropout = 0.0", "dropout"),
+        ],
+        ids=["model-activation", "prior-objective", "prior-lambda", "posterior-dropout"],
+    )
+    def test_retired_keys_are_unknown_before_output(self, tmp_path, capsys, section, old, new, key):
+        """Keys that could take only one value are gone: a config that sets
+        one fails as a typo would, even at that one value."""
+        cfg, out = write_config(tmp_path, SPLIT_CONFIG.replace(old, new, 1))
+        message = f"unknown config entries: [{section}] {key}"
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert str(err.value) == message
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_datasets_released_before_posterior_training(self, tmp_path, monkeypatch):
@@ -453,11 +467,11 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("method", ["", "method = none\n"], ids=["absent", "none"])
     def test_prior_keys_without_prior_method_rejected(self, tmp_path, method):
-        prior = f"[prior]\n{method}objective = bogus\ndropout = 0.5\nschedule = 3:0.1\n\n"
+        prior = f"[prior]\n{method}kappa = 0.5\ndropout = 0.5\nschedule = 3:0.1\n\n"
         text = QUICK_CONFIG.replace("[posterior]", prior + "[posterior]")
         cfg, _ = write_config(tmp_path, text)
         with pytest.raises(
-            ConfigError, match=r"\[prior\] objective, dropout, schedule: unused when method = none"
+            ConfigError, match=r"\[prior\] kappa, dropout, schedule: unused when method = none"
         ):
             parse_config(cfg)
 
@@ -545,8 +559,11 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "synth, message",
-        [("3,x,4,0.8,1", "--synth field per_class must be an integer, got 'x'"),
-         ("3,10,4,far,1", "--synth field separation must be a finite number, got 'far'")],
+        [("3,x,4,0.8,1", "--synth field per_class must be an integer >= 1, got 'x'"),
+         ("3,0,4,0.8,1", "--synth field per_class must be an integer >= 1, got '0'"),
+         ("3,10,4,far,1", "--synth field separation must be a finite number, got 'far'"),
+         ("3,10,4,0.8,-1", "--synth field seed must be an integer >= 0, got '-1'")],
+        ids=["per_class-text", "per_class-zero", "separation-text", "seed-negative"],
     )
     def test_synth_field_value_rejected(self, tmp_path, capsys, synth, message):
         model = StochasticModel.initialize(ModelSpec((4, 4, 3)), 0.01, RngStream(1))
@@ -563,8 +580,7 @@ class TestEvalCommand:
                 ("labels", "5,20,6,0.8,1", "data labels span 1..5, but the model's classes are 1..3"),
                 ("width", "3,20,4,0.8,1", "data rows have width 4, but the model takes p=6"),
             )
-        ]
-        + [pytest.param("eval", "3,0,6,0.8,1", "data has no rows", id="eval-empty")],
+        ],
     )
     def test_data_not_matching_model_rejected(self, tmp_path, capsys, command, synth, message):
         model = StochasticModel.initialize(ModelSpec((6, 8, 3)), 0.01, RngStream(1))
@@ -676,8 +692,25 @@ class TestParseConfig:
 
     def test_unknown_objective(self, tmp_path):
         cfg, _ = write_config(tmp_path, QUICK_CONFIG.replace("objective = invkl", "objective = magic"))
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigError,
+            match=r"^\[posterior\] objective must be one of invkl, mcall, quad, lbd, got 'magic'$",
+        ):
             parse_config(cfg)
+
+    def test_every_key_is_read_under_some_decider_values(self):
+        """Each schema key is read under at least one combination of its
+        section's decider values, so no key can only ever fail as unused;
+        and each unread set names keys of its own section only."""
+        for section, keys in cli._SCHEMA.items():
+            tables = [table for _, table in cli._UNREAD.get(section, [])]
+            for table in tables:
+                for unread in table.values():
+                    assert unread <= set(keys), section
+            never_read = set(keys)
+            for combination in itertools.product(*(table.values() for table in tables)):
+                never_read -= set(keys) - set().union(*combination)
+            assert never_read == set(), section
 
 
 def test_readme_lists_run_file_formats():

@@ -691,7 +691,7 @@ def test_step_tape_freed_without_cyclic_collector(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        grads = batch_gradients(model, config, 4000, prior, x, y, RngStream(20))[4]
+        grads = batch_gradients(model, config, 4000, prior, x, y, RngStream(20))[3]
         assert len(grads) == 12 and len(refs) == 2
         assert [ref() for ref in refs] == [None, None]
     finally:
@@ -752,7 +752,7 @@ class TestAffineObjectiveAveraging:
 
         def tape_grad(d):
             rng = RngStream(123).child("noise", d)
-            grads = batch_gradients(model, config, m_pen, prior, x, y, rng)[4]
+            grads = batch_gradients(model, config, m_pen, prior, x, y, rng)[3]
             return np.concatenate([g.reshape(-1) for g in grads])
 
         grads = np.stack([tape_grad(d) for d in range(n_draws)])

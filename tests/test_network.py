@@ -69,7 +69,7 @@ class TestModelSpec:
             ModelSpec((5, 3))  # no hidden layer
         with pytest.raises(ValueError):
             ModelSpec((5, 4, 1))  # q < 2
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # every hidden layer is relu; there is no choice
             ModelSpec((5, 4, 3), activation="tanh")
 
     def test_zero_head_initialization(self):
@@ -754,6 +754,8 @@ class TestSnapshot:
             (lambda ls: ls[:8] + ["abc " + ls[8]] + ls[9:],
              r"line 9: non-numeric value in array 'w_mean' of layer 0"),
             (lambda ls: ls[:1] + ["widths 4 x 2"] + ls[2:], r"line 2: non-numeric value in 'widths'"),
+            (lambda ls: ls[:2] + ["activation tanh"] + ls[3:],
+             r"line 3: 'activation' must be relu, got 'tanh'"),
             (lambda ls: ls[:3] + ["dropout abc"] + ls[4:], r"line 4: non-numeric value in 'dropout'"),
             (lambda ls: ls[:3] + ["dropout 0 0.5"] + ls[4:], r"line 4: 'dropout' takes one value"),
             (lambda ls: ls[:3] + ["dropout 0.3"] + ls[4:], r"line 4: 'dropout' must be 0, got 0.3"),
@@ -761,8 +763,8 @@ class TestSnapshot:
              r"array 'prior_b_sigma' of layer 0 must be strictly positive"),
         ],
         ids=["cut_after_3", "cut_after_10", "cut_before_end", "short_layer_header",
-             "non_numeric_value", "non_numeric_width", "non_numeric_dropout", "two_dropouts",
-             "nonzero_dropout", "negative_prior_sigma"],
+             "non_numeric_value", "non_numeric_width", "non_relu_activation", "non_numeric_dropout",
+             "two_dropouts", "nonzero_dropout", "negative_prior_sigma"],
     )
     def test_rejects_truncated_or_malformed(self, tmp_path, edit, message):
         model = StochasticModel.initialize(ModelSpec((4, 3, 2)), 0.01, RngStream(75))

@@ -21,6 +21,7 @@ from condgauss.trainer import (
     TrainingDiverged,
     batch_gradients,
     kl_node,
+    lambda_batch,
     momentum_step,
     penalized_objective,
     train_condgauss,
@@ -130,7 +131,7 @@ class TestTrainCondgauss:
         leaves = make_leaves(tape, model)
         assert float(kl_node(leaves, prior).value) < 0.0
         spec = BoundSpec(BoundKind.INVKL, kappa=1.0, delta=0.025)
-        _, pen, _ = penalized_objective(tape.leaf(0.1), leaves, prior, spec, 1000)
+        _, pen = penalized_objective(tape.leaf(0.1), leaves, prior, spec, 1000)
         assert pen == penalty(0.0, 1000, 0.025)
 
     def test_reproducibility(self):
@@ -168,7 +169,8 @@ class TestTrainCondgauss:
 def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     """A 20-256-4 step's tape at backward: eight parameter leaves, one
     estimate node (the L1 estimate, or the baseline's surrogate loss), the
-    KL node and the objective node; lbd's lambda stays off the tape."""
+    KL node and the objective node; lbd's lambda stays off the tape, and
+    its lambda epoch builds none."""
     sizes = []
     backward = grad.Tape.backward
 
@@ -183,7 +185,7 @@ def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     )
     data = blob_task(classes=4, per_class=25, dim=20)
     train_condgauss(fresh_model(widths=(20, 256, 4)), data, cfg)
-    assert len(sizes) == (4 if kind == BoundKind.LBD else 2)
+    assert len(sizes) == 2
     assert set(sizes) == {nodes}
 
 
@@ -214,7 +216,7 @@ def test_trainable_layout_follows_one_declaration(tmp_path):
     config = quick_config(batch_size=100)
     prior = prior_terms(model.groups)
     rng = RngStream(5)
-    grads = batch_gradients(model, config, len(data), prior, data.inputs, data.labels, rng)[4]
+    grads = batch_gradients(model, config, len(data), prior, data.inputs, data.labels, rng)[3]
     assert [g.shape for g in grads] == [a.shape for a in model.get_state()]
     assert all(np.any(g != 0.0) for g in grads)
 
@@ -273,8 +275,8 @@ def test_dropout_step_peak_memory_near_plain_step():
 class TestLambdaAlternating:
     @staticmethod
     def _lbd_objective(ell, pen_val=0.02):
-        """One lbd batch of the trainer at lambda logit ``ell`` and fixed
-        noise, on a model at its prior (KL 0) with kappa picked so the
+        """One lambda-epoch batch of the trainer at lambda logit ``ell`` and
+        fixed noise, on a model at its prior (KL 0) with kappa picked so the
         penalty is ``pen_val``. Returns (objective, d objective / d ell,
         penalty, estimate)."""
         model = fresh_model(widths=(3, 4, 2))
@@ -283,10 +285,10 @@ class TestLambdaAlternating:
         spec = BoundSpec(BoundKind.LBD, kappa=pen_val * m / log_term, delta=0.025, lam=0.5)
         gen = np.random.default_rng(11)
         x, y = gen.uniform(0.0, 1.0, (8, 3)), gen.integers(1, 3, 8)
-        prior, rng = prior_terms(model.groups), RngStream(12)
-        obj, est, pen, _, _, g_ell = batch_gradients(
-            model, quick_config(objective=spec), m, prior, x, y, rng, ell
-        )
+        pen = penalty(kl_diag_gauss(model.groups), m, spec.delta, spec.kappa)
+        lam = 1.0 / (1.0 + math.exp(-ell))
+        config = quick_config(objective=spec)
+        obj, est, g_ell = lambda_batch(model, config, pen, x, y, RngStream(12), lam)
         return obj, g_ell, pen, est
 
     def test_lbd_gradient_matches_finite_differences(self):
@@ -309,6 +311,51 @@ class TestLambdaAlternating:
             ell, vel = momentum_step(ell, g_ell, vel, 0.5, 0.5)
         lam_final = 1.0 / (1.0 + math.exp(-ell))
         assert abs(lam_final - grid_best) <= 1e-3
+
+    @pytest.mark.parametrize("phase", ["posterior", "baseline"])
+    def test_lambda_batch_adds_the_taped_floats(self, phase):
+        """A lambda epoch's value path gives the objective, estimate and
+        penalty of the taped step at the same state, lambda and noise, to
+        the last bit, so lbd runs do not move."""
+        model = fresh_model(widths=(10, 16, 3), sigma0=0.05)
+        gen = np.random.default_rng(21)
+        for g in model.groups:
+            g.w_mean = g.w_mean + gen.normal(0.0, 0.05, g.w_mean.shape)
+            g.w_rho = g.w_rho * gen.uniform(0.8, 1.2, g.w_rho.shape)
+        data = blob_task(per_class=40)
+        spec = BoundSpec(BoundKind.LBD, kappa=1.0, delta=0.025, lam=0.3)
+        config = quick_config(objective=spec, phase=phase)
+        m, lam = 4000, 0.37
+        rng = RngStream(22).child("batch")
+        obj, est, pen, _ = batch_gradients(
+            model, config, m, prior_terms(model.groups), data.inputs, data.labels, rng, lam
+        )
+        assert pen > penalty(0.0, m, spec.delta)
+        pen_epoch = penalty(kl_diag_gauss(model.groups), m, spec.delta, spec.kappa)
+        assert pen_epoch == pen
+        value_path = lambda_batch(model, config, pen_epoch, data.inputs, data.labels, rng, lam)
+        assert value_path[:2] == (obj, est)
+
+    def test_lambda_epoch_builds_no_tape(self, monkeypatch):
+        """Parameter epochs build a tape per batch; lambda epochs build none."""
+        calls = []
+
+        def leaves(tape, model):
+            calls.append("leaves")
+            return make_leaves(tape, model)
+
+        def value_batch(*args):
+            calls.append("lambda")
+            return lambda_batch(*args)
+
+        monkeypatch.setattr(trainer, "make_leaves", leaves)
+        monkeypatch.setattr(trainer, "lambda_batch", value_batch)
+        spec = BoundSpec(BoundKind.LBD, kappa=1.0, delta=0.025, lam=0.5)
+        cfg = quick_config(objective=spec, lr_schedule=((2, 0.002),), batch_size=150)
+        _, log = train_condgauss(fresh_model(), blob_task(), cfg)
+        assert len(log.rows) == 4
+        assert calls == (["leaves"] * 3 + ["lambda"] * 3) * 2
+        assert log.rows[1].lam != log.rows[2].lam  # the lambda epoch stepped lambda
 
     def test_alternating_run_doubles_epochs_and_keeps_lambda_interior(self):
         ds = blob_task()
