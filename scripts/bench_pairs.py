@@ -16,8 +16,11 @@ against the metric's ``bound``: ``regressed`` when the change's median is
 worse than the parent's by more than bound times the parent median,
 ``unresolved`` when the parent's quartile distance exceeds that amount
 (unless every change run beats every parent run), ``holds`` otherwise.
-Failed operations and the reference check of every run are listed too. The
-exit status is nonzero when a run failed or a metric regressed.
+Each side's median ``episode_s``, the wall time of a whole episode that
+``bench/run.py`` prints and does not gate, follows: it shows work moved out
+of the timed steps or draws into the rest of the episode. Failed operations
+and the reference check of every run are listed too. The exit status is
+nonzero when a run failed or a metric regressed.
 
 With ``--trace``, one ``--trace 1`` run per side follows the pairs, on the
 first seed, and the report adds each per-layer metric of ``BENCHMARK.json``
@@ -39,19 +42,25 @@ from pathlib import Path
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
-    """One ``bench/run.py`` run: its JSON line plus its reference status and
-    the names of the checks it failed."""
+    """One ``bench/run.py`` run, read by ``parse_run``."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"{checkout}: bench/run.py failed\n{proc.stdout}{proc.stderr}")
-    result = json.loads(lines[-1])
-    match = re.search(r"; reference: (.*)$", proc.stdout, re.MULTILINE)
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """A run's JSON line plus its reference status, the names of the checks
+    it failed and its median ``episode_s`` (NaN when not printed)."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    match = re.search(r"; reference: (.*)$", stdout, re.MULTILINE)
     result["reference"] = match.group(1) if match else "not reported"
-    match = re.search(r"^checks: .*failed: (.*); reference", proc.stdout, re.MULTILINE)
+    match = re.search(r"^checks: .*failed: (.*); reference", stdout, re.MULTILINE)
     result["failed_checks"] = match.group(1) if match else "not reported"
+    match = re.search(r"^\s+episode_s = (\S+)$", stdout, re.MULTILINE)
+    result["episode_s"] = float(match.group(1)) if match else float("nan")
     return result
 
 
@@ -104,6 +113,11 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> bool:
               f"{wins:>5}/{len(par)}  {'holds' if holds else 'not met'}"
               f" (median change {100.0 * (cmed - pmed) / pmed:+.1f}%); {verdict}"
               f" (bound {100.0 * m['bound']:.0f}%)")
+    episodes = {side: statistics.median(r["episode_s"] for r in results)
+                for side, results in runs.items()}
+    print(f"episode_s (whole job, not gated): parent median {episodes['parent']:.5g} s, "
+          f"change median {episodes['change']:.5g} s "
+          f"({100.0 * (episodes['change'] - episodes['parent']) / episodes['parent']:+.1f}%)")
     for side, results in runs.items():
         failed = [r["failed"] for r in results]
         refs = sorted({r["reference"] for r in results})

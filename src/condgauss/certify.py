@@ -23,7 +23,13 @@ import numpy as np
 from .bounds import kl_inv, penalty
 from .data import LabelledDataset
 from .gaussian import kl_diag_gauss
-from .network import StochasticModel, check_fits, exact_misclassification, sample_full
+from .network import (
+    StochasticModel,
+    check_fits,
+    exact_misclassification,
+    row_magnitudes,
+    sample_full,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -101,17 +107,19 @@ def draw_errors(
 
     Draw n uses the child stream ("draw", n) and lands in slot n, so the
     array is independent of the worker count and of scheduling. The layer
-    sigmas are taken once for all draws.
+    sigmas and the inputs' row magnitudes, which the float32 screen reads,
+    are taken once for all draws.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     check_fits(model, dataset)
     errors = np.empty(n_draws)
     sigmas = model.sigmas()
+    sizes = row_magnitudes(dataset.inputs)
 
     def one(n: int) -> None:
         theta = sample_full(model, rng.child("draw", n), sigmas)
-        errors[n] = exact_misclassification(model, dataset.inputs, dataset.labels, theta)
+        errors[n] = exact_misclassification(model, dataset.inputs, dataset.labels, theta, sizes)
 
     workers = worker_count()
     if workers == 1:

@@ -26,6 +26,7 @@ from .network import (
     batch_error_estimate,
     exact_misclassification,
     forward_scores,
+    row_magnitudes,
     sample_full,
 )
 from .rng import RngStream
@@ -251,6 +252,7 @@ def screened_scoring_worst(seed: int = 0, draws: int = 50, m: int = 200) -> tupl
         x = rng.child("x").uniform(0.0, 1.0, (m, widths[0]))
         y = rng.child("y").generator().integers(1, widths[-1] + 1, m)
         x32 = x.astype(np.float32)
+        sizes = row_magnitudes(x)
         wide_x = x.astype(np.longdouble)
         sigmas = model.sigmas()
         for n in range(draws):
@@ -259,7 +261,7 @@ def screened_scoring_worst(seed: int = 0, draws: int = 50, m: int = 200) -> tupl
                 W, b = theta[-1]
                 W[1], b[1] = W[0], b[0]
             screen = ScoreScreen(theta, spec)
-            bound, _ = screen.tolerance(x32)
+            bound, _ = screen.tolerance(sizes)
             s64 = forward_scores(x, theta, spec)
             wide = [(W.astype(np.longdouble), b.astype(np.longdouble)) for W, b in theta]
             ref = forward_scores(wide_x, wide, spec)

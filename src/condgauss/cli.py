@@ -268,6 +268,20 @@ def parse_config(path) -> RunConfig:
     )
 
 
+def _check_synth(fields: dict) -> None:
+    """The range rules of a synth source's classes, dim and separation.
+    ``fields`` maps the name each is reported under to its value, in that
+    order: ``[data] classes`` in a config, ``--synth field q`` on the
+    command line."""
+    (classes_name, classes), (dim_name, dim), (sep_name, separation) = fields.items()
+    if classes < 2:
+        raise ConfigError(f"{classes_name} must be >= 2, got {classes}")
+    if dim < classes:
+        raise ConfigError(f"{dim_name} must be >= classes = {classes}, got {dim}")
+    if not 0.0 <= separation <= 1.0:
+        raise ConfigError(f"{sep_name} must lie in [0, 1], got {separation!r}")
+
+
 def _validate(values: dict) -> None:
     data, model, prior, _, certify, _ = values.values()
     for key in ("delta", "delta_prime"):
@@ -277,15 +291,10 @@ def _validate(values: dict) -> None:
     if total >= 1.0:
         raise ConfigError(f"[certify] delta + delta_prime must be < 1, got {total!r}")
     if data["source"] == "synth":
-        holdout, classes, dim = data["holdout_per_class"], data["classes"], data["dim"]
+        holdout = data["holdout_per_class"]
         if holdout < 0:
             raise ConfigError(f"[data] holdout_per_class must be >= 0, got {holdout}")
-        if classes < 2:
-            raise ConfigError(f"[data] classes must be >= 2, got {classes}")
-        if dim < classes:
-            raise ConfigError(f"[data] dim must be >= classes = {classes}, got {dim}")
-        if not 0.0 <= data["separation"] <= 1.0:
-            raise ConfigError(f"[data] separation must lie in [0, 1], got {data['separation']!r}")
+        _check_synth({f"[data] {key}": data[key] for key in ("classes", "dim", "separation")})
     fraction = data["prior_fraction"]
     if prior["method"] != "none" and fraction is None:
         raise ConfigError(
@@ -395,10 +404,12 @@ def _dataset_from_args(args) -> LabelledDataset:
         fields = args.synth.split(",")
         if len(fields) != len(_SYNTH_FIELDS):
             raise ConfigError(f"--synth takes {','.join(_SYNTH_FIELDS)}; got {args.synth!r}")
-        ds = synth_blobs(*(
-            _parse(kind, text, f"--synth field {name}")
+        synth = {
+            name: _parse(kind, text, f"--synth field {name}")
             for (name, kind), text in zip(_SYNTH_FIELDS.items(), fields)
-        ))
+        }
+        _check_synth({f"--synth field {key}": synth[key] for key in ("q", "dim", "separation")})
+        ds = synth_blobs(*synth.values())
     else:
         if not (args.images and args.labels):
             raise ConfigError("provide --synth or both --images and --labels")

@@ -40,6 +40,7 @@ __all__ = [
     "apply_dropout",
     "sample_full",
     "forward_scores",
+    "row_magnitudes",
     "ScoreScreen",
     "save_model",
     "load_model",
@@ -479,6 +480,20 @@ def forward_scores(x: np.ndarray, theta: list[tuple], spec: ModelSpec) -> np.nda
     return h.T
 
 
+def row_magnitudes(inputs: np.ndarray) -> np.ndarray:
+    """max_i |x_ji| of each row of the float64 ``inputs``, rounded to float32.
+
+    Rounding to float32 is monotone and odd, so this equals the same
+    reduction over the row's float32 copy without making that copy: a value
+    beyond float32's range gives inf and a NaN gives NaN. Only a zero's
+    sign can differ, which ``ScoreScreen.tolerance`` does not see. A caller
+    that screens one set many times takes it once.
+    """
+    x = np.asarray(inputs, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return np.maximum(x.max(axis=1), -x.min(axis=1)).astype(np.float32)
+
+
 class ScoreScreen:
     """One full draw cast to float32, with a proven bound on how far its
     scores lie from the float64 forward's.
@@ -533,24 +548,28 @@ class ScoreScreen:
             # below (P + F) + (Q + G) X; Q + G > 0 through the underflow term.
             reach = mag + err
             x_limit = np.minimum(x_limit, np.min((_SAFE - reach[:, 0]) / reach[:, 1]))
-        # X is read off the float32 copy: |x_i| <= (X + _TINY) / (1 - 2**-24).
+        # X is the float32 rounding of max_i |x_i| (``row_magnitudes``), so
+        # |x_i| <= (X + _TINY) / (1 - 2**-24).
         self.beta = bound[:, 3] * _INFLATE / (1.0 - 2.0**-24)
         self.alpha = bound[:, 2] * _INFLATE + self.beta * _TINY
         self.x_limit = float(x_limit)
         with np.errstate(over="ignore"):
             self.theta32 = [(W.astype(np.float32), b.astype(np.float32)) for W, b in theta]
 
-    def tolerance(self, x32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tolerance(self, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The bound E [n, q] on |float32 score - float64 score| of each row
-        of ``x32``, and whether the bound holds for the row. A row with a
-        NaN, an inf or a value beyond ``x_limit`` has no bound."""
-        size = np.maximum(x32.max(axis=1), -x32.min(axis=1))
+        whose ``row_magnitudes`` are ``size``, and whether the bound holds
+        for the row. A row with a NaN, an inf or a value beyond ``x_limit``
+        has no bound."""
         bound = np.multiply.outer(size, self.beta)
         bound += self.alpha
         return bound, size <= self.x_limit
 
-    def decide(self, x32: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Screen the float32 rows ``x32`` with 0-based labels ``y0``.
+    def decide(
+        self, x32: np.ndarray, y0: np.ndarray, size: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Screen the float32 rows ``x32`` with 0-based labels ``y0`` and
+        ``row_magnitudes`` ``size``.
 
         A row is correct when s_y - s_c > E_y + E_c for every c != y, and an
         error when s_c - s_y > E_y + E_c for some c: the float64 forward
@@ -562,7 +581,7 @@ class ScoreScreen:
         # such rows have no bound and fall back.
         with np.errstate(over="ignore", invalid="ignore"):
             gap = forward_scores(x32, self.theta32, self.spec).astype(np.float64)
-            bound, held = self.tolerance(x32)
+            bound, held = self.tolerance(size)
             at_y = (np.arange(len(y0)), y0)
             gap -= gap[at_y][:, None]
             bound += bound[at_y][:, None]
@@ -582,23 +601,30 @@ def screen_rows(spec: ModelSpec) -> int:
 
 
 def exact_misclassification(
-    model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple]
+    model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple], sizes=None
 ) -> float:
     """0-1 error rate under a full parameter draw; output ties count as errors.
 
     The count is the float64 forward's. Each block of ``screen_rows`` rows
     is cast into one float32 buffer and screened by a ``ScoreScreen`` of
-    the draw; the rows it cannot decide are gathered into the same buffer,
-    read as float64, and scored by the float64 forward. A call holds the
-    float32 draw, that buffer and one block's activation whatever the
-    number of inputs. The gathered rows can sum in another order inside
-    BLAS than one forward over all rows, moving their scores by a few ulps.
+    the draw with its slice of ``sizes``, the inputs' ``row_magnitudes``:
+    a caller scoring many draws of the same inputs takes them once, and
+    they are taken here when not given. The rows the screen cannot decide
+    are gathered into the same buffer, read as float64, and scored by the
+    float64 forward. A call holds the float32 draw, that buffer and one
+    block's activation whatever the number of inputs. The gathered rows can
+    sum in another order inside BLAS than one forward over all rows, moving
+    their scores by a few ulps.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y0 = np.asarray(labels, dtype=np.int64) - 1
     spec = model.spec
     if np.any(y0 < 0) or np.any(y0 >= spec.q):
         raise ValueError("labels outside 1..q")
+    if sizes is None:
+        sizes = row_magnitudes(x)
+    elif np.shape(sizes) != (len(x),):
+        raise ValueError(f"sizes must hold one value per input row, got {np.shape(sizes)}")
     screen = ScoreScreen(theta, spec)
     rows = screen_rows(spec)
     buffer = np.empty(rows * spec.p, dtype=np.float32)
@@ -609,7 +635,7 @@ def exact_misclassification(
         block = buffer[: xb.size].reshape(xb.shape)
         with np.errstate(over="ignore"):
             np.copyto(block, xb)
-        wrong, undecided = screen.decide(block, yb)
+        wrong, undecided = screen.decide(block, yb, sizes[lo : lo + rows])
         errors += np.count_nonzero(wrong)
         for start in range(0, len(undecided), len(wide)):
             pick = undecided[start : start + len(wide)]

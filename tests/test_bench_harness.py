@@ -1,7 +1,9 @@
 """The benchmark harness's self-test, run as part of the suite: a refactor
 that renames or rebinds an entry point the harness wraps fails here rather
-than in a benchmark run. Also the paired-run report's no-regression verdict."""
+than in a benchmark run. Also the paired-run report's no-regression verdict
+and how it reads a run's output."""
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +50,20 @@ def test_bench_selftest_passes():
 )
 def test_regression_verdict(parent, change, higher, verdict):
     assert load_bench_pairs().regression_verdict(parent, change, 0.25, higher) == verdict
+
+
+def test_parse_run_reads_episode_s():
+    stdout = "\n".join([
+        "workload certify  seed 1  trace 0",
+        "op_ms_p50 = 69.8 ms",
+        "  episodes = 5",
+        "  episode_s = 1.8512",
+        "checks: 4 passed, failed: none; reference: exact",
+        '{"correct": true, "attempted": 250, "failed": 0, "metrics": {}}',
+    ])
+    result = load_bench_pairs().parse_run(stdout)
+    assert result["episode_s"] == 1.8512
+    assert result["reference"] == "exact" and result["failed_checks"] == "none"
+    assert result["attempted"] == 250
+    without = stdout.replace("  episode_s = 1.8512\n", "")
+    assert math.isnan(load_bench_pairs().parse_run(without)["episode_s"])

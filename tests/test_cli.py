@@ -562,10 +562,18 @@ class TestEvalCommand:
         [("3,x,4,0.8,1", "--synth field per_class must be an integer >= 1, got 'x'"),
          ("3,0,4,0.8,1", "--synth field per_class must be an integer >= 1, got '0'"),
          ("3,10,4,far,1", "--synth field separation must be a finite number, got 'far'"),
-         ("3,10,4,0.8,-1", "--synth field seed must be an integer >= 0, got '-1'")],
-        ids=["per_class-text", "per_class-zero", "separation-text", "seed-negative"],
+         ("3,10,4,0.8,-1", "--synth field seed must be an integer >= 0, got '-1'"),
+         ("1,10,4,0.8,1", "--synth field q must be >= 2, got 1"),
+         ("3,10,2,0.8,1", "--synth field dim must be >= classes = 3, got 2"),
+         ("3,10,4,1.5,1", "--synth field separation must lie in [0, 1], got 1.5")],
+        ids=["per_class-text", "per_class-zero", "separation-text", "seed-negative",
+             "q-one", "dim-below-q", "separation-above-one"],
     )
-    def test_synth_field_value_rejected(self, tmp_path, capsys, synth, message):
+    def test_synth_field_value_rejected(self, tmp_path, capsys, monkeypatch, synth, message):
+        def no_blobs(*args):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr("condgauss.cli.synth_blobs", no_blobs)
         model = StochasticModel.initialize(ModelSpec((4, 4, 3)), 0.01, RngStream(1))
         save_model(model, tmp_path / "m.model")
         assert main(["eval", "--model", str(tmp_path / "m.model"), "--synth", synth]) == 1
@@ -634,8 +642,8 @@ class TestCheckCommand:
         # fail the screened-scoring check.
         true_tolerance = network.ScoreScreen.tolerance
 
-        def shrunk(self, x32):
-            bound, held = true_tolerance(self, x32)
+        def shrunk(self, sizes):
+            bound, held = true_tolerance(self, sizes)
             return bound * 1e-3, held
 
         monkeypatch.setattr(network.ScoreScreen, "tolerance", shrunk)

@@ -30,6 +30,7 @@ from condgauss.network import (
     forward_scores,
     load_model,
     make_leaves,
+    row_magnitudes,
     sample_full,
     save_model,
 )
@@ -464,6 +465,14 @@ def exact_scores(row, theta):
     return a
 
 
+def screened(theta, spec, x, labels):
+    """``ScoreScreen.decide`` of the float64 rows ``x`` with 1-based
+    ``labels``, fed as exact_misclassification feeds it."""
+    with np.errstate(over="ignore"):
+        x32 = x.astype(np.float32)
+    return ScoreScreen(theta, spec).decide(x32, labels - 1, row_magnitudes(x))
+
+
 class TestScoreScreen:
     """exact_misclassification counts in float32 every row whose outcome the
     proven bound E decides and rescores the rest in float64; its count must
@@ -476,7 +485,7 @@ class TestScoreScreen:
         model, theta, x = drawn_network(widths, 300, seed=sum(widths))
         screen = ScoreScreen(theta, model.spec)
         x32 = x.astype(np.float32)
-        bound, held = screen.tolerance(x32)
+        bound, held = screen.tolerance(row_magnitudes(x))
         assert held.all()
         ref = extended_scores(x, theta, model.spec)
         s32 = forward_scores(x32, screen.theta32, model.spec)
@@ -490,7 +499,7 @@ class TestScoreScreen:
         model, theta, x = drawn_network((3, 4, 4, 2), 20, seed=9)
         screen = ScoreScreen(theta, model.spec)
         x32 = x.astype(np.float32)
-        bound, held = screen.tolerance(x32)
+        bound, held = screen.tolerance(row_magnitudes(x))
         assert held.all()
         s32 = forward_scores(x32, screen.theta32, model.spec)
         s64 = forward_scores(x, theta, model.spec)
@@ -516,7 +525,7 @@ class TestScoreScreen:
         # scores are close: 89% of the rows were decided when written.
         model, theta, x = drawn_network((784, 200, 10), 2000, seed=12)
         labels = mixed_labels(forward_scores(x, theta, model.spec))
-        wrong, undecided = ScoreScreen(theta, model.spec).decide(x.astype(np.float32), labels - 1)
+        wrong, undecided = screened(theta, model.spec, x, labels)
         assert len(undecided) < 0.2 * len(x)
         assert np.count_nonzero(wrong) > 0.2 * len(x)
 
@@ -536,7 +545,7 @@ class TestScoreScreen:
         tied = top_pair(theta, x, model.spec)
         assert 100 < np.count_nonzero(tied) < 300
         labels = np.where(np.arange(400) % 2, 1, 2)
-        _, undecided = ScoreScreen(theta, model.spec).decide(x.astype(np.float32), labels - 1)
+        _, undecided = screened(theta, model.spec, x, labels)
         assert set(np.flatnonzero(tied)) <= set(undecided)
         assert_float64_count(model, x, labels, theta)
 
@@ -550,7 +559,7 @@ class TestScoreScreen:
         s64 = forward_scores(x, theta, model.spec)
         assert np.all(s64[near, 0] != s64[near, 1])
         labels = np.where(np.arange(400) % 2, 1, 2)
-        _, undecided = ScoreScreen(theta, model.spec).decide(x.astype(np.float32), labels - 1)
+        _, undecided = screened(theta, model.spec, x, labels)
         assert set(np.flatnonzero(near)) <= set(undecided)
         assert_float64_count(model, x, labels, theta)
 
@@ -561,9 +570,7 @@ class TestScoreScreen:
         x[3, 5] = np.inf
         x[4, 2] = -np.inf
         x[::11, 1] = 1e39  # finite in float64, inf in float32
-        with np.errstate(over="ignore"):
-            x32 = x.astype(np.float32)
-        _, undecided = ScoreScreen(theta, model.spec).decide(x32, labels - 1)
+        _, undecided = screened(theta, model.spec, x, labels)
         assert {0, 3, 4, 7, 11} <= set(undecided)
         with np.errstate(invalid="ignore"):  # the float64 forward meets inf - inf
             assert_float64_count(model, x, labels, theta)
@@ -574,7 +581,7 @@ class TestScoreScreen:
         theta[0][0][3, 4] = 1e39
         screen = ScoreScreen(theta, model.spec)
         assert screen.x_limit < 0
-        _, undecided = screen.decide(x.astype(np.float32), labels - 1)
+        _, undecided = screen.decide(x.astype(np.float32), labels - 1, row_magnitudes(x))
         assert len(undecided) == len(x)
         assert_float64_count(model, x, labels, theta)
 
@@ -593,6 +600,88 @@ class TestScoreScreen:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * h * network.SCORE_BLOCK * 8
+
+
+class TestRowMagnitudes:
+    """The screen's max_i |x_ji| is taken once per certificate from the
+    float64 rows; it must equal the reduction over the float32 copy that
+    each block used to take."""
+
+    @staticmethod
+    def awkward_rows(m=3000, width=7, seed=31):
+        # A third of the rows each draw from: values past float32's range
+        # (1e39, and the tie just above its largest value, which rounds to
+        # inf), its largest value, NaN and plain values; signed zeros,
+        # float64 subnormals and float32 subnormals and their ties; values
+        # halfway between float32 neighbours. Every value gets a random sign.
+        f32max = float(np.finfo(np.float32).max)
+        above = f32max + 2.0**103
+        f32 = np.float32(RngStream(seed).child("f").uniform(0.0, 4.0, 64))
+        halves = (f32.astype(np.float64) + np.nextafter(f32, np.float32(np.inf))) / 2.0
+        wide = [1e39, above, np.nextafter(above, 0.0), f32max, np.nan, 1.0, 0.5, 1e-3]
+        tiny = [0.0, 5e-324, 1e-310, 2.0**-1022, 2.0**-150, 3 * 2.0**-150, 2.0**-149, 1e-40]
+        gen = RngStream(seed).child("pick").generator()
+        x = np.empty((m, width))
+        for k, pool in enumerate((np.array(wide), np.array(tiny), halves)):
+            x[k::3] = pool[gen.integers(0, len(pool), x[k::3].shape)]
+        x *= np.where(gen.integers(0, 2, x.shape) == 1, -1.0, 1.0)
+        return x
+
+    def test_equals_float32_copy_reduction(self):
+        x = self.awkward_rows()
+        with np.errstate(over="ignore"):
+            x32 = x.astype(np.float32)
+        expect = np.maximum(x32.max(axis=1), -x32.min(axis=1))
+        got = row_magnitudes(x)
+        assert got.dtype == np.float32
+        nan = np.isnan(expect)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert 0 < nan.sum() < len(x) and np.isinf(expect).any()
+        # Bit for bit, but for the sign of a zero, which numpy's reductions
+        # pick by summation order; both signs give the same bound below.
+        np.testing.assert_array_equal(
+            (got[~nan] + np.float32(0.0)).view(np.uint32),
+            (expect[~nan] + np.float32(0.0)).view(np.uint32),
+        )
+        model, theta, _ = drawn_network((7, 5, 3), 1, seed=32)
+        screen = ScoreScreen(theta, model.spec)
+        bound, held = screen.tolerance(got)
+        expect_bound, expect_held = screen.tolerance(expect)
+        np.testing.assert_array_equal(held, expect_held)
+        np.testing.assert_array_equal(bound, expect_bound)
+
+    def test_draw_errors_match_per_draw_calls(self, monkeypatch):
+        # Three screen blocks of 784-wide rows of magnitudes 0.01 to 100,
+        # some beyond float32's range: taking the magnitudes once changes no
+        # draw's count, and every block is screened with its own rows'.
+        model, _, x = drawn_network((784, 16, 4), 1500, seed=33)
+        x *= 10.0 ** RngStream(33).child("s").uniform(-2.0, 2.0, (len(x), 1))
+        x[::97, 5] = 1e39
+        labels = RngStream(33).child("y").generator().integers(1, 5, len(x))
+        ds = LabelledDataset(inputs=x, labels=labels, q=4)
+        rng = RngStream(34)
+        expect = [
+            exact_misclassification(model, x, labels, sample_full(model, rng.child("draw", n)))
+            for n in range(12)
+        ]
+        true_decide = ScoreScreen.decide
+        blocks = []
+
+        def checked(self, x32, y0, size):
+            np.testing.assert_array_equal(size, np.maximum(x32.max(axis=1), -x32.min(axis=1)))
+            blocks.append(len(y0))
+            return true_decide(self, x32, y0, size)
+
+        monkeypatch.setattr(ScoreScreen, "decide", checked)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CONDGAUSS_THREADS", workers)
+            np.testing.assert_array_equal(draw_errors(model, ds, 12, rng), expect)
+        assert len(blocks) == 2 * 12 * 3
+
+    def test_wrong_length_rejected(self):
+        model, theta, x = drawn_network((6, 5, 3), 10, seed=35)
+        with pytest.raises(ValueError, match="one value per input row"):
+            exact_misclassification(model, x, np.ones(10, int), theta, row_magnitudes(x[:9]))
 
 
 class TestDropout:
