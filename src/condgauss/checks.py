@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from . import gaussian, grad
+from . import gaussian
 from .bounds import BoundKind, BoundSpec, kl_bernoulli, kl_inv, kl_inv_grad
 from .data import LabelledDataset
 from .network import (
@@ -40,6 +40,7 @@ __all__ = [
     "kl_roundtrip_worst",
     "kl_inv_grad_worst",
     "estimator_bias_sigmas",
+    "fd_check",
     "toy_objective_fd_error",
     "screened_scoring_worst",
     "LinearizationReport",
@@ -148,6 +149,35 @@ def estimator_bias_sigmas(seed: int = 0, q: int = 3, draws: int = 200_000) -> fl
     return worst
 
 
+def fd_check(fn, point, step: float = 1e-5, coords=None) -> float:
+    """Worst relative disagreement between analytic and central-difference
+    gradients of a deterministic scalar function.
+
+    ``fn`` maps a list of arrays to (value, grads) with grads aligned to the
+    input list; it must be deterministic (freeze all noise outside). ``coords``
+    optionally restricts the comparison to (array_index, flat_index) pairs,
+    otherwise every coordinate is checked.
+    """
+    point = [np.asarray(p, dtype=np.float64).copy() for p in point]
+    _, grads = fn(point)
+    if coords is None:
+        coords = [(k, i) for k, p in enumerate(point) for i in range(p.size)]
+    worst = 0.0
+    for k, i in coords:
+        flat = point[k].reshape(-1)
+        keep = flat[i]
+        flat[i] = keep + step
+        up, _ = fn(point)
+        flat[i] = keep - step
+        down, _ = fn(point)
+        flat[i] = keep
+        fd = (up - down) / (2.0 * step)
+        an = float(np.asarray(grads[k]).reshape(-1)[i])
+        denom = max(abs(fd), abs(an), 1e-10)
+        worst = max(worst, abs(fd - an) / denom)
+    return worst
+
+
 def _toy_model(seed: int, widths=(6, 5, 3)) -> tuple[StochasticModel, np.ndarray, np.ndarray]:
     """Toy net at a generic operating point.
 
@@ -176,11 +206,8 @@ def _toy_model(seed: int, widths=(6, 5, 3)) -> tuple[StochasticModel, np.ndarray
     # a comfortably interior band: near 0 (all-teacher) or near chance
     # (random labels) the invKL objective curves too hard for a fixed-step
     # finite-difference comparison to be meaningful.
-    a = x
-    for k, g in enumerate(model.groups):
-        pre = a @ g.w_mean.T + g.b_mean
-        a = np.maximum(pre, 0.0) if k < len(model.groups) - 1 else pre
-    order = np.argsort(a, axis=1)
+    scores = forward_scores(x, [(g.w_mean, g.b_mean) for g in model.groups], model.spec)
+    order = np.argsort(scores, axis=1)
     y = order[:, -1] + 1
     y[::4] = order[::4, -2] + 1
     return model, x, y
@@ -229,7 +256,7 @@ def toy_objective_fd_error(
             k += 1
         coords.append((k, p))
     try:
-        return grad.fd_check(fn, state0, step=step, coords=coords)
+        return fd_check(fn, state0, step=step, coords=coords)
     finally:
         model.set_state(state0)
 

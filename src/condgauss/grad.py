@@ -6,10 +6,10 @@ accumulating cotangents. Trainable leaves are the mean and raw-deviation
 arrays of the model's parameter groups; everything else (inputs, noise
 draws, masks) enters as plain numpy constants with no gradient.
 
-There is no general op set: every node of a training step is a
-``closed_form`` node, whose partial derivatives are computed together with
-its value: the batch error estimate (or the surrogate loss), the KL term
-and the bound objective.
+There is no general op set: ``trainer.batch_gradients`` builds the only
+tape, and every node on it is a ``closed_form`` node over partials computed
+together with its value: the batch error estimate (or the surrogate loss)
+and the KL term, as their functions return them, and the bound objective.
 Accumulation stays in float64 and intermediates are saved rather than
 recomputed. Tensors hold their tape weakly, so a training step's tape and
 every array on it are freed by reference counting when the step drops its
@@ -21,7 +21,7 @@ import weakref
 
 import numpy as np
 
-__all__ = ["Tape", "Tensor", "closed_form", "fd_check"]
+__all__ = ["Tape", "Tensor", "closed_form"]
 
 
 class Tensor:
@@ -108,32 +108,3 @@ def closed_form(value, parents, partials, in_place: bool = False) -> Tensor:
             return tuple(g * p for p in partials)
 
     return Tensor(parents[0].tape, value, tuple(parents), vjp)
-
-
-def fd_check(fn, point, step: float = 1e-5, coords=None) -> float:
-    """Worst relative disagreement between analytic and central-difference
-    gradients of a deterministic scalar function.
-
-    ``fn`` maps a list of arrays to (value, grads) with grads aligned to the
-    input list; it must be deterministic (freeze all noise outside). ``coords``
-    optionally restricts the comparison to (array_index, flat_index) pairs,
-    otherwise every coordinate is checked.
-    """
-    point = [np.asarray(p, dtype=np.float64).copy() for p in point]
-    _, grads = fn(point)
-    if coords is None:
-        coords = [(k, i) for k, p in enumerate(point) for i in range(p.size)]
-    worst = 0.0
-    for k, i in coords:
-        flat = point[k].reshape(-1)
-        keep = flat[i]
-        flat[i] = keep + step
-        up, _ = fn(point)
-        flat[i] = keep - step
-        down, _ = fn(point)
-        flat[i] = keep
-        fd = (up - down) / (2.0 * step)
-        an = float(np.asarray(grads[k]).reshape(-1)[i])
-        denom = max(abs(fd), abs(an), 1e-10)
-        worst = max(worst, abs(fd - an) / denom)
-    return worst

@@ -4,11 +4,11 @@ Hidden-layer parameters are sampled pathwise; the last linear layer is never
 sampled during conditional training. Given the sampled hidden activations,
 the output is exactly Gaussian with moments (M, V) computed in closed form,
 and the misclassification probability is estimated by averaging the L1
-estimator over repeated output draws. The batch estimate is one node on a
-gradient tape, with its partials in every mean and raw deviation: through
-the sampled hidden parameters and through the explicit (M, V) dependence on
-the last layer's hyper-parameters. It is built TRAIN_BLOCK rows at a time,
-each block's backward run right after its forward.
+estimator over repeated output draws. The batch estimate comes with its
+partials in every mean and raw deviation: through the sampled hidden
+parameters and through the explicit (M, V) dependence on the last layer's
+hyper-parameters. It is built TRAIN_BLOCK rows at a time, each block's
+backward run right after its forward.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grad
 from .gaussian import (
     TRAINABLE,
     VARIANCE_FLOOR,
@@ -233,24 +232,19 @@ def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
 
 
 class ParamLeaves:
-    """One layer on a step's tape: its TRAINABLE arrays as the tape
-    ``leaves``, and the arrays a GaussianParamGroup reads under the same
-    names, so the estimate and the KL read a layer one way on and off the
-    tape. A leaf's value is the group's own array; sigma = |rho|^(3/2) and
-    d sigma / d rho of both raw deviations are computed once per tape."""
+    """One layer as a training step reads it: the arrays a
+    GaussianParamGroup reads under the same names, so the estimate and the
+    KL read a layer one way with and without partials, plus d sigma / d rho
+    of both raw deviations, computed once per step. sigma = |rho|^(3/2)."""
 
-    def __init__(self, tape: grad.Tape, group: GaussianParamGroup):
-        self.leaves = [tape.leaf(getattr(group, name)) for name in TRAINABLE]
+    def __init__(self, group: GaussianParamGroup):
         self.w_mean, self.b_mean = group.w_mean, group.b_mean
         self.w_sigma, self.b_sigma = group.w_sigma, group.b_sigma
         self.w_dsigma, self.b_dsigma = dsigma_of_rho(group.w_rho), dsigma_of_rho(group.b_rho)
 
-    def grads(self) -> list[np.ndarray]:
-        return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in self.leaves]
 
-
-def make_leaves(tape: grad.Tape, model: StochasticModel) -> list[ParamLeaves]:
-    return [ParamLeaves(tape, g) for g in model.groups]
+def make_leaves(model: StochasticModel) -> list[ParamLeaves]:
+    return [ParamLeaves(g) for g in model.groups]
 
 
 def draw_partials(lv: ParamLeaves, draw, gW, gb) -> list[np.ndarray]:
@@ -294,8 +288,8 @@ def hidden_forward_on_tape(x, draws, keeps=None, scale=1.0) -> list[np.ndarray]:
 
 
 def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0):
-    """A batch estimate as one closed-form node over every parameter leaf,
-    built TRAIN_BLOCK rows at a time.
+    """A batch estimate and its partials in every layer's (w_mean, w_rho,
+    b_mean, b_rho), built TRAIN_BLOCK rows at a time.
 
     Each hidden layer is drawn once under ``rng``'s ("theta", k). Each row
     block draws its rows' dropout uniforms of layer k from the one generator
@@ -305,11 +299,11 @@ def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0):
     hidden output under a unit cotangent of the estimate, an array the loop
     overwrites) and at once the backward through the hidden layers into
     per-layer weight and bias sums. The estimate is the sum of the block
-    sums over ``head.n``, and the node's partials are the finished sums with
-    the head's own ``head.partials()`` for the output layer, which the
-    backward pass scales by the cotangent in place; the node lands on the
-    leaves' tape. Given the model's groups in place of ``leaves``, no
-    backward runs and the estimate is returned as a float.
+    sums over ``head.n``, and the partials are the finished sums with the
+    head's own ``head.partials()`` for the output layer, fresh float64
+    arrays the caller may scale in place. Returns (estimate, partials) from
+    the layers' ``ParamLeaves``. Given the model's groups in place of
+    ``leaves``, no backward runs and the estimate alone is returned.
     """
     n_hidden = spec.n_layers - 1
     need_grad = isinstance(leaves[-1], ParamLeaves)
@@ -343,15 +337,13 @@ def estimate_node(leaves, x, rng, spec, head, dropout_prob=0.0):
             sums[k] = accumulate(sums[k], (g.T @ acts[k], g.sum(axis=0)))
             if k:
                 g = g @ draws[k][0]
-    total /= head.n
+    total = float(total / head.n)
     if not need_grad:
-        return float(total)
+        return total
     partials = []
     for lv, draw, (gW, gb) in zip(leaves, draws, sums):
         partials += draw_partials(lv, draw, gW, gb)
-    partials += head.partials()
-    parents = [p for lv in leaves for p in lv.leaves]
-    return grad.closed_form(total, parents, partials, in_place=True)
+    return total, partials + head.partials()
 
 
 class _ConditionalL1Head:
@@ -414,17 +406,16 @@ def batch_error_estimate(
     repeats: int = 100,
     leaves: list[ParamLeaves] | None = None,
     dropout_prob: float = 0.0,
-) -> grad.Tensor | float:
-    """Conditional Monte-Carlo estimate of the batch misclassification rate,
-    as the tape node of its value.
+) -> tuple[float, list[np.ndarray]] | float:
+    """Conditional Monte-Carlo estimate of the batch misclassification rate.
 
     Samples one set of hidden parameters for the whole batch, computes the
     conditional output moments, then averages the L1 estimator over
-    ``repeats`` independent output draws per input. The estimate is one
-    ``estimate_node`` over every mean and raw-deviation leaf of ``leaves``,
-    on their tape, so backward() yields pathwise gradients for all of them.
-    Without ``leaves`` the value alone is computed, from the model's groups
-    with no tape, and returned as a float.
+    ``repeats`` independent output draws per input. With ``leaves`` it
+    returns ``estimate_node``'s (estimate, partials): the pathwise partials
+    in every mean and raw deviation, in ``get_state()`` order. Without
+    ``leaves`` the value alone is computed, from the model's groups, and
+    returned as a float.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")

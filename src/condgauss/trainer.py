@@ -4,9 +4,9 @@ variant, prior training, and the surrogate cross-entropy baseline, all run by
 
 All phases share one engine: per batch, ``batch_gradients`` samples the
 stochastic parameters (hidden layers only for the conditional method, every
-layer for the baseline), builds the error estimate and the penalized
-objective on a fresh tape and runs backward, and ``train_condgauss`` takes
-an SGD-with-momentum step
+layer for the baseline), takes the error estimate and the KL with their
+partials, chains them through the penalized objective on a fresh tape, and
+``train_condgauss`` takes an SGD-with-momentum step
     v <- mu v + g,   p <- p - eta v.
 The penalty always uses the size m of the dataset being trained on (the
 bound dataset), never the batch size, and is recomputed each batch from the
@@ -43,10 +43,8 @@ __all__ = [
     "LogRow",
     "TrainingDiverged",
     "batch_gradients",
-    "kl_node",
     "lambda_batch",
     "momentum_step",
-    "penalized_objective",
     "train_condgauss",
 ]
 
@@ -152,36 +150,6 @@ def momentum_step(param, grad_value, velocity, lr: float, mu: float):
     return param - lr * velocity, velocity
 
 
-def kl_node(leaves, prior):
-    """KL(Q||P) of the whole model (``kl_sum``) as one closed-form node over
-    every mean and raw-deviation leaf, from the layers' ``ParamLeaves`` and
-    the ``prior_terms`` of the model's groups: each sigma partial is scaled
-    by d sigma / d rho in place."""
-    total, pairs = kl_sum([(lv.w_mean, lv.w_sigma, lv.b_mean, lv.b_sigma) for lv in leaves], prior)
-    dsigmas = [d for lv in leaves for d in (lv.w_dsigma, lv.b_dsigma)]
-    partials = []
-    for (dmean, dsig), dsigma in zip(pairs, dsigmas):
-        dsig *= dsigma
-        partials += [dmean, dsig]
-    return grad.closed_form(total, [p for lv in leaves for p in lv.leaves], partials, in_place=True)
-
-
-def penalized_objective(est_node, leaves, prior, spec: BoundSpec, m: int, lam=None):
-    """The bound objective of a batch estimate on the tape.
-
-    The penalty is (kappa/m)(KL(Q||P) + log(2 sqrt(m)/delta)) with m the size
-    of the dataset being trained on and ``prior`` the model's
-    ``prior_terms``. The objective is one closed-form node over the estimate
-    and the KL node, the penalty's scale folded into its partials; lbd's
-    ``lam`` stays off the tape. Returns (objective, penalty).
-    """
-    kl = kl_node(leaves, prior)
-    # Rounding can leave the summed KL a hair below 0; kl_diag_gauss clamps too.
-    pen = penalty(max(float(kl.value), 0.0), m, spec.delta, spec.kappa)
-    value, (d_est, d_pen, _) = objective_partials(spec.kind, float(est_node.value), pen, lam)
-    return grad.closed_form(value, [est_node, kl], [d_est, d_pen * (spec.kappa / m)]), pen
-
-
 def _bounded_cross_entropy(F, y0, batch: int):
     """The surrogate loss of sampled scores ``F`` [rows, q] against 0-based
     labels ``y0``, summed over the rows: min(1, -log(max(p_y, p_min)) /
@@ -231,7 +199,8 @@ class _SurrogateHead:
 
 def _batch_estimate(model, config: TrainConfig, x, y, rng, leaves=None):
     """``batch_error_estimate``, or for the baseline ``estimate_node`` under a
-    ``_SurrogateHead``: a tape node over ``leaves``, or without them a float."""
+    ``_SurrogateHead``: (estimate, partials) from ``leaves``, or without
+    them the estimate alone."""
     if config.phase != "baseline":
         return batch_error_estimate(model, x, y, rng, config.repeats, leaves, config.dropout_prob)
     # Every layer is sampled pathwise once: the hidden ones by estimate_node,
@@ -250,28 +219,47 @@ def _guarded(objective) -> float:
 
 
 def batch_gradients(model, config: TrainConfig, m: int, prior, x, y, rng, lam=None):
-    """One batch's objective and its gradients, on a fresh tape: the estimate
-    (``_batch_estimate``), the penalized objective (the bare estimate under
-    ERM), the divergence guard, and backward. ``m`` is the size of the
-    dataset trained on, ``prior`` the model's ``prior_terms`` and ``lam``
-    lbd's lambda (None for the other objectives).
+    """One batch's objective and its gradients: the estimate and its
+    partials (``_batch_estimate``), the penalized objective (the bare
+    estimate under ERM), the divergence guard, and backward. ``m`` is the
+    size of the dataset trained on, ``prior`` the model's ``prior_terms``
+    and ``lam`` lbd's lambda (None for the other objectives).
+
+    The penalty is (kappa/m)(KL(Q||P) + log(2 sqrt(m)/delta)), from the
+    current KL (``kl_sum``, each sigma partial scaled by d sigma / d rho in
+    place). On the tape, the estimate and KL nodes sit over one leaf per
+    ``get_state()`` array and the objective node over those two, so the
+    gradient is d_est * (estimate partials) + (d_pen kappa/m) * (KL
+    partials); lbd's ``lam`` stays off the tape.
 
     Returns (objective, estimate, penalty, gradients) as plain numbers and
     arrays, the gradients in ``get_state()`` order, so the step's graph is
     freed on return. A diverged objective raises before backward.
     """
     spec = config.objective
+    leaves = make_leaves(model)
     tape = grad.Tape()
-    leaves = make_leaves(tape, model)
-    est = _batch_estimate(model, config, x, y, rng, leaves)
-    if spec is None:
-        obj, pen = est, 0.0
-    else:
-        obj, pen = penalized_objective(est, leaves, prior, spec, m, lam)
+    params = [tape.leaf(getattr(g, name)) for g in model.groups for name in TRAINABLE]
+    est_value, est_partials = _batch_estimate(model, config, x, y, rng, leaves)
+    obj = est = grad.closed_form(est_value, params, est_partials, in_place=True)
+    pen = 0.0
+    if spec is not None:
+        kl_value, pairs = kl_sum(
+            [(lv.w_mean, lv.w_sigma, lv.b_mean, lv.b_sigma) for lv in leaves], prior
+        )
+        dsigmas = [d for lv in leaves for d in (lv.w_dsigma, lv.b_dsigma)]
+        kl_partials = []
+        for (dmean, dsig), dsigma in zip(pairs, dsigmas):
+            dsig *= dsigma
+            kl_partials += [dmean, dsig]
+        kl = grad.closed_form(kl_value, params, kl_partials, in_place=True)
+        # Rounding can leave the summed KL a hair below 0; kl_diag_gauss clamps too.
+        pen = penalty(max(kl_value, 0.0), m, spec.delta, spec.kappa)
+        value, (d_est, d_pen, _) = objective_partials(spec.kind, est_value, pen, lam)
+        obj = grad.closed_form(value, [est, kl], [d_est, d_pen * (spec.kappa / m)])
     obj_value = _guarded(obj.value)
     tape.backward(obj)
-    grads = [g for lv in leaves for g in lv.grads()]
-    return obj_value, float(est.value), pen, grads
+    return obj_value, est_value, pen, [p.grad for p in params]
 
 
 def lambda_batch(model, config: TrainConfig, pen: float, x, y, rng, lam: float):

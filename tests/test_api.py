@@ -36,10 +36,20 @@ def test_package_reexports_resolve():
 
 def test_only_the_batch_function_builds_a_tape():
     """A training step's tape is built in one place, ``trainer.batch_gradients``:
-    no other function of the package constructs a ``grad.Tape``."""
-    builders = []
+    no other function of the package constructs a ``grad.Tape``, and no
+    other module imports ``grad``."""
+    builders, importers = [], []
     for path in sorted(Path(condgauss.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                paths = [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                paths = [a.name for a in node.names]
+            else:
+                continue
+            if any("grad" in p.split(".") for p in paths):
+                importers.append(path.stem)
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -49,3 +59,4 @@ def test_only_the_batch_function_builds_a_tape():
                 if name == "Tape":
                     builders.append(f"{path.stem}.{func.name}")
     assert builders == ["trainer.batch_gradients"]
+    assert importers == ["trainer"]

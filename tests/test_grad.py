@@ -1,9 +1,11 @@
-"""Reverse-mode engine: the chain rule through test-local reference ops,
-determinism, tape lifetime, the finite-difference harness, the closed-form
-KL node and the block-built estimate node (its hidden layers, conditional
-head and surrogate head) against the chained-primitive subgraphs they
-replaced, the block sums against one block, and the averaged-gradient
-(affine objective) check against an independent numpy re-implementation."""
+"""Gradients: the reverse-mode engine's chain rule through test-local
+reference ops, determinism, tape lifetime, the finite-difference harness,
+a step's gradient as the two-term chain rule of the estimate's and the
+KL's partials, those partials (the KL's, and the block-built estimate's
+through its hidden layers, conditional head and surrogate head) against
+chained-primitive subgraphs, the block sums against one block, and the
+averaged-gradient (affine objective) check against an independent numpy
+re-implementation."""
 import gc
 import math
 import weakref
@@ -12,12 +14,14 @@ import numpy as np
 import pytest
 
 from condgauss import checks, grad, network
-from condgauss.bounds import BoundKind, BoundSpec
-from condgauss.checks import _toy_model, linearization_report, toy_objective_fd_error
+from condgauss.bounds import BoundKind, BoundSpec, objective_partials, penalty
+from condgauss.checks import _toy_model, fd_check, linearization_report, toy_objective_fd_error
 from condgauss.data import synth_blobs
 from condgauss.gaussian import (
+    TRAINABLE,
     VARIANCE_FLOOR,
     dsigma_of_rho,
+    kl_sum,
     l1_dense,
     l1_draws,
     prior_terms,
@@ -39,10 +43,10 @@ from condgauss.rng import RngStream
 from condgauss.trainer import (
     SURROGATE_PMIN,
     TrainConfig,
+    _batch_estimate,
     _bounded_cross_entropy,
     _SurrogateHead,
     batch_gradients,
-    kl_node,
     train_condgauss,
 )
 
@@ -202,8 +206,9 @@ def _linear(x, W, b):
 
 
 def _sample_layer(lv, rng):
-    """Pathwise draw (W, b) = mean + sigma(rho) * zeta as a chain of nodes."""
-    w_mean, w_rho, b_mean, b_rho = lv.leaves
+    """Pathwise draw (W, b) = mean + sigma(rho) * zeta as a chain of nodes
+    from the layer's leaves (w_mean, w_rho, b_mean, b_rho)."""
+    w_mean, w_rho, b_mean, b_rho = lv
     zw = rng.child("w").normal(w_mean.shape)
     zb = rng.child("b").normal(b_mean.shape)
     W = _add(w_mean, _mul(_sigma_rho(w_rho), zw))
@@ -224,7 +229,7 @@ def _chained_hidden(leaves, x, rng, spec, dropout_prob):
 
 def _chained_moments(phi_h, last):
     """Conditional moments (M, floored V) as a chain of nodes."""
-    w_mean, w_rho, b_mean, b_rho = last.leaves
+    w_mean, w_rho, b_mean, b_rho = last
     M = _linear(phi_h, w_mean, b_mean)
     V = _linear(_square(phi_h), _square(_sigma_rho(w_rho)), _square(_sigma_rho(b_rho)))
     return M, _maximum_const(V, VARIANCE_FLOOR)
@@ -233,8 +238,7 @@ def _chained_moments(phi_h, last):
 def _chained_kl(leaves, groups):
     """KL(Q||P) of the whole model as a chain of elementwise and sum nodes."""
     total = None
-    for lv, g in zip(leaves, groups):
-        w_mean, w_rho, b_mean, b_rho = lv.leaves
+    for (w_mean, w_rho, b_mean, b_rho), g in zip(leaves, groups):
         for mean_leaf, rho_leaf, pmean, psigma in (
             (w_mean, w_rho, g.prior_w_mean, g.prior_w_sigma),
             (b_mean, b_rho, g.prior_b_mean, g.prior_b_sigma),
@@ -303,7 +307,8 @@ class _ReadoutHead:
         return np.sum(phi * self.readout[rows]), self.readout[rows].copy()
 
     def partials(self):
-        return [np.zeros_like(t.value) for t in self.last.leaves]
+        last = self.last
+        return [np.zeros_like(a) for a in (last.w_mean, last.w_sigma, last.b_mean, last.b_sigma)]
 
 
 def _surrogate_node(F, y0):
@@ -313,13 +318,23 @@ def _surrogate_node(F, y0):
     return grad.closed_form(loss / F.shape[0], (F,), (dF,))
 
 
-def _estimate(head, model, x, y, rng, leaves, dropout_prob):
-    """The estimate node under the conditional L1 head (repeats 5) or the
-    baseline's surrogate head."""
+def _estimate(head, model, x, y, rng, dropout_prob):
+    """The estimate and its partials under the conditional L1 head (repeats
+    5) or the baseline's surrogate head."""
+    leaves = make_leaves(model)
     if head == "l1":
         return batch_error_estimate(model, x, y, rng, 5, leaves, dropout_prob)
     last = _SurrogateHead(leaves[-1], y - 1, rng.child("theta", model.spec.n_layers - 1))
     return estimate_node(leaves, x, rng, model.spec, last, dropout_prob)
+
+
+def _kl_partials(model, prior):
+    """KL(Q||P) from ``kl_sum`` and its partials in ``get_state()`` order,
+    each sigma partial chained through d sigma / d rho."""
+    leaves = make_leaves(model)
+    kl, pairs = kl_sum([(lv.w_mean, lv.w_sigma, lv.b_mean, lv.b_sigma) for lv in leaves], prior)
+    dsigmas = [d for lv in leaves for d in (lv.w_dsigma, lv.b_dsigma)]
+    return kl, [p for (dmean, dsig), dsigma in zip(pairs, dsigmas) for p in (dmean, dsig * dsigma)]
 
 
 class TestTapeBasics:
@@ -392,7 +407,7 @@ class TestFdCheck:
             (p,) = point
             return float(np.sum(p * p) + 2.0 * p[0]), [2.0 * p + np.array([2.0, 0.0, 0.0])]
 
-        err = grad.fd_check(fn, [np.array([0.3, -1.2, 2.0])], step=1e-5)
+        err = fd_check(fn, [np.array([0.3, -1.2, 2.0])], step=1e-5)
         assert err < 1e-10
 
     def test_detects_wrong_gradient(self):
@@ -400,7 +415,7 @@ class TestFdCheck:
             (p,) = point
             return float(np.sum(p * p)), [3.0 * p]  # deliberately wrong
 
-        assert grad.fd_check(fn, [np.array([1.0, 2.0])], step=1e-5) > 0.2
+        assert fd_check(fn, [np.array([1.0, 2.0])], step=1e-5) > 0.2
 
     @pytest.mark.parametrize("kind", list(BoundKind))
     def test_toy_objective_gradients(self, monkeypatch, kind):
@@ -425,19 +440,63 @@ class TestDeterminism:
         x = gen.uniform(0, 1, (6, 5))
         y = gen.integers(1, 4, 6)
 
+        config = TrainConfig(BoundSpec(BoundKind.MCALL), lr_schedule=(), repeats=4)
+        prior = prior_terms(model.groups)
+
         def run():
-            tape = grad.Tape()
-            leaves = make_leaves(tape, model)
-            est = batch_error_estimate(model, x, y, RngStream(9).child("n"), 4, leaves)
-            obj = _add(est, _mul(kl_node(leaves, prior_terms(model.groups)), 1e-3))
-            tape.backward(obj)
-            return float(obj.value), [g.copy() for lv in leaves for g in lv.grads()]
+            obj, _, _, grads = batch_gradients(model, config, 1000, prior, x, y, RngStream(9))
+            return obj, grads
 
         v1, g1 = run()
         v2, g2 = run()
         assert v1 == v2
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "phase, kind, dropout",
+    [
+        ("posterior", BoundKind.INVKL, 0.0),
+        ("posterior", BoundKind.MCALL, 0.0),
+        ("posterior", BoundKind.QUAD, 0.0),
+        ("posterior", BoundKind.LBD, 0.0),
+        ("prior", None, 0.3),
+        ("baseline", BoundKind.INVKL, 0.0),
+    ],
+    ids=["invkl", "mcall", "quad", "lbd", "erm-prior-dropout", "surrogate"],
+)
+def test_step_gradient_is_two_term_chain_rule(phase, kind, dropout):
+    """A step's gradients are exactly d_est * (estimate partials) +
+    (d_pen * (kappa / m)) * (KL partials), from the estimate's (value,
+    partials) under the same stream, ``kl_sum``'s partials chained through
+    d sigma / d rho, and ``objective_partials`` at the clamped penalty; under
+    ERM they are the estimate partials alone."""
+    model, x, y = _toy_model(40, (10, 16, 8, 3))
+    lam = 0.3 if kind == BoundKind.LBD else None
+    spec = None if kind is None else BoundSpec(kind, kappa=2.5, lam=0.5 if lam else None)
+    config = TrainConfig(spec, lr_schedule=(), repeats=3, phase=phase, dropout_prob=dropout)
+    m = 4000
+    prior = prior_terms(model.groups)
+    rng = RngStream(42).child("batch")
+    obj, est, pen, grads = batch_gradients(model, config, m, prior, x, y, rng, lam)
+
+    value, partials = _batch_estimate(model, config, x, y, rng, make_leaves(model))
+    assert est == value
+    if spec is None:
+        assert (obj, pen) == (est, 0.0)
+        expected = partials
+    else:
+        kl, kl_partials = _kl_partials(model, prior)
+        assert pen == penalty(max(kl, 0.0), m, spec.delta, spec.kappa)
+        obj_value, (d_est, d_pen, _) = objective_partials(kind, est, pen, lam)
+        assert obj == obj_value
+        scale = d_pen * (spec.kappa / m)
+        expected = [d_est * e + scale * k for e, k in zip(partials, kl_partials)]
+    assert [g.shape for g in grads] == [a.shape for a in model.get_state()]
+    assert len(expected) == len(grads)
+    for g, e in zip(grads, expected):
+        assert np.array_equal(g, e)
 
 
 def _perturbed_model(widths, seed):
@@ -454,19 +513,22 @@ def _perturbed_model(widths, seed):
     return model
 
 
-def _assert_leaf_grads_match(leaves, ref_leaves):
-    for lv, ref in zip(leaves, ref_leaves):
-        for a, b in zip(ref.grads(), lv.grads()):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+def _assert_grads_match(grads, ref_grads):
+    assert len(grads) == len(ref_grads)
+    for a, b in zip(ref_grads, grads):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
-def _backward_leaves(model, build):
-    """Leaves of a fresh tape after backward through build(leaves)."""
+def _chained_grads(model, build):
+    """The value of build(leaves) on a fresh tape, ``leaves`` each layer's
+    (w_mean, w_rho, b_mean, b_rho) leaves, and its gradients after backward
+    in ``get_state()`` order."""
     tape = grad.Tape()
-    leaves = make_leaves(tape, model)
+    leaves = [[tape.leaf(getattr(g, name)) for name in TRAINABLE] for g in model.groups]
     out = build(leaves)
     tape.backward(out)
-    return float(out.value), leaves
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for lv in leaves for p in lv]
+    return float(out.value), grads
 
 
 _FUSED_SHAPES = pytest.mark.parametrize(
@@ -482,14 +544,10 @@ def _check_fused_estimate(widths, dropout, reference):
     x = gen.uniform(0, 1, (32, widths[0]))
     y = gen.integers(1, widths[-1] + 1, 32)
     rng = RngStream(14)
-    ref, ref_leaves = _backward_leaves(
-        model, lambda lv: reference(model, x, y, rng, 5, lv, dropout)
-    )
-    got, leaves = _backward_leaves(
-        model, lambda lv: batch_error_estimate(model, x, y, rng, 5, lv, dropout)
-    )
+    ref, ref_grads = _chained_grads(model, lambda lv: reference(model, x, y, rng, 5, lv, dropout))
+    got, grads = _estimate("l1", model, x, y, rng, dropout)
     assert got == ref
-    _assert_leaf_grads_match(leaves, ref_leaves)
+    _assert_grads_match(grads, ref_grads)
 
 
 class TestClosedFormNodes:
@@ -498,10 +556,10 @@ class TestClosedFormNodes:
     )
     def test_kl_node_matches_chained_kl(self, widths):
         model = _perturbed_model(widths, 11)
-        ref, ref_leaves = _backward_leaves(model, lambda lv: _chained_kl(lv, model.groups))
-        new, leaves = _backward_leaves(model, lambda lv: kl_node(lv, prior_terms(model.groups)))
+        ref, ref_grads = _chained_grads(model, lambda lv: _chained_kl(lv, model.groups))
+        new, grads = _kl_partials(model, prior_terms(model.groups))
         assert new == pytest.approx(ref, rel=1e-12)
-        _assert_leaf_grads_match(leaves, ref_leaves)
+        _assert_grads_match(grads, ref_grads)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["plain", "dropout"])
     @pytest.mark.parametrize(
@@ -522,17 +580,12 @@ class TestClosedFormNodes:
             phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout)
             return grad.closed_form(np.sum(phi_h.value * readout), (phi_h,), (readout,))
 
-        def fused(leaves):
-            head = _ReadoutHead(leaves[-1], readout)
-            return estimate_node(leaves, x, rng, model.spec, head, dropout)
-
-        ref, ref_leaves = _backward_leaves(model, chained)
-        new, leaves = _backward_leaves(model, fused)
+        leaves = make_leaves(model)
+        head = _ReadoutHead(leaves[-1], readout)
+        new, grads = estimate_node(leaves, x, rng, model.spec, head, dropout)
+        ref, ref_grads = _chained_grads(model, chained)
         assert new == ref
-        _assert_leaf_grads_match(leaves, ref_leaves)
-        tape = grad.Tape()
-        fused(make_leaves(tape, model))
-        assert len(tape._nodes) == 4 * model.spec.n_layers + 1
+        _assert_grads_match(grads, ref_grads)
         draws = [
             sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng.child("theta", k))
             for k, g in enumerate(model.hidden_groups)
@@ -567,14 +620,12 @@ class TestClosedFormNodes:
             phi_h = _chained_hidden(leaves, x, rng, model.spec, dropout)
             return _chained_surrogate(_linear(phi_h, *_sample_layer(leaves[-1], theta_rng)), y0)
 
-        def fused(leaves):
-            head = _SurrogateHead(leaves[-1], y0, theta_rng)
-            return estimate_node(leaves, x, rng, model.spec, head, dropout)
-
-        ref, ref_leaves = _backward_leaves(model, chained)
-        new, leaves = _backward_leaves(model, fused)
+        leaves = make_leaves(model)
+        head = _SurrogateHead(leaves[-1], y0, theta_rng)
+        new, grads = estimate_node(leaves, x, rng, model.spec, head, dropout)
+        ref, ref_grads = _chained_grads(model, chained)
         assert new == ref
-        _assert_leaf_grads_match(leaves, ref_leaves)
+        _assert_grads_match(grads, ref_grads)
 
     def test_surrogate_saturated_rows(self):
         """Rows with p_y within 1e-10 of 1, rows clamped at p_min and rows
@@ -637,14 +688,11 @@ class TestBlockBuiltEstimate:
         y = gen.integers(1, widths[-1] + 1, batch)
         rng = RngStream(27)
 
-        def build(leaves):
-            return _estimate(head, model, x, y, rng, leaves, dropout)
-
-        blocked, leaves = _backward_leaves(model, build)
+        blocked, grads = _estimate(head, model, x, y, rng, dropout)
         monkeypatch.setattr(network, "TRAIN_BLOCK", batch + 1)
-        whole, ref_leaves = _backward_leaves(model, build)
+        whole, ref_grads = _estimate(head, model, x, y, rng, dropout)
         assert blocked == pytest.approx(whole, rel=1e-12, abs=0.0)
-        _assert_leaf_grads_match(leaves, ref_leaves)
+        _assert_grads_match(grads, ref_grads)
 
     @_HEADS
     def test_node_gradients_match_finite_differences(self, monkeypatch, head):
@@ -657,14 +705,11 @@ class TestBlockBuiltEstimate:
 
         def fn(point):
             model.set_state(point)
-            value, leaves = _backward_leaves(
-                model, lambda lv: _estimate(head, model, x, y, rng, lv, 0.3)
-            )
-            return value, [g for lv in leaves for g in lv.grads()]
+            return _estimate(head, model, x, y, rng, 0.3)
 
         state0 = model.get_state()
         try:
-            assert grad.fd_check(fn, state0, step=1e-5) < 1e-4
+            assert fd_check(fn, state0, step=1e-5) < 1e-4
         finally:
             model.set_state(state0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import condgauss.network as network
-from condgauss import grad, trainer
+from condgauss import trainer
 from condgauss.certify import draw_errors
 from condgauss.data import LabelledDataset, synth_blobs
 from condgauss.gaussian import (
@@ -168,8 +168,7 @@ class TestForwardScores:
             return loss(F, y0, batch)
 
         monkeypatch.setattr(trainer, "_bounded_cross_entropy", recording)
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
+        leaves = make_leaves(model)
         theta_rng = rng.child("theta", model.spec.n_layers - 1)
         head = trainer._SurrogateHead(leaves[-1], np.zeros(300, int), theta_rng)
         estimate_node(leaves, x, rng, model.spec, head)
@@ -273,23 +272,21 @@ class TestBatchErrorEstimate:
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["plain", "dropout"])
     def test_value_only_equals_taped_value(self, monkeypatch, dropout):
-        """Without leaves the estimate makes no leaves, builds no tape and
-        runs no backward; its value is the taped estimate's bit for bit,
-        over more rows than one TRAIN_BLOCK."""
+        """Without leaves the estimate makes no leaves and runs no backward;
+        its value is that of the estimate with partials bit for bit, over
+        more rows than one TRAIN_BLOCK, and both are Python floats."""
         model, _, x = drawn_network((20, 256, 4), network.TRAIN_BLOCK + 44, seed=50)
         model.groups[-1].w_mean = RngStream(51).normal(model.groups[-1].w_mean.shape)
         y = RngStream(52).generator().integers(1, 5, len(x))
         with monkeypatch.context() as patch:
             patch.setattr(network, "make_leaves", None)
-            patch.setattr(grad, "Tape", None)
             plain = batch_error_estimate(model, x, y, RngStream(53), 5, dropout_prob=dropout)
-        tape = grad.Tape()
-        taped = batch_error_estimate(
-            model, x, y, RngStream(53), 5, make_leaves(tape, model), dropout
+        value, partials = batch_error_estimate(
+            model, x, y, RngStream(53), 5, make_leaves(model), dropout
         )
-        assert taped.tape is tape
-        assert isinstance(plain, float)
-        assert plain == taped.value
+        assert len(partials) == 4 * model.spec.n_layers
+        assert type(plain) is float and type(value) is float
+        assert plain == value
 
     def test_label_range_checked(self):
         model = StochasticModel.initialize(ModelSpec((4, 3, 3)), 0.05, RngStream(48))
@@ -723,24 +720,22 @@ class TestLastLayerIndependence:
             requested.append(parts)
             return original_child(self, *parts)
 
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
+        leaves = make_leaves(model)
         RngStream.child = spying_child
         try:
-            est = batch_error_estimate(model, x, y, RngStream(66), 3, leaves)
+            _, partials = batch_error_estimate(model, x, y, RngStream(66), 3, leaves)
         finally:
             RngStream.child = original_child
         last_idx = model.spec.n_layers - 1
         assert ("theta", 0) in requested
         assert ("theta", last_idx) not in requested
-        tape.backward(est)
-        w_mean, w_rho, _, _ = leaves[-1].leaves
-        assert np.any(w_mean.grad != 0.0)
-        assert np.any(w_rho.grad != 0.0)
+        w_mean, w_rho, _, _ = partials[-4:]
+        assert np.any(w_mean != 0.0)
+        assert np.any(w_rho != 0.0)
 
     def test_last_layer_gradient_matches_closed_form_chain(self):
-        """With one input and one repeat, the tape gradient w.r.t. the output
-        layer equals the L1 estimator's analytic (dM, dV) chained through the
+        """With one input and one repeat, the estimate's partials in the
+        output layer equal the L1 estimator's analytic (dM, dV) chained through the
         conditional-moments formulas by hand."""
         model = StochasticModel.initialize(ModelSpec((3, 4, 3)), 0.05, RngStream(67))
         g_last = model.groups[-1]
@@ -749,10 +744,7 @@ class TestLastLayerIndependence:
         x = gen.uniform(0, 1, (1, 3))
         y = np.array([2])
         rng = RngStream(69)
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        est = batch_error_estimate(model, x, y, rng, 1, leaves)
-        tape.backward(est)
+        _, partials = batch_error_estimate(model, x, y, rng, 1, make_leaves(model))
 
         # Reproduce the same hidden sample and estimator draw by key; an
         # identity output layer makes forward_scores return phi(H).
@@ -782,11 +774,11 @@ class TestLastLayerIndependence:
         dw_rho = dw_sigma * dsig_w
         db_rho = db_sigma * 1.5 * np.sqrt(np.abs(g_last.b_rho)) * np.sign(g_last.b_rho)
 
-        w_mean, w_rho, b_mean, b_rho = leaves[-1].leaves
-        np.testing.assert_allclose(w_mean.grad, dw_mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(b_mean.grad, db_mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(w_rho.grad, dw_rho, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(b_rho.grad, db_rho, rtol=1e-10, atol=1e-12)
+        w_mean, w_rho, b_mean, b_rho = partials[-4:]
+        np.testing.assert_allclose(w_mean, dw_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(b_mean, db_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(w_rho, dw_rho, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(b_rho, db_rho, rtol=1e-10, atol=1e-12)
 
 
 class TestKlAdditivity:

@@ -11,7 +11,7 @@ import pytest
 from condgauss import grad, network, trainer
 from condgauss.bounds import BoundKind, BoundSpec, kl_inv, penalty
 from condgauss.data import LabelledDataset, synth_blobs
-from condgauss.gaussian import TRAINABLE, kl_diag_gauss, prior_terms
+from condgauss.gaussian import TRAINABLE, kl_diag_gauss, kl_sum, prior_terms
 from condgauss.network import ModelSpec, StochasticModel, make_leaves, save_model
 from condgauss.rng import RngStream
 from condgauss.trainer import (
@@ -20,10 +20,8 @@ from condgauss.trainer import (
     TrainConfig,
     TrainingDiverged,
     batch_gradients,
-    kl_node,
     lambda_batch,
     momentum_step,
-    penalized_objective,
     train_condgauss,
 )
 
@@ -120,18 +118,18 @@ class TestTrainCondgauss:
         assert row.pen == pytest.approx(expect, rel=1e-6)
 
     def test_rounding_negative_kl_penalized_as_zero(self):
-        # A posterior a few ulps from its prior can sum to a KL node a hair
+        # A posterior a few ulps from its prior can sum to a KL a hair
         # below 0; the objective takes it as the KL of 0 it is.
         model = fresh_model(widths=(20, 64, 4), sigma0=0.05)
         gen = np.random.default_rng(0)
         for g in model.groups:
             g.w_rho = g.w_rho * (1.0 + gen.normal(0.0, 1e-14, g.w_rho.shape))
         prior = prior_terms(model.groups)
-        tape = grad.Tape()
-        leaves = make_leaves(tape, model)
-        assert float(kl_node(leaves, prior).value) < 0.0
-        spec = BoundSpec(BoundKind.INVKL, kappa=1.0, delta=0.025)
-        _, pen = penalized_objective(tape.leaf(0.1), leaves, prior, spec, 1000)
+        layers = [(lv.w_mean, lv.w_sigma, lv.b_mean, lv.b_sigma) for lv in make_leaves(model)]
+        assert kl_sum(layers, prior)[0] < 0.0
+        data = blob_task(classes=4, per_class=10, dim=20)
+        config = quick_config(objective=BoundSpec(BoundKind.INVKL, kappa=1.0, delta=0.025))
+        pen = batch_gradients(model, config, 1000, prior, data.inputs, data.labels, RngStream(1))[2]
         assert pen == penalty(0.0, 1000, 0.025)
 
     def test_reproducibility(self):
@@ -189,7 +187,7 @@ def test_step_tape_holds_one_node_per_formula(monkeypatch, phase, kind, nodes):
     assert set(sizes) == {nodes}
 
 
-def test_trainable_layout_follows_one_declaration(tmp_path):
+def test_trainable_layout_follows_one_declaration(monkeypatch, tmp_path):
     """The state list, the step's tape leaves and the snapshot walk each
     layer's TRAINABLE arrays in that order, and one step's gradients come
     back in that order with every array reached."""
@@ -201,8 +199,14 @@ def test_trainable_layout_follows_one_declaration(tmp_path):
             setattr(g, name, np.full_like(getattr(g, name), marks[k, name]))
     order = [marks[k, name] for k in range(len(model.groups)) for name in TRAINABLE]
     assert [a.flat[0] for a in model.get_state()] == order
-    leaves = make_leaves(grad.Tape(), model)
-    assert [p.value.flat[0] for lv in leaves for p in lv.leaves] == order
+    leaf = grad.Tape.leaf
+    leaf_firsts = []
+
+    def recording(tape, value):
+        leaf_firsts.append(value.flat[0])
+        return leaf(tape, value)
+
+    monkeypatch.setattr(grad.Tape, "leaf", recording)
     save_model(model, tmp_path / "m.model")
     lines = (tmp_path / "m.model").read_text().splitlines()
     for k in range(len(model.groups)):
@@ -217,6 +221,7 @@ def test_trainable_layout_follows_one_declaration(tmp_path):
     prior = prior_terms(model.groups)
     rng = RngStream(5)
     grads = batch_gradients(model, config, len(data), prior, data.inputs, data.labels, rng)[3]
+    assert leaf_firsts == order
     assert [g.shape for g in grads] == [a.shape for a in model.get_state()]
     assert all(np.any(g != 0.0) for g in grads)
 
@@ -340,9 +345,9 @@ class TestLambdaAlternating:
         """Parameter epochs build a tape per batch; lambda epochs build none."""
         calls = []
 
-        def leaves(tape, model):
+        def leaves(model):
             calls.append("leaves")
-            return make_leaves(tape, model)
+            return make_leaves(model)
 
         def value_batch(*args):
             calls.append("lambda")
@@ -431,7 +436,7 @@ class TestTrainPrior:
     ids=["width", "labels", "empty"],
 )
 def test_data_not_matching_model_rejected_before_first_step(monkeypatch, phase, data, message):
-    def no_step(tape, model):
+    def no_step(model):
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(trainer, "make_leaves", no_step)
@@ -455,22 +460,19 @@ class TestSurrogateBaseline:
         from condgauss.trainer import _SurrogateHead
 
         def surrogate(x, y0, rng):
-            """The baseline step's estimate node."""
-            tape = grad.Tape()
-            leaves = make_leaves(tape, model)
+            """The baseline step's estimate."""
+            leaves = make_leaves(model)
             head = _SurrogateHead(leaves[-1], y0, rng.child("theta", model.spec.n_layers - 1))
-            return estimate_node(leaves, x, rng, model.spec, head)
+            return estimate_node(leaves, x, rng, model.spec, head)[0]
 
         model = fresh_model(widths=(10, 8, 3), sigma0=1e-5)
         gen = np.random.default_rng(7)
         x = gen.uniform(0, 1, (20, 10))
         y = gen.integers(1, 4, 20)
-        node = surrogate(x, y - 1, RngStream(8))
-        assert 0.0 <= float(node.value) <= 1.0
+        assert 0.0 <= surrogate(x, y - 1, RngStream(8)) <= 1.0
         # Probability-1 correct prediction drives the loss to zero.
         model.groups[-1].b_mean = np.array([1e4, 0.0, 0.0])
-        node = surrogate(x[:4], np.zeros(4, dtype=int), RngStream(9))
-        assert float(node.value) < 1e-6
+        assert surrogate(x[:4], np.zeros(4, dtype=int), RngStream(9)) < 1e-6
 
     def test_epoch_end_estimate_builds_no_step(self, monkeypatch):
         """A 3-epoch baseline run of 2 batches an epoch builds 6 step tapes:
@@ -479,9 +481,9 @@ class TestSurrogateBaseline:
         calls = []
         make = network.make_leaves
 
-        def counting(tape, model):
+        def counting(model):
             calls.append(1)
-            return make(tape, model)
+            return make(model)
 
         for module in (network, trainer):
             monkeypatch.setattr(module, "make_leaves", counting)
