@@ -4,7 +4,9 @@ The chain: draw N full parameter samples, average their exact 0-1 error on
 the bound dataset (tilde_E), lift it to a high-probability bound on the true
 posterior risk E_S(Q) via kl_inv with budget log(2/delta')/N, then lift once
 more through kl_inv with the PAC-Bayes penalty at kappa = 1. The nested
-bound holds with probability at least 1 - (delta + delta').
+bound holds with probability at least 1 - (delta + delta'). The layer
+sigmas and the bound set's row magnitudes, which every draw reads, are
+taken once per certificate.
 
 Certification refuses to run when the prior was trained on data that
 overlaps the bound dataset; the prior/bound split fingerprints enforce the

@@ -217,11 +217,14 @@ def _read_section(cp: configparser.ConfigParser, section: str) -> dict:
 
 def parse_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise ConfigError(f"config file {problem}: {path}")
     # No interpolation: a value such as "runs/50%done" is read as written.
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    cp.read(path)
+    # read_file, unlike read, raises on a file it cannot open.
+    with open(path) as fh:
+        cp.read_file(fh)
     unknown = [f"[{cp.default_section}] {k}" for k in cp.defaults()]
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -486,9 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify a model snapshot")
     p_cert.add_argument("--model", required=True)
     _add_data_args(p_cert)
-    p_cert.add_argument("--n-draws", type=int, default=1000)
-    p_cert.add_argument("--delta", type=float, default=0.025)
-    p_cert.add_argument("--delta-prime", type=float, default=0.01)
+    # The defaults a config's [certify] section takes.
+    defaults = {key: default for key, (_, default) in _SCHEMA["certify"].items()}
+    p_cert.add_argument("--n-draws", type=int, default=defaults["n_draws"])
+    p_cert.add_argument("--delta", type=float, default=defaults["delta"])
+    p_cert.add_argument("--delta-prime", type=float, default=defaults["delta_prime"])
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--out", default=None)
 

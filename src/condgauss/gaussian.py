@@ -134,9 +134,6 @@ class GaussianParamGroup:
     def prior_frozen(self) -> bool:
         return self.prior_w_mean is not None
 
-    def n_params(self) -> int:
-        return self.w_mean.size + self.b_mean.size
-
     def freeze_prior(self) -> None:
         """Copy the current means and sigmas into the read-only prior slots."""
         for name, arr in (

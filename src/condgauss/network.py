@@ -9,6 +9,10 @@ partials in every mean and raw deviation: through the sampled hidden
 parameters and through the explicit (M, V) dependence on the last layer's
 hyper-parameters. It is built TRAIN_BLOCK rows at a time, each block's
 backward run right after its forward.
+
+Certification scores full draws: ``sample_full`` takes the layer sigmas
+and ``exact_misclassification`` the inputs' ``row_magnitudes`` from the
+caller, which takes both once for all its draws.
 """
 from __future__ import annotations
 
@@ -170,15 +174,8 @@ class StochasticModel:
         return model
 
     @property
-    def hidden_groups(self) -> list[GaussianParamGroup]:
-        return self.groups[:-1]
-
-    @property
     def prior_frozen(self) -> bool:
         return all(g.prior_frozen for g in self.groups)
-
-    def n_params(self) -> int:
-        return sum(g.n_params() for g in self.groups)
 
     def sigmas(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each layer's (w_sigma, b_sigma), derived from its raw deviations."""
@@ -227,7 +224,7 @@ def apply_dropout(h: np.ndarray, prob: float, rng: RngStream) -> np.ndarray:
         raise ValueError("dropout prob must be in [0, 1)")
     if prob == 0.0:
         return h
-    keep = ~rng.bernoulli_mask(np.shape(h), prob)
+    keep = rng.generator().random(np.shape(h)) >= prob
     return h * keep / (1.0 - prob)
 
 
@@ -435,12 +432,10 @@ def batch_error_estimate(
     return estimate_node(layers, x, rng, model.spec, head, dropout_prob)
 
 
-def sample_full(model: StochasticModel, rng: RngStream, sigmas=None) -> list[tuple]:
+def sample_full(model: StochasticModel, rng: RngStream, sigmas) -> list[tuple]:
     """Draw every layer's parameters (including the output layer) as (W, b)
-    pairs. ``sigmas`` holds each layer's (w_sigma, b_sigma); a caller that
-    draws many times passes ``model.sigmas()`` taken once."""
-    if sigmas is None:
-        sigmas = model.sigmas()
+    pairs. ``sigmas`` is ``model.sigmas()``, which a caller that draws many
+    times takes once."""
     return [
         sample_gaussian(g.w_mean, w_sigma, g.b_mean, b_sigma, rng.child("layer", k))[:2]
         for k, (g, (w_sigma, b_sigma)) in enumerate(zip(model.groups, sigmas))
@@ -592,29 +587,26 @@ def screen_rows(spec: ModelSpec) -> int:
 
 
 def exact_misclassification(
-    model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple], sizes=None
+    model: StochasticModel, inputs: np.ndarray, labels: np.ndarray, theta: list[tuple], sizes
 ) -> float:
     """0-1 error rate under a full parameter draw; output ties count as errors.
 
     The count is the float64 forward's. Each block of ``screen_rows`` rows
     is cast into one float32 buffer and screened by a ``ScoreScreen`` of
-    the draw with its slice of ``sizes``, the inputs' ``row_magnitudes``:
-    a caller scoring many draws of the same inputs takes them once, and
-    they are taken here when not given. The rows the screen cannot decide
-    are gathered into the same buffer, read as float64, and scored by the
-    float64 forward. A call holds the float32 draw, that buffer and one
-    block's activation whatever the number of inputs. The gathered rows can
-    sum in another order inside BLAS than one forward over all rows, moving
-    their scores by a few ulps.
+    the draw with its slice of ``sizes``, the inputs' ``row_magnitudes``,
+    which a caller scoring many draws of the same inputs takes once. The
+    rows the screen cannot decide are gathered into the same buffer, read
+    as float64, and scored by the float64 forward. A call holds the float32
+    draw, that buffer and one block's activation whatever the number of
+    inputs. The gathered rows can sum in another order inside BLAS than one
+    forward over all rows, moving their scores by a few ulps.
     """
     x = np.asarray(inputs, dtype=np.float64)
     y0 = np.asarray(labels, dtype=np.int64) - 1
     spec = model.spec
     if np.any(y0 < 0) or np.any(y0 >= spec.q):
         raise ValueError("labels outside 1..q")
-    if sizes is None:
-        sizes = row_magnitudes(x)
-    elif np.shape(sizes) != (len(x),):
+    if np.shape(sizes) != (len(x),):
         raise ValueError(f"sizes must hold one value per input row, got {np.shape(sizes)}")
     screen = ScoreScreen(theta, spec)
     rows = screen_rows(spec)
@@ -666,7 +658,9 @@ def save_model(model: StochasticModel, path) -> None:
 
 def load_model(path) -> StochasticModel:
     """Read a ``save_model`` snapshot. A truncated or malformed file raises
-    ValueError naming the line and the key, array or layer expected there."""
+    ValueError naming the line and the key, array or layer expected there,
+    and a file with lines after ``end`` (two snapshots in one file, say)
+    names the first of them."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != SNAPSHOT_HEADER:
@@ -732,6 +726,8 @@ def load_model(path) -> StochasticModel:
         groups.append(GaussianParamGroup(**arrays))
     if next_line("'end'") != "end":
         raise ValueError(f"snapshot line {pos + 1}: expected 'end'")
+    if pos + 1 < len(lines):
+        raise ValueError(f"snapshot line {pos + 2} follows 'end': {lines[pos + 1][:40]!r}")
     model = StochasticModel(spec, groups)
     model.prior_fingerprint = None if fields["prior_fingerprint"] == "none" else fields["prior_fingerprint"]
     model.prior_pair_token = None if fields["prior_pair_token"] == "none" else fields["prior_pair_token"]

@@ -59,7 +59,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator().permutation(n)
-
-    def bernoulli_mask(self, shape, prob: float) -> np.ndarray:
-        """Boolean mask, True with probability ``prob`` per entry."""
-        return self.generator().random(shape) < prob

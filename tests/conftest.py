@@ -17,6 +17,7 @@ from condgauss.network import (
     ModelSpec,
     StochasticModel,
     exact_misclassification,
+    row_magnitudes,
     sample_full,
 )
 from condgauss.rng import RngStream
@@ -69,8 +70,11 @@ def desk_train_config(seed: int, phase: str) -> TrainConfig:
 
 def heldout_error(model, hold, seed: int) -> float:
     rng = RngStream(seed).child("heldout")
+    sigmas, sizes = model.sigmas(), row_magnitudes(hold.inputs)
     errs = [
-        exact_misclassification(model, hold.inputs, hold.labels, sample_full(model, rng.child("d", k)))
+        exact_misclassification(
+            model, hold.inputs, hold.labels, sample_full(model, rng.child("d", k), sigmas), sizes
+        )
         for k in range(DESK_HOLDOUT_DRAWS)
     ]
     return float(np.mean(errs))

@@ -23,6 +23,7 @@ from condgauss.network import (
     ModelSpec,
     StochasticModel,
     exact_misclassification,
+    row_magnitudes,
     sample_full,
 )
 from condgauss.rng import RngStream
@@ -80,8 +81,9 @@ class TestMcEmpiricalError:
         ds = toy_data()
         rng = RngStream(9).child("cert")
         got = mc_empirical_error(model, ds, 1, rng)
-        theta = sample_full(model, rng.child("draw", 0))
-        assert got == exact_misclassification(model, ds.inputs, ds.labels, theta)
+        theta = sample_full(model, rng.child("draw", 0), model.sigmas())
+        sizes = row_magnitudes(ds.inputs)
+        assert got == exact_misclassification(model, ds.inputs, ds.labels, theta, sizes)
 
     def test_sigmas_taken_once_per_call(self, monkeypatch):
         # sigma = |rho|^(3/2) of every layer is derived once per call, so the

@@ -479,6 +479,15 @@ class TestTrainCommand:
         assert main(["train", "--config", "/nonexistent/run.cfg"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_as_config_rejected_before_output(self, tmp_path, capsys, monkeypatch):
+        # A directory used to pass as a config with no sections.
+        folder = tmp_path / "run.cfg"
+        folder.mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(folder)]) == 1
+        assert f"error: config file is not a regular file: {folder}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
+
 
 class TestCertifyCommand:
     def test_certify_snapshot(self, tmp_path, capsys):

@@ -136,7 +136,7 @@ def drawn_network(widths, m, seed):
     """A full draw of a fresh model at ``widths`` and m inputs in [0, 1]."""
     spec = ModelSpec(widths)
     model = StochasticModel.initialize(spec, sigma0=0.05, rng=RngStream(seed).child("m"))
-    theta = sample_full(model, RngStream(seed).child("draw"))
+    theta = sample_full(model, RngStream(seed).child("draw"), model.sigmas())
     x = RngStream(seed).child("x").uniform(0.0, 1.0, (m, widths[0]))
     return model, theta, x
 
@@ -299,8 +299,8 @@ class TestExactMisclassification:
         model = perfect_linear_model()
         gen = np.random.default_rng(50)
         x, labels = block_inputs(gen, 300)
-        theta = sample_full(model, RngStream(51))
-        assert exact_misclassification(model, x, labels, theta) == 0.0
+        theta = sample_full(model, RngStream(51), model.sigmas())
+        assert exact_misclassification(model, x, labels, theta, row_magnitudes(x)) == 0.0
 
     def test_constant_scores_error_rate(self):
         # Zero weights, distinct constant biases: argmax is class 1 always,
@@ -311,22 +311,25 @@ class TestExactMisclassification:
         x = gen.uniform(0, 1, (400, 4))
         labels = np.tile(np.arange(1, 5), 100)
         theta = [(g.w_mean, g.b_mean) for g in model.groups]
-        assert exact_misclassification(model, x, labels, theta) == pytest.approx(0.75)
+        error = exact_misclassification(model, x, labels, theta, row_magnitudes(x))
+        assert error == pytest.approx(0.75)
 
     def test_tie_counts_as_error(self):
         model = StochasticModel.initialize(ModelSpec((2, 2, 2)), 1e-6, RngStream(54))
         theta = zero_layers((2, 2, 2))
         x = np.ones((10, 2))
         labels = np.ones(10, dtype=int)  # all class 1; outputs all tie at 0
-        assert exact_misclassification(model, x, labels, theta) == 1.0
+        assert exact_misclassification(model, x, labels, theta, row_magnitudes(x)) == 1.0
 
     def test_non_finite_scores_count_as_errors(self):
         ds = synth_blobs(4, 100, 20, 0.8, 0)
         model = StochasticModel.initialize(ModelSpec((20, 16, 4)), 0.01, RngStream(0))
-        theta = sample_full(model, RngStream(1))
-        assert exact_misclassification(model, ds.inputs, ds.labels, theta) == 0.75
+        theta = sample_full(model, RngStream(1), model.sigmas())
+        sizes = row_magnitudes(ds.inputs)
+        assert exact_misclassification(model, ds.inputs, ds.labels, theta, sizes) == 0.75
         nan_inputs = np.full_like(ds.inputs, np.nan)
-        assert exact_misclassification(model, nan_inputs, ds.labels, theta) == 1.0
+        sizes = row_magnitudes(nan_inputs)
+        assert exact_misclassification(model, nan_inputs, ds.labels, theta, sizes) == 1.0
 
     def test_agreement_with_conditional_estimator(self):
         # Both estimate E_S(Q); their Monte-Carlo means must agree.
@@ -335,9 +338,12 @@ class TestExactMisclassification:
         x = gen.uniform(0, 1, (60, 4))
         y = gen.integers(1, 4, 60)
         draws = 400
+        sigmas, sizes = model.sigmas(), row_magnitudes(x)
         exact_vals = np.array(
             [
-                exact_misclassification(model, x, y, sample_full(model, RngStream(57).child(k)))
+                exact_misclassification(
+                    model, x, y, sample_full(model, RngStream(57).child(k), sigmas), sizes
+                )
                 for k in range(draws)
             ]
         )
@@ -356,9 +362,10 @@ class TestExactMisclassification:
     def test_label_range_checked(self, labels):
         # Label 0 would otherwise wrap to class q through index -1.
         model = StochasticModel.initialize(ModelSpec((4, 3, 3)), 0.05, RngStream(48))
-        theta = sample_full(model, RngStream(49))
+        theta = sample_full(model, RngStream(49), model.sigmas())
+        x = np.ones((3, 4))
         with pytest.raises(ValueError, match="labels outside 1..q"):
-            exact_misclassification(model, np.ones((3, 4)), np.array(labels), theta)
+            exact_misclassification(model, x, np.array(labels), theta, row_magnitudes(x))
 
 
 def mixed_labels(scores):
@@ -381,7 +388,7 @@ class TestBlockedScoring:
         scores = forward_scores(x, theta, model.spec)
         labels = mixed_labels(scores)
         expect = float(np.mean(misclassified(scores, labels - 1)))
-        assert exact_misclassification(model, x, labels, theta) == expect
+        assert exact_misclassification(model, x, labels, theta, row_magnitudes(x)) == expect
 
     @pytest.mark.parametrize(
         "m",
@@ -405,7 +412,7 @@ class TestBlockedScoring:
             misclassified(blocks, labels - 1), misclassified(full, labels - 1)
         )
         expect = float(np.mean(misclassified(full, labels - 1)))
-        assert exact_misclassification(model, x, labels, theta) == expect
+        assert exact_misclassification(model, x, labels, theta, row_magnitudes(x)) == expect
 
     def test_peak_memory_bounded_by_one_block(self):
         # One call holds one [h, SCORE_BLOCK] activation however large m is;
@@ -413,9 +420,10 @@ class TestBlockedScoring:
         m, h = 10000, 200
         model, theta, x = drawn_network((784, h, 10), m, seed=8)
         labels = np.tile(np.arange(1, 11), m // 10)
+        sizes = row_magnitudes(x)
         tracemalloc.start()
         try:
-            exact_misclassification(model, x, labels, theta)
+            exact_misclassification(model, x, labels, theta, sizes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -427,9 +435,9 @@ def float64_error(model, x, labels, theta):
     return float(np.mean(misclassified(forward_scores(x, theta, model.spec), labels - 1)))
 
 
-def assert_float64_count(model, x, labels, theta):
+def assert_float64_count(model, x, labels, theta, sizes):
     expect = float64_error(model, x, labels, theta)
-    assert exact_misclassification(model, x, labels, theta) == expect
+    assert exact_misclassification(model, x, labels, theta, sizes) == expect
 
 
 def extended_scores(x, theta, spec):
@@ -511,10 +519,10 @@ class TestScoreScreen:
     def test_counts_equal_float64_over_draws(self, widths, m):
         model, _, x = drawn_network(widths, m, seed=m)
         labels = RngStream(m).child("y").generator().integers(1, widths[-1] + 1, m)
-        sigmas = model.sigmas()
+        sigmas, sizes = model.sigmas(), row_magnitudes(x)
         for n in range(200):
             theta = sample_full(model, RngStream(m).child("draw", n), sigmas)
-            assert_float64_count(model, x, labels, theta)
+            assert_float64_count(model, x, labels, theta, sizes)
 
     def test_screen_decides_most_rows(self):
         # Correct either way, but a bound too loose to decide rows would
@@ -544,7 +552,7 @@ class TestScoreScreen:
         labels = np.where(np.arange(400) % 2, 1, 2)
         _, undecided = screened(theta, model.spec, x, labels)
         assert set(np.flatnonzero(tied)) <= set(undecided)
-        assert_float64_count(model, x, labels, theta)
+        assert_float64_count(model, x, labels, theta, row_magnitudes(x))
 
     def test_near_ties_inside_the_bound_fall_back(self):
         # Classes 1 and 2 differ by about 1e-13, far inside E: float64 tells
@@ -558,7 +566,7 @@ class TestScoreScreen:
         labels = np.where(np.arange(400) % 2, 1, 2)
         _, undecided = screened(theta, model.spec, x, labels)
         assert set(np.flatnonzero(near)) <= set(undecided)
-        assert_float64_count(model, x, labels, theta)
+        assert_float64_count(model, x, labels, theta, row_magnitudes(x))
 
     def test_non_finite_inputs_fall_back(self):
         model, theta, x = drawn_network((20, 64, 5), 400, seed=15)
@@ -570,7 +578,7 @@ class TestScoreScreen:
         _, undecided = screened(theta, model.spec, x, labels)
         assert {0, 3, 4, 7, 11} <= set(undecided)
         with np.errstate(invalid="ignore"):  # the float64 forward meets inf - inf
-            assert_float64_count(model, x, labels, theta)
+            assert_float64_count(model, x, labels, theta, row_magnitudes(x))
 
     def test_weights_beyond_float32_fall_back(self):
         model, theta, x = drawn_network((20, 64, 5), 400, seed=16)
@@ -580,7 +588,7 @@ class TestScoreScreen:
         assert screen.x_limit < 0
         _, undecided = screen.decide(x.astype(np.float32), labels - 1, row_magnitudes(x))
         assert len(undecided) == len(x)
-        assert_float64_count(model, x, labels, theta)
+        assert_float64_count(model, x, labels, theta, row_magnitudes(x))
 
     def test_fallback_memory_bounded_by_one_block(self):
         # With every row left to the float64 forward, a call still holds
@@ -589,10 +597,11 @@ class TestScoreScreen:
         model, theta, x = drawn_network((784, h, 10), m, seed=17)
         theta[0][0][0, 0] = 1e39
         labels = np.tile(np.arange(1, 11), m // 10)
+        sizes = row_magnitudes(x)
         tracemalloc.start()
         try:
             with np.errstate(over="ignore"):
-                exact_misclassification(model, x, labels, theta)
+                exact_misclassification(model, x, labels, theta, sizes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -657,8 +666,11 @@ class TestRowMagnitudes:
         labels = RngStream(33).child("y").generator().integers(1, 5, len(x))
         ds = LabelledDataset(inputs=x, labels=labels, q=4)
         rng = RngStream(34)
+        sigmas, sizes = model.sigmas(), row_magnitudes(x)
         expect = [
-            exact_misclassification(model, x, labels, sample_full(model, rng.child("draw", n)))
+            exact_misclassification(
+                model, x, labels, sample_full(model, rng.child("draw", n), sigmas), sizes
+            )
             for n in range(12)
         ]
         true_decide = ScoreScreen.decide
@@ -750,7 +762,7 @@ class TestLastLayerIndependence:
         # identity output layer makes forward_scores return phi(H).
         theta = [
             sample_gaussian(g.w_mean, g.w_sigma, g.b_mean, g.b_sigma, rng.child("theta", k))[:2]
-            for k, g in enumerate(model.hidden_groups)
+            for k, g in enumerate(model.groups[:-1])
         ]
         phi = forward_scores(x, theta + [(np.eye(4), np.zeros(4))], model.spec)[0]
         M, V, _ = conditional_moments(
@@ -842,10 +854,13 @@ class TestSnapshot:
             (lambda ls: ls[:3] + ["dropout 0.3"] + ls[4:], r"line 4: 'dropout' must be 0, got 0.3"),
             (lambda ls: ls[:22] + ["-0.01 " + ls[22].split(" ", 1)[1]] + ls[23:],
              r"array 'prior_b_sigma' of layer 0 must be strictly positive"),
+            (lambda ls: ls + ls, r"line 42 follows 'end': 'CONDGAUSS-MODEL v1'"),
+            (lambda ls: ls + ls[7:9], r"line 42 follows 'end': 'w_mean'"),
         ],
         ids=["cut_after_3", "cut_after_10", "cut_before_end", "short_layer_header",
              "non_numeric_value", "non_numeric_width", "non_relu_activation", "non_numeric_dropout",
-             "two_dropouts", "nonzero_dropout", "negative_prior_sigma"],
+             "two_dropouts", "nonzero_dropout", "negative_prior_sigma", "two_snapshots",
+             "array_after_end"],
     )
     def test_rejects_truncated_or_malformed(self, tmp_path, edit, message):
         model = StochasticModel.initialize(ModelSpec((4, 3, 2)), 0.01, RngStream(75))
